@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"net/http"
+	"os"
 	"testing"
 	"time"
 
@@ -202,5 +203,51 @@ func TestClusterNodeRejoinFromSnapshot(t *testing.T) {
 	x := tc.solve(t, fr2.ID, b)
 	if r := m.ResidualNorm(x, b); r > 1e-6 {
 		t.Fatalf("post-rejoin solve residual %g", r)
+	}
+}
+
+// TestClusterNodeCountsSnapshotWriteErrors removes a node's store
+// directory under it, so its write-behind held-block checkpoint fails:
+// the failure must be counted in the node's stats and reach the node's
+// row of the gateway's /metrics, not just a log line.
+func TestClusterNodeCountsSnapshotWriteErrors(t *testing.T) {
+	dir := t.TempDir()
+	gcfg := GatewayConfig{Procs: 4, HeartbeatTimeout: 3 * time.Second}
+	tc := startCluster(t, gcfg, []NodeConfig{
+		{ID: "a", Workers: 2, StoreDir: dir},
+		{ID: "b", Workers: 2},
+	})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	m := gen.IrregularMesh(600, 8, 3, 11)
+	fr := tc.factor(t, m)
+	if fr.Nodes != 2 {
+		t.Fatalf("factor ran on %d nodes, want 2", fr.Nodes)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var errsA, errsB uint64
+		for _, nd := range tc.fetchClusterMetrics(t).Nodes {
+			switch nd.ID {
+			case "a":
+				errsA = nd.SnapshotWriteErrors
+			case "b":
+				errsB = nd.SnapshotWriteErrors
+			}
+		}
+		if errsB != 0 {
+			t.Fatalf("node b has no store but reports %d snapshot write errors", errsB)
+		}
+		if errsA > 0 {
+			if got := tc.nodes[0].statsSnapshot().SnapshotWriteErrors; got < errsA {
+				t.Fatalf("node a stats report %d write errors, gateway saw %d", got, errsA)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("failed held-block snapshot write never reached the gateway's /metrics")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

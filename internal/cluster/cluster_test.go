@@ -16,7 +16,6 @@ import (
 	"blockfanout/internal/core"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
-	"blockfanout/internal/order"
 	"blockfanout/internal/sparse"
 )
 
@@ -206,15 +205,11 @@ func (tc *testCluster) verifyAssembled(t *testing.T, jobID, primary string, m *s
 
 func testOpts(g GatewayConfig) core.Options {
 	o := core.Options{
-		BlockSize: g.BlockSize, Blocking: g.Blocking,
+		BlockSize: g.BlockSize, Ordering: g.Ordering, Blocking: g.Blocking,
 		AmalgThreshold: g.AmalgThreshold, Exec: g.Exec,
 	}
 	if o.BlockSize == 0 {
 		o.BlockSize = core.DefaultBlockSize
-	}
-	o.Ordering = g.Ordering
-	if o.Ordering == 0 {
-		o.Ordering = order.MinDegree
 	}
 	return o
 }

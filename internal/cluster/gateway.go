@@ -37,7 +37,8 @@ type GatewayConfig struct {
 	// (default 8); the speed-aware partition spreads these over the nodes.
 	Procs int
 	// Plan-construction options, shared with every node (default: uniform
-	// blocking, MinDegree ordering, work-stealing engine).
+	// blocking, work-stealing engine, and the zero Ordering, which
+	// order.Compute resolves to MinDegree).
 	BlockSize      int
 	Blocking       blocks.Strategy
 	Ordering       order.Method
@@ -125,9 +126,6 @@ func (c *GatewayConfig) fillDefaults() {
 	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = core.DefaultBlockSize
-	}
-	if c.Ordering == 0 {
-		c.Ordering = order.MinDegree
 	}
 	if c.Replicas < 0 {
 		c.Replicas = 0
@@ -1275,6 +1273,9 @@ type gwNodeMetrics struct {
 	// DeadlineAborts counts epochs the node abandoned because the
 	// requester's deadline expired before the work finished.
 	DeadlineAborts uint64 `json:"deadline_aborts"`
+	// SnapshotWriteErrors counts held-block checkpoints the node failed
+	// to write to its store (a rejoin then starts that slice cold).
+	SnapshotWriteErrors uint64 `json:"snapshot_write_errors"`
 }
 
 type gwMetricsDoc struct {
@@ -1327,6 +1328,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Flops: m.stats.Flops, Steals: m.stats.Steals,
 			BytesSent: m.stats.BytesSent, BytesRecv: m.stats.BytesRecv,
 			Failovers: m.stats.Failovers, DeadlineAborts: m.stats.DeadlineAborts,
+			SnapshotWriteErrors: m.stats.SnapshotWriteErrors,
 		})
 		m.mu.Unlock()
 	}

@@ -108,6 +108,7 @@ type Node struct {
 	restored       atomic.Uint64 // blocks seeded from a held-block snapshot
 	resends        atomic.Uint64 // peer-send retries after a dial or write failure
 	deadlineAborts atomic.Uint64 // epochs abandoned because the requester's deadline expired
+	snapErrors     atomic.Uint64 // held-block snapshot writes the store failed
 }
 
 // nodeJob is one pattern's factorization state on this node. mu guards
@@ -296,13 +297,14 @@ func (n *Node) heartbeats() {
 // frames.
 func (n *Node) statsSnapshot() wire.NodeStats {
 	st := wire.NodeStats{
-		Flops:          n.flops.Load(),
-		Steals:         n.steals.Load(),
-		BytesSent:      n.bytesSent.Load(),
-		BytesRecv:      n.bytesRecv.Load(),
-		Failovers:      n.failovers.Load(),
-		BlocksDone:     n.done.Load(),
-		DeadlineAborts: n.deadlineAborts.Load(),
+		Flops:               n.flops.Load(),
+		Steals:              n.steals.Load(),
+		BytesSent:           n.bytesSent.Load(),
+		BytesRecv:           n.bytesRecv.Load(),
+		Failovers:           n.failovers.Load(),
+		BlocksDone:          n.done.Load(),
+		DeadlineAborts:      n.deadlineAborts.Load(),
+		SnapshotWriteErrors: n.snapErrors.Load(),
 	}
 	n.mu.Lock()
 	jobs := make([]*nodeJob, 0, len(n.jobs))
@@ -527,7 +529,7 @@ func (n *Node) startJob(sj *wire.StartJob) {
 func (j *nodeJob) startLocked(n *Node, sj *wire.StartJob) error {
 	// Refuse before any symbolic or numeric work when the requester's
 	// deadline has already passed — the epoch's flops would be pure waste.
-	if sj.DeadlineUnixMicro > 0 && !time.Now().Before(time.UnixMicro(sj.DeadlineUnixMicro)) {
+	if deadlinePassed(sj) {
 		n.deadlineAborts.Add(1)
 		return fmt.Errorf("cluster: node %s job %s run %d: %w", n.cfg.ID, sj.JobID, sj.RunID, errRequesterDeadline)
 	}
@@ -645,6 +647,12 @@ func (j *nodeJob) startLocked(n *Node, sj *wire.StartJob) error {
 	return nil
 }
 
+// deadlinePassed reports whether sj carries a requester deadline that has
+// already expired.
+func deadlinePassed(sj *wire.StartJob) bool {
+	return sj.DeadlineUnixMicro > 0 && !time.Now().Before(time.UnixMicro(sj.DeadlineUnixMicro))
+}
+
 func (n *Node) runEpoch(ctx context.Context, cancel context.CancelFunc, j *nodeJob, sj *wire.StartJob, ex *fanout.Executor, resend []int32) {
 	defer n.wg.Done()
 	for _, id := range resend {
@@ -677,10 +685,12 @@ func (n *Node) runEpoch(ctx context.Context, cancel context.CancelFunc, j *nodeJ
 		j.mu.Unlock()
 		return
 	}
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && n.ctx.Err() == nil {
+	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) && deadlinePassed(sj)) && n.ctx.Err() == nil {
 		// The requester's deadline expired mid-epoch. Abandon the run and
 		// say why in the Done, so the gateway answers 504 instead of
-		// burning retries on work nobody is waiting for.
+		// burning retries on work nobody is waiting for. The gateway's
+		// Abort for the same expiry can cancel the run just before the
+		// local deadline timer fires; that is the same abandonment.
 		n.deadlineAborts.Add(1)
 		err = fmt.Errorf("cluster: node %s job %s epoch %d abandoned: %w",
 			n.cfg.ID, sj.JobID, sj.Epoch, errRequesterDeadline)

@@ -20,6 +20,7 @@ func (n *Node) snapshotWriter() {
 	defer n.wg.Done()
 	put := func(bs *store.BlockSnapshot) {
 		if err := n.st.PutBlocks(bs); err != nil {
+			n.snapErrors.Add(1)
 			n.cfg.Logf("cluster node %s: job %s: block snapshot write: %v", n.cfg.ID, bs.JobID, err)
 		}
 	}

@@ -40,8 +40,10 @@ const Magic byte = 0xFC
 // deadline to StartJob (so nodes abort work whose requester already gave
 // up) and the deadline-abort counter to NodeStats; version 4 added the
 // optional tuned block mapping to StartJob (measured-cost remap propagated
-// gateway → nodes so every participant derives the identical schedule).
-const Version byte = 4
+// gateway → nodes so every participant derives the identical schedule);
+// version 5 added the failed held-block snapshot write counter to
+// NodeStats.
+const Version byte = 5
 
 // MaxPayload bounds a frame's payload; larger announced lengths are
 // rejected before allocation. 1 GiB admits the block payloads of
@@ -105,6 +107,9 @@ type NodeStats struct {
 	// DeadlineAborts counts epochs abandoned because the requester's
 	// deadline expired before the work finished (v3).
 	DeadlineAborts uint64
+	// SnapshotWriteErrors counts held-block checkpoints the node's store
+	// failed to write (v5).
+	SnapshotWriteErrors uint64
 }
 
 // Hello announces a node to the gateway.
@@ -280,6 +285,7 @@ func (e *enc) stats(s NodeStats) {
 	e.u64(s.BytesRecv)
 	e.u64(s.Failovers)
 	e.u64(s.DeadlineAborts)
+	e.u64(s.SnapshotWriteErrors)
 }
 
 // ---- decoding ----
@@ -430,6 +436,7 @@ func (d *dec) stats() NodeStats {
 		Failovers:   d.u64(),
 	}
 	s.DeadlineAborts = d.u64()
+	s.SnapshotWriteErrors = d.u64()
 	return s
 }
 

@@ -31,7 +31,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 	stats := NodeStats{
 		BlocksOwned: 12, BlocksDone: 11, Flops: 1 << 40, Steals: 7,
 		BytesSent: 123456, BytesRecv: 654321, Failovers: 2,
-		DeadlineAborts: 3,
+		DeadlineAborts: 3, SnapshotWriteErrors: 5,
 	}
 	frames := []Frame{
 		{Type: THello, Hello: &Hello{ID: "node-a", DataAddr: "127.0.0.1:9001", Speed: 0.5}},

@@ -40,9 +40,12 @@ type Options struct {
 	// BlockSize is the target panel width B (default 48). For the irregular
 	// strategy it caps the panel width (blocks.IrregularConfig.MaxPanel).
 	BlockSize int
-	// Ordering selects the fill-reducing ordering (default MinDegree for
-	// general matrices; use NDGrid2D/NDCube3D with GridDim for model
-	// problems, or Natural for dense matrices).
+	// Ordering selects the fill-reducing ordering. The zero value,
+	// order.Default, is resolved to MinDegree inside order.Compute (and
+	// keyed as MinDegree by ConfigKey), so every front end built on
+	// zero-valued options orders general matrices with minimum degree. Use
+	// NDGrid2D/NDCube3D with GridDim for model problems, or an explicit
+	// Natural for dense matrices.
 	Ordering order.Method
 	// GridDim is the grid side length for the geometric orderings.
 	GridDim int
@@ -107,7 +110,8 @@ func (o Options) ConfigKey() uint64 {
 		}
 	}
 	mix(uint64(o.BlockSize))
-	mix(uint64(o.Ordering))
+	// The resolved method, so Default and MinDegree share a key.
+	mix(uint64(o.Ordering.Resolve()))
 	mix(uint64(o.GridDim))
 	mix(uint64(o.Blocking))
 	mix(uint64(o.Exec))

@@ -3,6 +3,7 @@ package fanout
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,25 +134,44 @@ func TestCancellationLatency(t *testing.T) {
 
 	// Mid-run cancel: the extra time after cancel() fires is bounded by one
 	// block operation per worker (generous 2s budget; a full factorization
-	// of this problem is orders of magnitude more block operations).
+	// of this problem is orders of magnitude more block operations). The
+	// cancel fires from the completion hook after a quarter of the blocks
+	// are final, so it always lands mid-run whatever the machine's speed;
+	// the hook holds its worker until the abort is visible, and the
+	// holding worker's block is not yet retired, so the run cannot finish
+	// before the cancellation is observed.
 	if err := f.Reload(pm.Val); err != nil {
 		t.Fatal(err)
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	var cancelled time.Time
-	timer := time.AfterFunc(5*time.Millisecond, func() {
-		cancelled = time.Now()
-		cancel2()
+	defer cancel2()
+	var (
+		completions atomic.Int32
+		cancelled   time.Time
+		mid         *Executor
+	)
+	trigger := int32(pr.NBlocks / 4)
+	mid = NewExecutorRestricted(f, pr, &Restriction{
+		OnComplete: func(id int32) {
+			if completions.Add(1) != trigger {
+				return
+			}
+			cancelled = time.Now()
+			cancel2()
+			<-mid.abort
+		},
 	})
-	defer timer.Stop()
-	_, err = ex.RunContext(ctx2)
-	if err == nil {
-		t.Skip("factorization finished before the cancel fired")
-	}
+	_, err = mid.RunContext(ctx2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: got %v", err)
 	}
+	if cancelled.IsZero() {
+		t.Fatalf("cancel never fired: %d of %d blocks completed", completions.Load(), pr.NBlocks)
+	}
 	if d := time.Since(cancelled); d > 2*time.Second {
 		t.Fatalf("run kept going %v after cancellation", d)
+	}
+	if n := completions.Load(); n >= int32(pr.NBlocks) {
+		t.Fatalf("all %d blocks completed after a mid-run cancel", n)
 	}
 }

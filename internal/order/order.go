@@ -80,10 +80,20 @@ func (p Permutation) ApplyInverse(x []float64) []float64 {
 }
 
 // Method identifies an ordering algorithm.
+//
+// The zero Method is Default, which Compute (and every ConfigKey built on
+// Resolve) treats as MinDegree — the paper's ordering family for general
+// sparse matrices — so zero-valued options anywhere in the library order
+// with minimum degree. The identity ordering must be asked for explicitly
+// with Natural. Method numbers are persisted inside plan-cache and
+// snapshot keys, so none may ever be renumbered; Natural's is non-zero
+// because keys that mixed a zero for the identity ordering exist on disk
+// and must never name another ordering. All values fit in a byte, the
+// width the cluster wire carries.
 type Method int
 
 const (
-	Natural Method = iota
+	Default Method = iota // resolved to MinDegree
 	NDGrid2D
 	NDCube3D
 	NDGraph
@@ -91,10 +101,22 @@ const (
 	CuthillMcKee    // reverse Cuthill–McKee (bandwidth/profile baseline)
 	NDHybrid        // graph nested dissection with minimum-degree leaves
 	MinDegreeApprox // minimum degree with AMD-style approximate degrees
+	Natural         // identity ordering (dense matrices)
 )
+
+// Resolve returns the method Compute runs for m: MinDegree for Default,
+// m itself otherwise.
+func (m Method) Resolve() Method {
+	if m == Default {
+		return MinDegree
+	}
+	return m
+}
 
 func (m Method) String() string {
 	switch m {
+	case Default:
+		return "default"
 	case Natural:
 		return "natural"
 	case NDGrid2D:
@@ -115,10 +137,11 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Compute runs the requested ordering. gridDim is required for the
-// geometric methods (the grid side length k) and ignored otherwise.
+// Compute runs the requested ordering (Default runs MinDegree). gridDim
+// is required for the geometric methods (the grid side length k) and
+// ignored otherwise.
 func Compute(m Method, a *sparse.Matrix, gridDim int) (Permutation, error) {
-	switch m {
+	switch m.Resolve() {
 	case Natural:
 		return Identity(a.N), nil
 	case NDGrid2D:

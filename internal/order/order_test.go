@@ -282,7 +282,7 @@ func TestComputeDispatch(t *testing.T) {
 func TestMethodString(t *testing.T) {
 	for m, want := range map[Method]string{
 		Natural: "natural", NDGrid2D: "nd-grid2d", NDCube3D: "nd-cube3d",
-		NDGraph: "nd-graph", MinDegree: "mindeg",
+		NDGraph: "nd-graph", MinDegree: "mindeg", Default: "default",
 	} {
 		if m.String() != want {
 			t.Fatalf("%v", m)
@@ -420,5 +420,44 @@ func TestMinDegApproxDenseAndEmpty(t *testing.T) {
 	}
 	if p := MinDegApprox(&sparse.Pattern{N: 0, ColPtr: []int{0}}); len(p) != 0 {
 		t.Fatal("empty")
+	}
+}
+
+func TestDefaultResolvesToMinDegree(t *testing.T) {
+	if Method(0) != Default || Default.Resolve() != MinDegree {
+		t.Fatalf("zero Method resolves to %v", Method(0).Resolve())
+	}
+	for m := NDGrid2D; m <= Natural; m++ {
+		if m.Resolve() != m {
+			t.Fatalf("%v resolves to %v", m, m.Resolve())
+		}
+	}
+	// Natural has its own number, and it fits the byte the cluster wire
+	// carries.
+	if Natural == Default || Natural != Method(uint8(Natural)) {
+		t.Fatalf("Natural = %d", int(Natural))
+	}
+	m := gen.IrregularMesh(300, 6, 3, 5)
+	def, err := Compute(Default, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := Compute(MinDegree, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range md {
+		if def[i] != md[i] {
+			t.Fatalf("Default ordering differs from MinDegree at %d", i)
+		}
+	}
+	nat, err := Compute(Natural, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range nat {
+		if v != i {
+			t.Fatalf("Natural is not the identity at %d", i)
+		}
 	}
 }

@@ -20,7 +20,11 @@
 //   - loads are corruption-tolerant: any decode or checksum failure
 //     quarantines the file (renamed to "<name>.quarantine") and reports
 //     ErrCorrupt, so a bad snapshot is rebuilt from scratch, never served;
-//   - stale temp files are swept on Open.
+//   - abandoned temp files are swept on Open: those whose writing process
+//     is gone, and any older than staleTempAge. A live writer's temp file
+//     — another handle in this process or another process on the same
+//     directory — is left alone, so opening a second handle never fails
+//     a commit in flight.
 package store
 
 import (
@@ -32,8 +36,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
+	"time"
 
 	"blockfanout/internal/sparse"
 )
@@ -149,6 +156,17 @@ type Stats struct {
 	BytesWritten int64 `json:"bytes_written"`
 }
 
+// tempInfix is what this process's temp files carry between the final
+// name and CreateTemp's random suffix: the writer's pid, so Open can tell
+// an abandoned temp file from one a live writer is about to rename.
+var tempInfix = fmt.Sprintf(".tmp-%d-", os.Getpid())
+
+// staleTempAge bounds how long a temp file can outlive its writer's pid
+// check: a pid reused by an unrelated process (pid 1 in a restarted
+// container) would otherwise keep a crash leftover forever. No live write
+// holds a temp file anywhere near this long.
+const staleTempAge = time.Hour
+
 // Open creates (if needed) and opens the store rooted at dir, sweeping
 // any temp files a previous crash left behind.
 func Open(dir string) (*Store, error) {
@@ -160,11 +178,40 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") {
-			os.Remove(filepath.Join(dir, e.Name()))
+		_, suffix, ok := strings.Cut(e.Name(), ".tmp-")
+		if !ok {
+			continue
 		}
+		if info, err := e.Info(); err == nil && time.Since(info.ModTime()) < staleTempAge && writerAlive(suffix) {
+			continue
+		}
+		os.Remove(filepath.Join(dir, e.Name()))
 	}
 	return &Store{dir: dir}, nil
+}
+
+// writerAlive reports whether a temp file's suffix ("<pid>-<random>")
+// names a process that is still running. Suffixes without a pid count as
+// abandoned.
+func writerAlive(suffix string) bool {
+	pidText, _, ok := strings.Cut(suffix, "-")
+	if !ok {
+		return false
+	}
+	pid, err := strconv.Atoi(pidText)
+	if err != nil || pid <= 0 {
+		return false
+	}
+	if pid == os.Getpid() {
+		return true
+	}
+	p, err := os.FindProcess(pid)
+	if err != nil {
+		return false
+	}
+	defer p.Release()
+	err = p.Signal(syscall.Signal(0))
+	return err == nil || errors.Is(err, syscall.EPERM)
 }
 
 // Dir returns the store's root directory.
@@ -366,7 +413,7 @@ type record struct {
 // it over name — the atomic-commit point.
 func (s *Store) writeFile(name string, recs []record) error {
 	final := filepath.Join(s.dir, name)
-	tmp, err := os.CreateTemp(s.dir, name+".tmp-*")
+	tmp, err := os.CreateTemp(s.dir, name+tempInfix+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
