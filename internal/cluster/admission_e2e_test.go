@@ -10,6 +10,7 @@ import (
 	"blockfanout/internal/admission"
 	"blockfanout/internal/core"
 	"blockfanout/internal/gen"
+	"blockfanout/internal/server"
 )
 
 // TestClusterDeadlineAbort is the gateway-path half of deadline-aware
@@ -96,7 +97,7 @@ func TestGatewayTenantRateLimit(t *testing.T) {
 		b[i] = 1
 	}
 	solveAs := func(tenant string) *http.Response {
-		body, _ := json.Marshal(gwSolveRequest{ID: fr.ID, B: b})
+		body, _ := json.Marshal(server.SolveRequest{ID: fr.ID, B: b})
 		req, err := http.NewRequest(http.MethodPost, tc.ts.URL+"/v1/solve", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

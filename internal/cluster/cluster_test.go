@@ -16,6 +16,7 @@ import (
 	"blockfanout/internal/core"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
+	"blockfanout/internal/server"
 	"blockfanout/internal/sparse"
 )
 
@@ -133,7 +134,7 @@ func (tc *testCluster) factor(t *testing.T, m *sparse.Matrix) gwFactorResponse {
 
 func (tc *testCluster) solve(t *testing.T, id string, b []float64) []float64 {
 	t.Helper()
-	body, _ := json.Marshal(gwSolveRequest{ID: id, B: b})
+	body, _ := json.Marshal(server.SolveRequest{ID: id, B: b})
 	resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -442,3 +443,56 @@ func TestClusterRefactorSamePattern(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug helpers
+
+// TestGatewaySolveRejectsMalformedRHS: a right-hand side that cannot fit
+// the factor is the client's error. The gateway answers 400 before routing,
+// as the single-node server does, instead of sending it to every node,
+// falling back to its local factor and answering 503.
+func TestGatewaySolveRejectsMalformedRHS(t *testing.T) {
+	gcfg := GatewayConfig{Procs: 4, HeartbeatTimeout: 3 * time.Second}
+	tc := startCluster(t, gcfg, []NodeConfig{{ID: "n0", Workers: 1}, {ID: "n1", Workers: 1}})
+	m := gen.IrregularMesh(300, 8, 3, 5)
+	fr := tc.factor(t, m)
+
+	nodeSolves := func() (sum uint64) {
+		for _, n := range tc.nodes {
+			sum += n.solves.Load()
+		}
+		return sum
+	}
+	solvesBefore, localBefore := nodeSolves(), tc.gw.metLocalSolves.Load()
+	for name, body := range map[string]string{
+		"short b":   fmt.Sprintf(`{"id":%q,"b":[1,2,3]}`, fr.ID),
+		"missing b": fmt.Sprintf(`{"id":%q}`, fr.ID),
+		"bs only":   fmt.Sprintf(`{"id":%q,"bs":[[1,2,3]]}`, fr.ID),
+	} {
+		resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e gwError
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, e.Error)
+		}
+	}
+	if got := nodeSolves(); got != solvesBefore {
+		t.Errorf("nodes received %d solve requests for malformed bodies", got-solvesBefore)
+	}
+	if got := tc.gw.metLocalSolves.Load(); got != localBefore {
+		t.Errorf("gateway ran %d local solves for malformed bodies", got-localBefore)
+	}
+
+	// A well-formed request still reaches a node.
+	b := make([]float64, m.N)
+	for i := range b {
+		b[i] = 1
+	}
+	if x := tc.solve(t, fr.ID, b); m.ResidualNorm(x, b) > 1e-6 {
+		t.Fatalf("solve residual %g", m.ResidualNorm(x, b))
+	}
+	if nodeSolves() == solvesBefore {
+		t.Fatal("a valid solve never reached a node")
+	}
+}

@@ -216,6 +216,7 @@ func (m *member) isAlive() bool {
 // gwJob is one pattern's distributed factorization state on the gateway.
 type gwJob struct {
 	id string
+	n  int // matrix dimension, fixed by the pattern the id hashes
 
 	// reqMu serializes factor requests per pattern (a run must finish or
 	// fail before the next re-shards the same job).
@@ -246,7 +247,7 @@ type gwJob struct {
 	// nodes can abort work whose requester already gave up.
 	tenant        string
 	deadlineMicro int64
-	val      []float64 // current run's matrix values (for failover restarts)
+	val           []float64 // current run's matrix values (for failover restarts)
 	// localF is the degraded-mode factor: built in-process when the fleet
 	// is below MinNodes (or restored by WarmStart), it serves solves when no
 	// assembly node holds the distributed factor. Cleared at the start of
@@ -853,7 +854,7 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 	g.mu.Lock()
 	j, ok := g.jobs[id]
 	if !ok {
-		j = &gwJob{id: id, notify: make(chan struct{}, 1)}
+		j = &gwJob{id: id, n: m.N, notify: make(chan struct{}, 1)}
 		g.jobs[id] = j
 	}
 	g.mu.Unlock()
@@ -1106,11 +1107,6 @@ func (g *Gateway) abort(j *gwJob, runID uint64, reason string) {
 	}
 }
 
-type gwSolveRequest struct {
-	ID string    `json:"id"`
-	B  []float64 `json:"b"`
-}
-
 type gwSolveResponse struct {
 	ID        string    `json:"id"`
 	X         []float64 `json:"x"`
@@ -1134,14 +1130,24 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req gwSolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	req, err := server.ReadSolve(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	if err != nil {
 		g.writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.BS != nil {
+		g.writeErr(w, http.StatusBadRequest, errors.New(`the gateway solves one right-hand side per request: send "b", not "bs"`))
 		return
 	}
 	j := g.jobByID(req.ID)
 	if j == nil {
 		g.writeErr(w, http.StatusNotFound, fmt.Errorf("no factor %q", req.ID))
+		return
+	}
+	// A malformed right-hand side is the client's error: refuse it here,
+	// before every node refuses it and the request ends as a 503.
+	if err := req.Check(j.n); err != nil {
+		g.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// Route to the primary if it still holds the factor, else any ready

@@ -108,7 +108,7 @@ func (g *Gateway) WarmStart() (int, error) {
 	restored := 0
 	for _, we := range warm {
 		id := fmt.Sprintf("%016x", we.Snap.PatternHash)
-		j := &gwJob{id: id, notify: make(chan struct{}, 1)}
+		j := &gwJob{id: id, n: we.Entry.Plan.A.N, notify: make(chan struct{}, 1)}
 		j.plan = we.Entry.Plan
 		a := we.Entry.Assign
 		if tm := g.tunedFor(we.Snap.PatternHash, we.Entry.Plan); tm != nil {

@@ -109,6 +109,7 @@ type Node struct {
 	resends        atomic.Uint64 // peer-send retries after a dial or write failure
 	deadlineAborts atomic.Uint64 // epochs abandoned because the requester's deadline expired
 	snapErrors     atomic.Uint64 // held-block snapshot writes the store failed
+	solves         atomic.Uint64 // solve requests received from the gateway
 }
 
 // nodeJob is one pattern's factorization state on this node. mu guards
@@ -261,6 +262,7 @@ func (n *Node) ctrlLoop(ctrl net.Conn) error {
 		case wire.TAbort:
 			n.abortJob(f.Abort)
 		case wire.TSolveReq:
+			n.solves.Add(1)
 			req := f.SolveReq
 			n.wg.Add(1)
 			go func() {

@@ -9,11 +9,13 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"blockfanout/internal/sparse"
 )
@@ -100,25 +102,34 @@ func Read(r io.Reader) (*sparse.Matrix, error) {
 		hint = 1 << 20
 	}
 	type key struct{ r, c int }
-	seen := make(map[key]float64, hint)
-	var ts []sparse.Triplet
-	general := make(map[key]float64, hint)
+	// Symmetric files fill seen directly; general files collect both
+	// triangles in general, which becomes seen once symmetry is checked.
+	var seen, general map[key]float64
+	if h.symmetry == "symmetric" {
+		seen = make(map[key]float64, hint)
+	} else {
+		general = make(map[key]float64, hint)
+	}
+	want := 3
+	if h.field == "pattern" {
+		want = 2
+	}
+	var fields [3][]byte
 	count := 0
 	for sc.Scan() && count < nnz {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		want := 3
-		if h.field == "pattern" {
-			want = 2
+		rest := line
+		for k := 0; k < want; k++ {
+			fields[k], rest = nextField(rest)
+			if len(fields[k]) == 0 {
+				return nil, fmt.Errorf("mmio: short entry line %q", line)
+			}
 		}
-		if len(fields) < want {
-			return nil, fmt.Errorf("mmio: short entry line %q", line)
-		}
-		i, err1 := strconv.Atoi(fields[0])
-		j, err2 := strconv.Atoi(fields[1])
+		i, err1 := strconv.Atoi(string(fields[0]))
+		j, err2 := strconv.Atoi(string(fields[1]))
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("mmio: bad indices in %q", line)
 		}
@@ -129,51 +140,46 @@ func Read(r io.Reader) (*sparse.Matrix, error) {
 		}
 		v := 1.0
 		if h.field != "pattern" {
-			v, err = strconv.ParseFloat(fields[2], 64)
+			v, err = strconv.ParseFloat(string(fields[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("mmio: bad value in %q", line)
 			}
 		}
 		count++
-		switch h.symmetry {
-		case "symmetric":
-			if i < j {
-				i, j = j, i
-			}
-			k := key{i, j}
-			if _, dup := seen[k]; dup {
-				return nil, fmt.Errorf("mmio: duplicate entry (%d,%d)", i+1, j+1)
-			}
-			seen[k] = v
-		default: // general: collect, verify symmetry afterwards
-			general[key{i, j}] = v
+		if general != nil {
+			general[key{i, j}] = v // symmetry is verified afterwards
+			continue
 		}
+		if i < j {
+			i, j = j, i
+		}
+		k := key{i, j}
+		if _, dup := seen[k]; dup {
+			return nil, fmt.Errorf("mmio: duplicate entry (%d,%d)", i+1, j+1)
+		}
+		seen[k] = v
 	}
 	if count != nnz {
 		return nil, fmt.Errorf("mmio: got %d of %d entries", count, nnz)
 	}
 
-	if h.symmetry == "general" {
+	if general != nil {
+		// Every off-diagonal entry needs an equal mirror; then the upper
+		// triangle is redundant.
 		for k, v := range general {
-			if k.r < k.c {
+			if k.r == k.c {
 				continue
 			}
-			if k.r != k.c {
-				mv, ok := general[key{k.c, k.r}]
-				if !ok || mv != v {
-					return nil, fmt.Errorf("mmio: general matrix not symmetric at (%d,%d)", k.r+1, k.c+1)
-				}
+			if mv, ok := general[key{k.c, k.r}]; !ok || mv != v {
+				return nil, fmt.Errorf("mmio: general matrix not symmetric at (%d,%d)", k.r+1, k.c+1)
 			}
-			seen[k] = v
 		}
-		// Ensure no upper-only entries were dropped silently.
 		for k := range general {
 			if k.r < k.c {
-				if _, ok := general[key{k.c, k.r}]; !ok {
-					return nil, fmt.Errorf("mmio: general matrix not symmetric at (%d,%d)", k.r+1, k.c+1)
-				}
+				delete(general, k)
 			}
 		}
+		seen = general
 	}
 
 	if h.field == "pattern" {
@@ -199,10 +205,21 @@ func Read(r io.Reader) (*sparse.Matrix, error) {
 		}
 	}
 
+	ts := make([]sparse.Triplet, 0, len(seen))
 	for k, v := range seen {
 		ts = append(ts, sparse.Triplet{Row: k.r, Col: k.c, Val: v})
 	}
 	return sparse.FromTriplets(n, ts)
+}
+
+// nextField splits the first field off line, with strings.Fields' notion
+// of white space but without allocating.
+func nextField(line []byte) (field, rest []byte) {
+	line = bytes.TrimLeftFunc(line, unicode.IsSpace)
+	if end := bytes.IndexFunc(line, unicode.IsSpace); end >= 0 {
+		return line[:end], line[end:]
+	}
+	return line, nil
 }
 
 func parseBanner(line string) (header, error) {

@@ -167,3 +167,25 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+var sinkMatrix *sparse.Matrix
+
+// BenchmarkRead parses a symmetric real file the size of a service cold
+// request: IrregularMesh(1200, 8, 3, 1), values at full precision.
+func BenchmarkRead(b *testing.B) {
+	var sb strings.Builder
+	if err := Write(&sb, gen.IrregularMesh(1200, 8, 3, 1)); err != nil {
+		b.Fatal(err)
+	}
+	body := sb.String()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Read(strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkMatrix = m
+	}
+}

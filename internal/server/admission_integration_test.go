@@ -72,11 +72,11 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 	}
 
 	// Burst of 1: first metered solve passes, second hits the bucket.
-	resp, body := postJSONTenant(t, ts.URL+"/v1/solve", "metered", solveRequest{ID: fr.ID, B: rhs})
+	resp, body := postJSONTenant(t, ts.URL+"/v1/solve", "metered", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first metered solve: %d (%s)", resp.StatusCode, body)
 	}
-	resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "metered", solveRequest{ID: fr.ID, B: rhs})
+	resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "metered", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second metered solve: %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -93,7 +93,7 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 
 	// The unmetered tenant is untouched by the metered tenant's bucket.
 	for i := 0; i < 3; i++ {
-		resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "quiet", solveRequest{ID: fr.ID, B: rhs})
+		resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "quiet", SolveRequest{ID: fr.ID, B: rhs})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("quiet tenant solve %d: %d (%s)", i, resp.StatusCode, body)
 		}

@@ -71,7 +71,7 @@ func TestChaosSolveFaultsRetriedThenSurfaced(t *testing.T) {
 
 	// One fault: retried, solve succeeds.
 	faultinject.Enable(faultinject.Rule{Site: "server.solve", Prob: 1, Count: 1})
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve with one transient fault: status %d (%s)", resp.StatusCode, body)
 	}
@@ -85,12 +85,12 @@ func TestChaosSolveFaultsRetriedThenSurfaced(t *testing.T) {
 
 	// Persistent faults: surfaced as 500, factor stays live.
 	faultinject.Enable(faultinject.Rule{Site: "server.solve", Prob: 1})
-	resp, _ = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, _ = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("persistent solve fault: status %d; want 500", resp.StatusCode)
 	}
 	faultinject.Disable()
-	resp, _ = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, _ = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after chaos: status %d", resp.StatusCode)
 	}
@@ -112,7 +112,7 @@ func TestChaosInjectedLatencyHitsDeadline(t *testing.T) {
 		Site: "server.solve", Prob: 1,
 		Err: errors.New("slow io"), Delay: 200 * time.Millisecond,
 	})
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("stalled solve: status %d (%s); want 504 or 500", resp.StatusCode, body)
 	}

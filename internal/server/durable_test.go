@@ -16,7 +16,7 @@ import (
 // solveVec posts one RHS and returns x.
 func solveVec(t *testing.T, url, id string, b []float64) []float64 {
 	t.Helper()
-	resp, body := postJSON(t, url+"/v1/solve", solveRequest{ID: id, B: b})
+	resp, body := postJSON(t, url+"/v1/solve", SolveRequest{ID: id, B: b})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
 	}

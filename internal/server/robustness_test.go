@@ -84,7 +84,7 @@ func TestFactorPivotErrorAllPaths(t *testing.T) {
 
 	// The failed refactor invalidated the factor; its id must be gone.
 	rhs := make([]float64, a.N)
-	resp, _ = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, _ = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("solve on invalidated factor: status %d; want 404", resp.StatusCode)
 	}
@@ -184,7 +184,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after breaker recovery: status %d (%s)", resp.StatusCode, body)
 	}
@@ -214,7 +214,7 @@ func TestPerturbFactorsIndefinite(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve on perturbed factor: status %d (%s)", resp.StatusCode, body)
 	}

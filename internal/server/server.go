@@ -950,12 +950,6 @@ func (s *Server) tenantCacheGate(tenant string, m *sparse.Matrix) *admission.Rej
 
 // ---- /v1/solve ----
 
-type solveRequest struct {
-	ID string      `json:"id"`
-	B  []float64   `json:"b,omitempty"`
-	BS [][]float64 `json:"bs,omitempty"`
-}
-
 type solveResponse struct {
 	ID        string      `json:"id"`
 	X         []float64   `json:"x,omitempty"`
@@ -988,14 +982,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad solve body: %w", err))
-		return
-	}
-	if (req.B == nil) == (req.BS == nil) {
-		s.writeErr(w, http.StatusBadRequest, errors.New(`exactly one of "b" and "bs" must be set`))
+	req, err := ReadSolve(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	fe, ok := s.lookup(req.ID)
@@ -1003,14 +992,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, fmt.Errorf("unknown factor id %q", req.ID))
 		return
 	}
+	if err := req.Check(fe.n); err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	tenant := tenantOf(r)
 
 	start := time.Now()
 	if req.B != nil {
-		if err := validRHS(fe.n, req.B); err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
 		var out solveOutcome
 		if s.cfg.BatchWindow > 0 {
 			// Batched path: the tenant is charged (token bucket + brownout
@@ -1035,12 +1024,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	for i, b := range req.BS {
-		if err := validRHS(fe.n, b); err != nil {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("rhs %d: %w", i, err))
-			return
-		}
-	}
 	out := s.solveDirect(ctx, fe, tenant, req.BS)
 	if out.err != nil {
 		s.writeErr(w, errStatus(out.err), out.err)

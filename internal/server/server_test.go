@@ -142,7 +142,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: bs[i]})
+			resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: bs[i]})
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = fmt.Errorf("solve %d: status %d: %s", i, resp.StatusCode, body)
 				return
@@ -168,7 +168,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// Multi-RHS request goes through the direct path.
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, BS: bs[:3]})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, BS: bs[:3]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("multi solve: status %d: %s", resp.StatusCode, body)
 	}
@@ -224,7 +224,7 @@ func TestServiceDistinctPatterns(t *testing.T) {
 		id string
 		m  *sparse.Matrix
 	}{{fa.ID, a}, {fb.ID, b}} {
-		resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: tc.id, B: rhs})
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: tc.id, B: rhs})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
 		}
@@ -272,10 +272,10 @@ func TestServiceRequestValidation(t *testing.T) {
 	infResp.Body.Close()
 	check("inf matrix value", infResp, infBody, http.StatusBadRequest, "not finite")
 
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: "deadbeef", B: make([]float64, a.N)})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: "deadbeef", B: make([]float64, a.N)})
 	check("unknown id", resp, body, http.StatusNotFound, "unknown factor id")
 
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: make([]float64, 3)})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: make([]float64, 3)})
 	check("short rhs", resp, body, http.StatusBadRequest, "length")
 
 	// JSON cannot carry NaN, so exercise the RHS finiteness guard directly
@@ -286,16 +286,16 @@ func TestServiceRequestValidation(t *testing.T) {
 		t.Fatalf("validRHS(NaN) = %v; want not-finite error", err)
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID})
 	check("no rhs", resp, body, http.StatusBadRequest, `"b"`)
 
 	resp, body = postJSON(t, ts.URL+"/v1/solve",
-		solveRequest{ID: fr.ID, B: make([]float64, a.N), BS: [][]float64{make([]float64, a.N)}})
+		SolveRequest{ID: fr.ID, B: make([]float64, a.N), BS: [][]float64{make([]float64, a.N)}})
 	check("both rhs forms", resp, body, http.StatusBadRequest, `"b"`)
 
 	// One bad vector inside a multi-RHS request names the offender.
 	bad := [][]float64{make([]float64, a.N), make([]float64, 2)}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, BS: bad})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, BS: bad})
 	check("bad rhs in batch", resp, body, http.StatusBadRequest, "rhs 1")
 
 	get, err := http.Get(ts.URL + "/v1/factor")
@@ -349,7 +349,7 @@ func TestServiceFailedFactorConcurrent(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after recovery: status %d (%s)", resp.StatusCode, body)
 	}
@@ -382,7 +382,7 @@ func TestServiceFailedRefactorInvalidatesFactor(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("solve on invalidated factor: status %d (%s); want 404", resp.StatusCode, body)
 	}
@@ -398,7 +398,7 @@ func TestServiceFailedRefactorInvalidatesFactor(t *testing.T) {
 	if !fr2.CacheHit {
 		t.Fatal("rebuild after invalidation missed the plan cache")
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr2.ID, B: rhs})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr2.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after rebuild: status %d (%s)", resp.StatusCode, body)
 	}
@@ -593,7 +593,7 @@ func TestServiceBackpressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: make([]float64, a.N)})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: make([]float64, a.N)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded solve: status %d (%s), want 429", resp.StatusCode, body)
 	}
