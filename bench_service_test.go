@@ -124,4 +124,3 @@ func TestWriteBenchServiceJSON(t *testing.T) {
 		rep.ColdFactorMs, rep.RefactorMs, rep.RefactorSpeedup,
 		rep.SoloSolveMs, rep.BatchedPerRHSMs, rep.BatchSpeedup)
 }
-

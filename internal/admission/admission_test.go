@@ -528,8 +528,8 @@ func TestCostModel(t *testing.T) {
 	if d := m.Estimate(1e9); d > 200*time.Millisecond {
 		t.Fatalf("calibrated Estimate(1e9) = %v, want <= 200ms", d)
 	}
-	m.Observe(0, time.Second)  // ignored
-	m.Observe(1e9, 0)          // ignored
+	m.Observe(0, time.Second) // ignored
+	m.Observe(1e9, 0)         // ignored
 	m.Observe(1, time.Nanosecond)
 	if d := m.Estimate(1e9); d <= 0 {
 		t.Fatalf("estimate collapsed to %v", d)

@@ -245,7 +245,7 @@ func verifyAgainstSequential(plan *core.Plan, pr *sched.Program, mode fanout.Mod
 }
 
 // FanoutVariants are the engine × blocking configurations the end-to-end
-// rows cover: the paper's baseline (uniform panels, SPMD loop), the
+// rows cover: the paper's baseline (uniform panels, SPMD placement), the
 // work-stealing executor on the same blocks, and the structure-aware
 // irregular blocking it was built for.
 var FanoutVariants = []struct {

@@ -58,8 +58,8 @@ func remapProblems(cfg Config) ([]gen.Problem, error) {
 // and block size; the experiment re-runs per processor count).
 var remapPlanCache sync.Map // "name/b" → *core.Plan
 
-// remapPlan analyzes a problem under the paper-faithful SPMD engine: one
-// goroutine per virtual processor executing exactly the blocks it owns.
+// remapPlan analyzes a problem under the paper-faithful SPMD placement:
+// one worker per virtual processor executing exactly the blocks it owns.
 // Ownership balance is the quantity the feedback loop optimizes, and only
 // owner-computes execution makes it observable as per-processor busy time
 // (the work-stealing engine deliberately decouples the two).

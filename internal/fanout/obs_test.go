@@ -16,8 +16,8 @@ import (
 	"blockfanout/internal/sched"
 )
 
-// TestRecorderTrace runs an instrumented parallel factorization (race-
-// tested under the CI fanout race step) and checks both the span
+// TestRecorderTrace runs an instrumented parallel factorization under
+// each placement (race-tested in CI) and checks both the span
 // accounting — exactly one completing op per block, exactly one BMOD per
 // scheduled modification — and that the exported file is valid Chrome
 // trace-event JSON. Exact accounting needs the drop-free measure
@@ -26,105 +26,109 @@ import (
 func TestRecorderTrace(t *testing.T) {
 	_, bs, pm := setup(t, gen.IrregularMesh(250, 5, 3, 31), ord.MinDegree, 0, 8)
 	pr := sched.Build(bs, sched.Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 2}, bs.N())})
-	f, err := numeric.New(bs, pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(f, pr)
-	rec := ex.NewMeasureRecorder()
-	rec.Enable()
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("measure recorder dropped %d spans", rec.Dropped())
-	}
+	for _, mode := range []Mode{ModeWorkStealing, ModeSPMD} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f, err := numeric.New(bs, pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := NewExecutorMode(f, pr, mode)
+			rec := ex.NewMeasureRecorder()
+			rec.Enable()
+			if _, err := ex.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Dropped() != 0 {
+				t.Fatalf("measure recorder dropped %d spans", rec.Dropped())
+			}
 
-	var mods int32
-	for _, nm := range pr.NMods {
-		mods += nm
-	}
-	var bfacdiv, bmod int32
-	for _, s := range rec.Spans() {
-		if s.End < s.Start {
-			t.Fatalf("backwards span %+v", s)
-		}
-		switch s.Op {
-		case obs.OpBFAC, obs.OpBDIV:
-			if s.Block < 0 || int(s.Block) >= pr.NBlocks {
-				t.Fatalf("span block %d out of range", s.Block)
+			var mods int32
+			for _, nm := range pr.NMods {
+				mods += nm
 			}
-			bfacdiv++
-		case obs.OpBMOD:
-			if s.Block < 0 || int(s.Block) >= pr.NBlocks {
-				t.Fatalf("span block %d out of range", s.Block)
+			var bfacdiv, bmod int32
+			for _, s := range rec.Spans() {
+				if s.End < s.Start {
+					t.Fatalf("backwards span %+v", s)
+				}
+				switch s.Op {
+				case obs.OpBFAC, obs.OpBDIV:
+					if s.Block < 0 || int(s.Block) >= pr.NBlocks {
+						t.Fatalf("span block %d out of range", s.Block)
+					}
+					bfacdiv++
+				case obs.OpBMOD:
+					if s.Block < 0 || int(s.Block) >= pr.NBlocks {
+						t.Fatalf("span block %d out of range", s.Block)
+					}
+					bmod++
+				case obs.OpSteal:
+					// Block is the stolen destination, Src the victim worker.
+					if s.Block < 0 || int(s.Block) >= pr.NBlocks {
+						t.Fatalf("steal span block %d out of range", s.Block)
+					}
+					if s.Src < 0 || int(s.Src) >= pr.NProc || s.Src == s.Proc {
+						t.Fatalf("steal span victim %d invalid (thief %d)", s.Src, s.Proc)
+					}
+				case obs.OpIdle:
+					if s.Block != -1 || s.Src != -1 {
+						t.Fatalf("idle span carries block/src %d/%d", s.Block, s.Src)
+					}
+				default:
+					t.Fatalf("unknown span op %v", s.Op)
+				}
 			}
-			bmod++
-		case obs.OpSteal:
-			// Block is the stolen destination, Src the victim worker.
-			if s.Block < 0 || int(s.Block) >= pr.NBlocks {
-				t.Fatalf("steal span block %d out of range", s.Block)
+			if int(bfacdiv) != pr.NBlocks {
+				t.Fatalf("recorded %d BFAC/BDIV spans for %d blocks", bfacdiv, pr.NBlocks)
 			}
-			if s.Src < 0 || int(s.Src) >= pr.NProc || s.Src == s.Proc {
-				t.Fatalf("steal span victim %d invalid (thief %d)", s.Src, s.Proc)
+			if bmod != mods {
+				t.Fatalf("recorded %d BMOD spans for %d scheduled modifications", bmod, mods)
 			}
-		case obs.OpIdle:
-			if s.Block != -1 || s.Src != -1 {
-				t.Fatalf("idle span carries block/src %d/%d", s.Block, s.Src)
-			}
-		default:
-			t.Fatalf("unknown span op %v", s.Op)
-		}
-	}
-	if int(bfacdiv) != pr.NBlocks {
-		t.Fatalf("recorded %d BFAC/BDIV spans for %d blocks", bfacdiv, pr.NBlocks)
-	}
-	if bmod != mods {
-		t.Fatalf("recorded %d BMOD spans for %d scheduled modifications", bmod, mods)
-	}
 
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf, "fanout test"); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace does not parse: %v", err)
-	}
-	if len(doc.TraceEvents) < int(bfacdiv+bmod) {
-		t.Fatalf("trace has %d events for %d spans", len(doc.TraceEvents), bfacdiv+bmod)
-	}
-	for i, ev := range doc.TraceEvents {
-		for _, key := range []string{"ph", "ts", "pid", "tid"} {
-			if _, ok := ev[key]; !ok {
-				t.Fatalf("event %d missing %q: %v", i, key, ev)
+			var buf bytes.Buffer
+			if err := rec.WriteTrace(&buf, "fanout test"); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
+			var doc struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatalf("trace does not parse: %v", err)
+			}
+			if len(doc.TraceEvents) < int(bfacdiv+bmod) {
+				t.Fatalf("trace has %d events for %d spans", len(doc.TraceEvents), bfacdiv+bmod)
+			}
+			for i, ev := range doc.TraceEvents {
+				for _, key := range []string{"ph", "ts", "pid", "tid"} {
+					if _, ok := ev[key]; !ok {
+						t.Fatalf("event %d missing %q: %v", i, key, ev)
+					}
+				}
+			}
 
-	// A second run on the reset recorder must reproduce the same per-kind
-	// op counts (steal/idle spans depend on scheduling and may differ):
-	// the instrumented executor stays reusable.
-	rec.Reset()
-	if err := f.Reload(pm.Val); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var bfacdiv2, bmod2 int32
-	for _, s := range rec.Spans() {
-		switch s.Op {
-		case obs.OpBFAC, obs.OpBDIV:
-			bfacdiv2++
-		case obs.OpBMOD:
-			bmod2++
-		}
-	}
-	if bfacdiv2 != bfacdiv || bmod2 != bmod {
-		t.Fatalf("second run recorded %d/%d op spans, want %d/%d", bfacdiv2, bmod2, bfacdiv, bmod)
+			// A second run on the reset recorder must reproduce the same per-kind
+			// op counts (steal/idle spans depend on scheduling and may differ):
+			// the instrumented executor stays reusable.
+			rec.Reset()
+			if err := f.Reload(pm.Val); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ex.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var bfacdiv2, bmod2 int32
+			for _, s := range rec.Spans() {
+				switch s.Op {
+				case obs.OpBFAC, obs.OpBDIV:
+					bfacdiv2++
+				case obs.OpBMOD:
+					bmod2++
+				}
+			}
+			if bfacdiv2 != bfacdiv || bmod2 != bmod {
+				t.Fatalf("second run recorded %d/%d op spans, want %d/%d", bfacdiv2, bmod2, bfacdiv, bmod)
+			}
+		})
 	}
 }
 

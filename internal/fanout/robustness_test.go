@@ -70,39 +70,43 @@ func TestPivotErrorDeterministic(t *testing.T) {
 }
 
 // TestRefactorAfterBreakdown checks the executor is reusable after a failed
-// run: reset must clear the abort machinery and drain stranded messages so
-// a Reload + Run on good values succeeds.
+// run under either placement: reset must clear the abort machinery and
+// drain stranded inbox entries so a Reload + Run on good values succeeds.
 func TestRefactorAfterBreakdown(t *testing.T) {
 	_, bs, pm := setup(t, gen.Grid2D(10), ord.NDGrid2D, 10, 4)
 	pr := sched.Build(bs, sched.Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 2}, bs.N())})
 	bad := pm.Clone()
 	bad.Val[bad.ColPtr[0]] = -5
-	f, err := numeric.New(bs, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(f, pr)
-	for cycle := 0; cycle < 3; cycle++ {
-		if err := f.Reload(bad.Val); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.Run(); !errors.Is(err, kernels.ErrNotPositiveDefinite) {
-			t.Fatalf("cycle %d: bad values: got %v", cycle, err)
-		}
-		if err := f.Reload(pm.Val); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.Run(); err != nil {
-			t.Fatalf("cycle %d: good values after breakdown: %v", cycle, err)
-		}
-		b := make([]float64, pm.N)
-		for i := range b {
-			b[i] = 1
-		}
-		x := f.Solve(b)
-		if r := pm.ResidualNorm(x, b); r > 1e-8 {
-			t.Fatalf("cycle %d: residual %g after recovery", cycle, r)
-		}
+	for _, mode := range []Mode{ModeWorkStealing, ModeSPMD} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f, err := numeric.New(bs, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := NewExecutorMode(f, pr, mode)
+			for cycle := 0; cycle < 3; cycle++ {
+				if err := f.Reload(bad.Val); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ex.Run(); !errors.Is(err, kernels.ErrNotPositiveDefinite) {
+					t.Fatalf("cycle %d: bad values: got %v", cycle, err)
+				}
+				if err := f.Reload(pm.Val); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ex.Run(); err != nil {
+					t.Fatalf("cycle %d: good values after breakdown: %v", cycle, err)
+				}
+				b := make([]float64, pm.N)
+				for i := range b {
+					b[i] = 1
+				}
+				x := f.Solve(b)
+				if r := pm.ResidualNorm(x, b); r > 1e-8 {
+					t.Fatalf("cycle %d: residual %g after recovery", cycle, r)
+				}
+			}
+		})
 	}
 }
 

@@ -11,15 +11,15 @@ import (
 	"blockfanout/internal/obs"
 )
 
-// The work-stealing engine replaces ownership-pinned execution with a pool
-// of workers draining ready block operations from per-worker LIFO deques
-// (Chase–Lev), stealing from a random victim's tail when their own deque
-// runs dry.
+// The engine runs the fan-out DAG on a pool of workers draining ready
+// block operations from per-worker LIFO deques (Chase–Lev). Under free
+// placement a worker whose own deque runs dry steals from a random
+// victim's tail.
 //
-// Readiness is tracked with atomic countdown counters instead of the SPMD
-// engine's per-processor arrival bitsets — counters are the multi-consumer
-// form of the same information (an arrival flips a bit there, decrements a
-// counter here), and decrement-to-zero gives an exactly-once handoff:
+// Readiness is tracked with atomic countdown counters — the multi-consumer
+// form of a per-processor arrival bitset (an arrival would flip a bit
+// there; it decrements a counter here) — and decrement-to-zero gives an
+// exactly-once handoff:
 //
 //   - srcLeft[p], one per BMOD pairing, starts at the pairing's source
 //     count (2, or 1 when both sources are the same block). The completion
@@ -40,17 +40,29 @@ import (
 // bounds total deque occupancy by NBlocks, letting the fixed-capacity
 // deques never overflow.
 //
-// Memory ordering: every block's data is written before the atomic
-// decrement that announces it and read only after observing the resulting
-// count, so the sync/atomic happens-before edges make the numeric payload
-// race-free without any additional locking.
+// Pinned placement (ModeSPMD) keeps all of the above and changes only who
+// runs a ready task: block d's activations and its BFAC/BDIV belong to
+// worker Owner[d]. A task readied on its owner goes on the owner's deque
+// (an activation) or runs inline (a completing op), exactly as under free
+// placement; a task readied elsewhere is sent to the owner's inbox, whose
+// entry id means "activate block id" and ^id "run block id's completing
+// op". Pinned workers never steal and wait only on their own inbox. The
+// inbox holds 2·OwnedCount+1 entries, so a send never blocks: at most one
+// activation per owned block is live at a time, and each owned block's
+// completing op is sent at most once.
 //
-// The deterministic first-error contract is preserved exactly as in SPMD
-// mode: every worker always attempts all of its seed BFACs (stopping at
-// its own first failure) before entering the scheduling loop, and fail()
-// ranks errors so the lowest (Block, Row) breakdown wins.
+// Memory ordering: every block's data is written before the atomic
+// decrement (or inbox send) that announces it and read only after
+// observing the resulting count (or receiving the entry), so the
+// happens-before edges make the numeric payload race-free without any
+// additional locking.
+//
+// The deterministic first-error contract holds under every placement:
+// every worker always attempts all of its seed BFACs (stopping at its own
+// first failure) before entering the scheduling loop, and fail() ranks
+// errors so the lowest (Block, Row) breakdown wins.
 
-// wsWorker is one worker of the stealing pool.
+// wsWorker is one worker of the engine's pool.
 type wsWorker struct {
 	ex     *Executor
 	me     int32
@@ -58,6 +70,7 @@ type wsWorker struct {
 	rng    uint64
 	dq     deque
 	ws     numeric.Workspace
+	inbox  chan int32 // pinned placement: tasks readied on other workers
 
 	flops  int64 // flops of block ops this worker executed
 	steals int64 // successful thefts
@@ -80,10 +93,10 @@ func (w *wsWorker) pace(fl int64) {
 	}
 }
 
-// initSteal builds the work-stealing state: countdown templates, the
+// initEngine builds the run state: countdown templates, the
 // per-destination ready-queue storage, seed lists, and one deque-equipped
-// worker per virtual processor.
-func (ex *Executor) initSteal() {
+// worker per virtual processor (with an inbox under pinned placement).
+func (ex *Executor) initEngine() {
 	pr := ex.pr
 	np := pr.NProc
 	ex.pairs = pr.Pairs()
@@ -129,9 +142,10 @@ func (ex *Executor) initSteal() {
 	}
 
 	// Seeds: diagonal blocks with no pending modifications, grouped by
-	// owner so the deterministic-error contract matches SPMD mode. A
-	// restricted executor seeds only the blocks it executes, spread
-	// round-robin (its workers have no ownership identity).
+	// owner (pinned placement requires it; free placement keeps it, so the
+	// mapping still chooses who runs each seed BFAC). A restricted
+	// executor seeds only the blocks it executes, spread round-robin (its
+	// workers have no ownership identity).
 	ex.seeds = make([][]int32, np)
 	rr := 0
 	for j := range pr.BS.Cols {
@@ -165,12 +179,16 @@ func (ex *Executor) initSteal() {
 		if ex.restrict != nil && ex.restrict.FlopsPerSec > 0 {
 			w.rate = ex.restrict.FlopsPerSec / float64(np)
 		}
+		if ex.pinned {
+			w.inbox = make(chan int32, 2*pr.OwnedCount[p]+1)
+		}
 	}
 	ex.parkCh = make(chan struct{}, np)
 }
 
-// resetSteal restores the pre-run state from the templates.
-func (ex *Executor) resetSteal() {
+// reset restores the pre-run state from the templates and discards inbox
+// entries stranded by an aborted previous run.
+func (ex *Executor) reset() {
 	copy(ex.srcLeft, ex.srcInit)
 	copy(ex.finLeft, ex.finInit)
 	for i := range ex.slotHead {
@@ -212,7 +230,13 @@ func (ex *Executor) resetSteal() {
 		w.start = time.Now()
 		w.dq.top.Store(0)
 		w.dq.bottom.Store(0)
+		for len(w.inbox) > 0 {
+			<-w.inbox
+		}
 	}
+	ex.abort = make(chan struct{})
+	ex.abortOnce = sync.Once{}
+	ex.firstErr = nil
 }
 
 // run is the body of one worker goroutine.
@@ -222,7 +246,7 @@ func (w *wsWorker) run() {
 	// worker's own first failure — so a breakdown in an unmodified
 	// diagonal block is detected on every run regardless of interleaving
 	// and the ranked fail() reports the lowest (Block, Row)
-	// deterministically (same contract as the SPMD engine).
+	// deterministically.
 	for _, id := range ex.seeds[w.me] {
 		w.finish(id)
 		if w.failed {
@@ -245,6 +269,10 @@ func (w *wsWorker) run() {
 			w.processBlock(d)
 			continue
 		}
+		if ex.pinned {
+			w.receive()
+			continue
+		}
 		if d, ok := w.steal(); ok {
 			w.processBlock(d)
 			continue
@@ -252,6 +280,24 @@ func (w *wsWorker) run() {
 		if !w.park() {
 			return
 		}
+	}
+}
+
+// receive runs a pinned worker's next inbox entry, blocking until one
+// arrives or the run ends (the loop's checks then exit). A pinned worker
+// waits on nothing else: its deque is empty here, and no other worker's
+// tasks are its to run.
+func (w *wsWorker) receive() {
+	ex := w.ex
+	select {
+	case task := <-w.inbox:
+		if task >= 0 {
+			w.processBlock(task)
+		} else {
+			w.finish(^task)
+		}
+	case <-ex.abort:
+	case <-ex.doneCh:
 	}
 }
 
@@ -390,6 +436,12 @@ func (w *wsWorker) propagate(id int32) {
 				if ex.execMask != nil && !ex.execMask[bid] {
 					continue
 				}
+				if ex.pinned {
+					if o := pr.Owner[bid]; o != w.me {
+						ex.workers[o].inbox <- ^bid
+						continue
+					}
+				}
 				w.finish(bid)
 				if w.failed {
 					return
@@ -412,9 +464,10 @@ func (w *wsWorker) propagate(id int32) {
 }
 
 // ready publishes a pairing whose sources are all complete to its
-// destination's queue and elects an activation if none is live. Pairings
-// into blocks a restriction excludes are dropped: their BMODs run on the
-// destination's owner.
+// destination's queue and elects an activation if none is live; under
+// pinned placement the activation goes to the destination's owner.
+// Pairings into blocks a restriction excludes are dropped: their BMODs run
+// on the destination's owner.
 func (w *wsWorker) ready(p int32) {
 	ex := w.ex
 	d := ex.pairs.Dest[p]
@@ -424,6 +477,12 @@ func (w *wsWorker) ready(p int32) {
 	slot := ex.pairs.DestBase[d] + atomic.AddInt32(&ex.slotHead[d], 1) - 1
 	atomic.StoreInt32(&ex.slots[slot], p)
 	if atomic.CompareAndSwapInt32(&ex.active[d], 0, 1) {
+		if ex.pinned {
+			if o := ex.pr.Owner[d]; o != w.me {
+				ex.workers[o].inbox <- d
+				return
+			}
+		}
 		w.dq.push(d)
 		if ex.sleepers.Load() > 0 {
 			select {

@@ -14,6 +14,7 @@ import (
 	"blockfanout/internal/kernels"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/numeric"
+	"blockfanout/internal/obs"
 	ord "blockfanout/internal/order"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
@@ -112,46 +113,52 @@ func TestWorkStealingRandomizedBlockSizes(t *testing.T) {
 }
 
 // TestWorkStealingCancelMidRun cancels at randomized points — including
-// while workers are actively stealing from each other's deques — and
-// requires every outcome to be either clean success or a context error,
-// with the executor fully reusable afterwards. Runs under -race in CI.
+// while workers are actively stealing from each other's deques, or, under
+// ModeSPMD, sending to each other's inbox channels — and requires every
+// outcome to be either clean success or a context error, with the executor
+// fully reusable afterwards (reset must drain stranded inbox entries). Runs
+// under -race in CI.
 func TestWorkStealingCancelMidRun(t *testing.T) {
 	_, bs, pm := setup(t, gen.IrregularMesh(300, 6, 3, 77), ord.MinDegree, 0, 6)
 	pr := sched.Build(bs, sched.Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 4, Pc: 4}, bs.N())})
-	f, err := numeric.New(bs, pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(f, pr)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 30; i++ {
-		if err := f.Reload(pm.Val); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		delay := time.Duration(rng.Intn(2_000_000)) // 0–2ms: lands anywhere in the run
-		timer := time.AfterFunc(delay, cancel)
-		_, err := ex.RunContext(ctx)
-		timer.Stop()
-		cancel()
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("iteration %d: unexpected error %v", i, err)
-		}
-	}
-	// The executor must still produce a correct factor after all that.
-	if err := f.Reload(pm.Val); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, pm.N)
-	for i := range b {
-		b[i] = 1
-	}
-	x := f.Solve(b)
-	if r := pm.ResidualNorm(x, b); r > 1e-8 {
-		t.Fatalf("residual %g after cancellation stress", r)
+	for _, mode := range []Mode{ModeWorkStealing, ModeSPMD} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f, err := numeric.New(bs, pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := NewExecutorMode(f, pr, mode)
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 30; i++ {
+				if err := f.Reload(pm.Val); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				delay := time.Duration(rng.Intn(2_000_000)) // 0–2ms: lands anywhere in the run
+				timer := time.AfterFunc(delay, cancel)
+				_, err := ex.RunContext(ctx)
+				timer.Stop()
+				cancel()
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("iteration %d: unexpected error %v", i, err)
+				}
+			}
+			// The executor must still produce a correct factor after all that.
+			if err := f.Reload(pm.Val); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ex.Run(); err != nil {
+				t.Fatal(err)
+			}
+			b := make([]float64, pm.N)
+			for i := range b {
+				b[i] = 1
+			}
+			x := f.Solve(b)
+			if r := pm.ResidualNorm(x, b); r > 1e-8 {
+				t.Fatalf("residual %g after cancellation stress", r)
+			}
+		})
 	}
 }
 
@@ -251,6 +258,56 @@ func TestSPMDPivotDeterminism(t *testing.T) {
 		}
 		if pe.Block != lo {
 			t.Fatalf("run %d: block %d, want %d", run, pe.Block, lo)
+		}
+	}
+}
+
+// TestSPMDOwnerComputes pins down what makes ModeSPMD the paper's method
+// rather than just another correct schedule: every BFAC/BDIV/BMOD of block
+// d runs on worker Owner[d], nothing is stolen, and every operation runs
+// exactly once. The 1e-12 equivalence tests cannot see a placement leak —
+// a misplaced operation computes the same numbers — so this checks the
+// spans directly, over repeated runs to give a racy leak room to show.
+func TestSPMDOwnerComputes(t *testing.T) {
+	_, bs, pm := setup(t, gen.IrregularMesh(400, 6, 3, 5), ord.MinDegree, 0, 8)
+	pr := sched.Build(bs, sched.Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 2}, bs.N())})
+	f, err := numeric.New(bs, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExecutorMode(f, pr, ModeSPMD)
+	rec := ex.NewMeasureRecorder()
+	rec.Enable()
+	want := pr.NBlocks + len(pr.ModDest)
+	for run := 0; run < 20; run++ {
+		rec.Reset()
+		if err := f.Reload(pm.Val); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ex.Run()
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if st.Steals != 0 {
+			t.Fatalf("run %d: Stats.Steals = %d under ModeSPMD", run, st.Steals)
+		}
+		if rec.Dropped() != 0 {
+			t.Fatalf("run %d: measure recorder dropped %d spans", run, rec.Dropped())
+		}
+		compute := 0
+		for _, s := range rec.Spans() {
+			switch s.Op {
+			case obs.OpBFAC, obs.OpBDIV, obs.OpBMOD:
+				compute++
+				if owner := pr.Owner[s.Block]; s.Proc != owner {
+					t.Fatalf("run %d: %v of block %d ran on worker %d, owner is %d", run, s.Op, s.Block, s.Proc, owner)
+				}
+			case obs.OpSteal:
+				t.Fatalf("run %d: worker %d stole block %d under ModeSPMD", run, s.Proc, s.Block)
+			}
+		}
+		if compute != want {
+			t.Fatalf("run %d: %d compute spans, want NBlocks+mods = %d", run, compute, want)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func TestPivotErrorShapes(t *testing.T) {
 	cases := []struct {
-		name  string
+		name   string
 		poison float64
 	}{
 		{"negative", -4},

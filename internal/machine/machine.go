@@ -345,7 +345,7 @@ type simulator struct {
 	diagReady []bool
 	done      []bool
 	arrivedAt []map[int32]bool
-	powner    []int32   // mutable block → processor, seeded from pr.Owner
+	powner    []int32 // mutable block → processor, seeded from pr.Owner
 	alive     []bool
 	log       [][]int32 // per-processor processed deliveries, in order
 

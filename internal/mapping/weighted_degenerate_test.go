@@ -47,12 +47,12 @@ func TestGreedyWeightedCheckedRejectsDegenerate(t *testing.T) {
 	ord := []int{0, 1}
 	weight := []int64{3, 2}
 	cases := [][]float64{
-		{},                  // no bins
-		{math.NaN(), 1},     // malformed calibration
-		{math.Inf(1), 1},    // malformed calibration
-		{math.Inf(-1), 1},   // malformed calibration
-		{0, 1},              // uncalibrated bin
-		{-0.5, 1},           // uncalibrated bin
+		{},                // no bins
+		{math.NaN(), 1},   // malformed calibration
+		{math.Inf(1), 1},  // malformed calibration
+		{math.Inf(-1), 1}, // malformed calibration
+		{0, 1},            // uncalibrated bin
+		{-0.5, 1},         // uncalibrated bin
 	}
 	for _, speeds := range cases {
 		if _, err := GreedyWeightedChecked(ord, weight, speeds); err == nil {

@@ -44,12 +44,12 @@ func (o Op) String() string {
 // for BMODs (-1 otherwise), and start/end nanoseconds since the recorder's
 // base time.
 type Span struct {
-	Proc     int32
-	Op       Op
-	Block    int32
-	Src      int32
-	Start    int64 // ns since recorder base
-	End      int64
+	Proc  int32
+	Op    Op
+	Block int32
+	Src   int32
+	Start int64 // ns since recorder base
+	End   int64
 }
 
 // lane is one processor's private span buffer. Lanes are fixed-capacity:

@@ -97,9 +97,9 @@ type Program struct {
 
 // PairTable is the inverse view of the BMOD destination table: one entry
 // per source pairing, flat-indexed in the same order as ModDest, plus a
-// grouping of pairings by destination block. The work-stealing executor
-// drives its ready counters and per-destination operation queues with it;
-// the SPMD executor never needs it, so it is built lazily and memoized.
+// grouping of pairings by destination block. The fan-out executor drives
+// its ready counters and per-destination operation queues with it; the
+// simulator never needs it, so it is built lazily and memoized.
 type PairTable struct {
 	Col  []int32 // pairing → column k of the sources
 	A    []int32 // pairing → source block index ia (≥ jb) within column k

@@ -149,9 +149,9 @@ func TestFromSnapshotRejectsCorrupt(t *testing.T) {
 	bad := []*store.ProfileSnapshot{
 		{N: 0, Procs: 4},
 		{N: 4, Procs: 0},
-		{N: 4, Procs: 4, I: []int{1}, J: []int{1}},                        // missing cost
-		{N: 4, Procs: 4, I: []int{4}, J: []int{0}, Cost: []int64{1}},      // i out of range
-		{N: 4, Procs: 4, I: []int{0}, J: []int{-1}, Cost: []int64{1}},     // j out of range
+		{N: 4, Procs: 4, I: []int{1}, J: []int{1}},                    // missing cost
+		{N: 4, Procs: 4, I: []int{4}, J: []int{0}, Cost: []int64{1}},  // i out of range
+		{N: 4, Procs: 4, I: []int{0}, J: []int{-1}, Cost: []int64{1}}, // j out of range
 	}
 	for i, ps := range bad {
 		if _, err := tune.FromSnapshot(ps); err == nil {
