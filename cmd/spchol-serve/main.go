@@ -17,8 +17,10 @@
 //
 // With -gateway the process instead fronts a multi-node cluster: it opens
 // a second listener (-control) that spchol-node workers dial, shards
-// factorizations across them, and serves the same /v1/* API backed by the
-// cluster (see internal/cluster).
+// factorizations across them, and serves the same /v1/* API through the
+// same request pipeline, backed by the cluster (see internal/cluster).
+// Every flag that configures the pipeline applies in both modes; the
+// local-only RHS batching flags are an error with -gateway.
 //
 //	spchol-serve -gateway -addr :8080 -control :9000 -replicas 1
 package main
@@ -34,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -53,13 +56,13 @@ func main() {
 func run() error {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		procs        = flag.Int("procs", 0, "parallel width of each factorization (0 = GOMAXPROCS, capped at 16)")
+		procs        = flag.Int("procs", 0, "parallel width of each factorization (0 = GOMAXPROCS capped at 16; gateway: 8 virtual processors)")
 		workers      = flag.Int("workers", 0, "concurrent heavy operations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "operations that may wait for a worker before 429")
 		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget (0 = default 64)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte budget (0 = default 1 GiB)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "how long the first solve of a batch waits for company (negative disables batching)")
-		batchLimit   = flag.Int("batch-limit", 64, "flush a batch early at this many right-hand sides")
+		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "local only: how long the first solve of a batch waits for company (negative disables batching)")
+		batchLimit   = flag.Int("batch-limit", 64, "local only: flush a batch early at this many right-hand sides")
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request deadline for heavy work")
 		block        = flag.Int("block", 0, "panel width B of new plans (0 = default 48)")
 		execMode     = flag.String("exec", "steal", "parallel execution engine: steal | spmd")
@@ -95,21 +98,8 @@ func run() error {
 		return err
 	}
 
-	if *gateway {
-		return runGateway(gatewayFlags{
-			addr: *addr, control: *control, procs: *procs,
-			block: *block, exec: mode, replicas: *replicas,
-			minNodes: *minNodes, heartbeatInterval: *beatEvery,
-			heartbeatMisses: *beatMisses, heartbeatTimeout: *beatLimit,
-			localFallback: *fallbackFlag, storeDir: *storeDir, tune: *tuneFlag,
-			cacheEntries: *cacheEntries, cacheBytes: *cacheBytes,
-			timeout: *timeout, drainWait: *drainWait,
-			queueDepth: *queue, tenantDefault: tenantDefault, tenants: tenants,
-			memSoftBytes: *memSoftBytes, memHardBytes: *memHardBytes,
-		})
-	}
-
-	s := server.New(server.Config{
+	// The request pipeline's settings, the same in both modes.
+	cfg := server.Config{
 		Procs:            *procs,
 		Workers:          *workers,
 		QueueDepth:       *queue,
@@ -128,21 +118,70 @@ func run() error {
 		MaxFactorBytes:   *maxFactorBytes,
 		MemSoftBytes:     *memSoftBytes,
 		MemHardBytes:     *memHardBytes,
-	})
+	}
+	var gw *cluster.Gateway
+	var srv *server.Server
+	if *gateway {
+		var localOnly []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "batch-window" || f.Name == "batch-limit" {
+				localOnly = append(localOnly, "-"+f.Name)
+			}
+		})
+		if len(localOnly) > 0 {
+			return fmt.Errorf("%s: RHS batching is local only; a cluster solve never waits for a batch window", strings.Join(localOnly, ", "))
+		}
+		gw = cluster.NewGatewayFront(cluster.GatewayConfig{
+			Procs:                *procs,
+			BlockSize:            *block,
+			Exec:                 mode,
+			Replicas:             *replicas,
+			MinNodes:             *minNodes,
+			HeartbeatInterval:    *beatEvery,
+			HeartbeatMisses:      *beatMisses,
+			HeartbeatTimeout:     *beatLimit,
+			DisableLocalFallback: !*fallbackFlag,
+			Tune:                 *tuneFlag,
+			Logf:                 log.Printf,
+		}, cfg)
+		srv = gw.Front()
+	} else {
+		srv = server.New(cfg)
+	}
 	if *storeDir != "" {
-		if n, err := s.WarmStart(); err != nil {
+		warmStart := srv.WarmStart
+		if gw != nil {
+			warmStart = gw.WarmStart
+		}
+		if n, err := warmStart(); err != nil {
 			log.Printf("warm start: %v", err)
 		} else {
-			log.Printf("warm start: restored %d factor(s) from %s", n, *storeDir)
+			log.Printf("warm start: restored %d snapshot(s) from %s", n, *storeDir)
 		}
 	}
-	hs := newHTTPServer(*addr, s.Handler())
+	if gw != nil {
+		ln, err := net.Listen("tcp", *control)
+		if err != nil {
+			return fmt.Errorf("control listener: %w", err)
+		}
+		// The control plane outlives the drain: in-flight cluster requests
+		// need their nodes until the HTTP shutdown has waited for them.
+		ctlCtx, stopControl := context.WithCancel(context.Background())
+		defer stopControl()
+		go func() {
+			log.Printf("gateway control listener on %s", ln.Addr())
+			if err := gw.Serve(ctlCtx, ln); err != nil {
+				log.Printf("gateway control: %v", err)
+			}
+		}()
+	}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	// The debug listener carries pprof, which must stay opt-in and off the
 	// serving address; its lifetime is tied to the process, not the drain.
 	var ds *http.Server
 	if *debugAddr != "" {
-		ds = newHTTPServer(*debugAddr, s.DebugHandler())
+		ds = newHTTPServer(*debugAddr, srv.DebugHandler())
 		go func() {
 			log.Printf("debug listener (pprof, /metrics) on %s", *debugAddr)
 			if err := ds.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -171,7 +210,7 @@ func run() error {
 	}
 
 	log.Printf("draining (up to %s)...", *drainWait)
-	s.Drain()
+	srv.Drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil {
@@ -180,7 +219,7 @@ func run() error {
 	if ds != nil {
 		_ = ds.Shutdown(shutdownCtx)
 	}
-	s.Close() // flush pending snapshot writes
+	srv.Close() // flush pending snapshot writes
 	log.Printf("drained cleanly")
 	return <-errc
 }
@@ -227,99 +266,4 @@ func loadTenants(path string) (admission.TenantLimits, map[string]admission.Tena
 		delete(all, "default")
 	}
 	return def, all, nil
-}
-
-// gatewayFlags carries the -gateway subset of the command line.
-type gatewayFlags struct {
-	addr, control     string
-	procs, block      int
-	exec              fanout.Mode
-	replicas          int
-	minNodes          int
-	heartbeatInterval time.Duration
-	heartbeatMisses   int
-	heartbeatTimeout  time.Duration
-	localFallback     bool
-	storeDir          string
-	tune              bool
-	cacheEntries      int
-	cacheBytes        int64
-	timeout           time.Duration
-	drainWait         time.Duration
-	queueDepth        int
-	tenantDefault     admission.TenantLimits
-	tenants           map[string]admission.TenantLimits
-	memSoftBytes      uint64
-	memHardBytes      uint64
-}
-
-// runGateway serves the /v1/* API backed by a node cluster instead of the
-// in-process worker pool.
-func runGateway(gf gatewayFlags) error {
-	gw := cluster.NewGateway(cluster.GatewayConfig{
-		Procs:                gf.procs,
-		BlockSize:            gf.block,
-		Exec:                 gf.exec,
-		Replicas:             gf.replicas,
-		MinNodes:             gf.minNodes,
-		HeartbeatInterval:    gf.heartbeatInterval,
-		HeartbeatMisses:      gf.heartbeatMisses,
-		HeartbeatTimeout:     gf.heartbeatTimeout,
-		DisableLocalFallback: !gf.localFallback,
-		StoreDir:             gf.storeDir,
-		Tune:                 gf.tune,
-		RequestTimeout:       gf.timeout,
-		CacheEntries:         gf.cacheEntries,
-		CacheBytes:           gf.cacheBytes,
-		QueueDepth:           gf.queueDepth,
-		TenantDefault:        gf.tenantDefault,
-		Tenants:              gf.tenants,
-		MemSoftBytes:         gf.memSoftBytes,
-		MemHardBytes:         gf.memHardBytes,
-		Logf:                 log.Printf,
-	})
-	if gf.storeDir != "" {
-		if n, err := gw.WarmStart(); err != nil {
-			log.Printf("gateway warm start: %v", err)
-		} else {
-			log.Printf("gateway warm start: restored %d plan(s) from %s", n, gf.storeDir)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	ln, err := net.Listen("tcp", gf.control)
-	if err != nil {
-		return fmt.Errorf("control listener: %w", err)
-	}
-	go func() {
-		log.Printf("gateway control listener on %s", ln.Addr())
-		if err := gw.Serve(ctx, ln); err != nil {
-			log.Printf("gateway control: %v", err)
-		}
-	}()
-
-	hs := newHTTPServer(gf.addr, gw.Handler())
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("gateway API listening on %s", gf.addr)
-		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), gf.drainWait)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	return <-errc
 }

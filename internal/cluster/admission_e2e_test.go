@@ -124,7 +124,7 @@ func TestGatewayTenantRateLimit(t *testing.T) {
 	if r2.Header.Get("Retry-After") == "" {
 		t.Fatal("429 carries no Retry-After header")
 	}
-	var e gwError
+	var e server.ErrorBody
 	if err := json.NewDecoder(r2.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}

@@ -48,18 +48,6 @@ func planOptions(sj *wire.StartJob) core.Options {
 	}
 }
 
-// buildSchedule derives the cluster's canonical assignment for a plan:
-// best-fit grid over the virtual processor count, Increasing Depth rows ×
-// Column-intensive columns (the serving tier's configuration), domains
-// enabled. Gateway and nodes call the same function so every party holds
-// the identical sched.Program.
-func buildSchedule(plan *core.Plan, procs int) (sched.Assignment, *sched.Program) {
-	g := mapping.BestGrid(procs)
-	mp := plan.Map(g, mapping.ID, mapping.CY)
-	a := plan.Assign(mp, 2)
-	return a, sched.Build(plan.BS, a)
-}
-
 // wireMapping rebuilds a tuned mapping shipped in a StartJob, validating
 // dimensions and ranges so a corrupt or mismatched frame cannot index the
 // schedule out of bounds. Returns nil when the job carries no tuned map.
@@ -87,23 +75,21 @@ func wireMapping(plan *core.Plan, sj *wire.StartJob) (*mapping.Mapping, error) {
 	return &mapping.Mapping{Grid: g, MapI: mi, MapJ: mj}, nil
 }
 
-// scheduleFromJob derives one participant's schedule for a StartJob:
-// the canonical static schedule, or — when the job carries a tuned map —
-// the schedule under that measured-cost mapping with no domain override
-// (the gateway's adoption decision compared loads under exactly this
-// ownership; see internal/tune). Every participant and the gateway derive
-// the same program from the same frame.
+// scheduleFromJob derives one participant's schedule for a StartJob: the
+// serving tier's static schedule (core.Plan.ServingAssignment), or — when
+// the job carries a tuned map — the schedule under that measured-cost
+// mapping with no domain override (the gateway's adoption decision
+// compared loads under exactly this ownership; see internal/tune). Every
+// participant and the gateway derive the same program from the same frame.
 func scheduleFromJob(plan *core.Plan, sj *wire.StartJob) (*sched.Program, error) {
 	tm, err := wireMapping(plan, sj)
 	if err != nil {
 		return nil, err
 	}
 	if tm == nil {
-		_, pr := buildSchedule(plan, int(sj.Procs))
-		return pr, nil
+		return sched.Build(plan.BS, plan.ServingAssignment(int(sj.Procs))), nil
 	}
-	a := plan.Assign(tm, 0)
-	return sched.Build(plan.BS, a), nil
+	return sched.Build(plan.BS, plan.Assign(tm, 0)), nil
 }
 
 // mapSignature digests a StartJob's tuned-map fields so a node can detect

@@ -33,16 +33,39 @@ type testCluster struct {
 
 func quietLog(string, ...any) {}
 
+// gwHealth is the gateway's /healthz document.
+type gwHealth struct {
+	Status    string    `json:"status"`
+	Admission string    `json:"admission"`
+	Nodes     []nodeRow `json:"nodes"`
+}
+
+// gwMetricsDoc is the part of the gateway's /metrics document the tests
+// read: the pipeline's status and request counters and the cluster
+// backend's section.
+type gwMetricsDoc struct {
+	Status   string `json:"status"`
+	Requests struct {
+		Factor int64 `json:"factor"`
+	} `json:"requests"`
+	clusterDoc
+}
+
 func startCluster(t *testing.T, gcfg GatewayConfig, nodeCfgs []NodeConfig) *testCluster {
 	t.Helper()
 	if gcfg.Logf == nil {
 		gcfg.Logf = quietLog
 	}
+	return runCluster(t, NewGateway(gcfg), nodeCfgs)
+}
+
+// runCluster serves gw's control plane and HTTP API and starts the nodes.
+func runCluster(t *testing.T, gw *Gateway, nodeCfgs []NodeConfig) *testCluster {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewGateway(gcfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	go gw.Serve(ctx, ln)
 
@@ -113,7 +136,7 @@ func matrixBody(m *sparse.Matrix) []byte {
 	return b
 }
 
-func (tc *testCluster) factor(t *testing.T, m *sparse.Matrix) gwFactorResponse {
+func (tc *testCluster) factor(t *testing.T, m *sparse.Matrix) server.FactorResponse {
 	t.Helper()
 	resp, err := http.Post(tc.ts.URL+"/v1/factor", "application/json", bytes.NewReader(matrixBody(m)))
 	if err != nil {
@@ -121,11 +144,11 @@ func (tc *testCluster) factor(t *testing.T, m *sparse.Matrix) gwFactorResponse {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e gwError
+		var e server.ErrorBody
 		json.NewDecoder(resp.Body).Decode(&e)
 		t.Fatalf("factor returned %d: %s", resp.StatusCode, e.Error)
 	}
-	var fr gwFactorResponse
+	var fr server.FactorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +164,11 @@ func (tc *testCluster) solve(t *testing.T, id string, b []float64) []float64 {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e gwError
+		var e server.ErrorBody
 		json.NewDecoder(resp.Body).Decode(&e)
 		t.Fatalf("solve returned %d: %s", resp.StatusCode, e.Error)
 	}
-	var sr gwSolveResponse
+	var sr server.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +289,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("no data-plane traffic recorded")
 	}
-	if doc.FactorRequests != 1 {
-		t.Fatalf("metrics factor_requests=%d", doc.FactorRequests)
+	if doc.Requests.Factor != 1 {
+		t.Fatalf("metrics requests.factor=%d", doc.Requests.Factor)
 	}
 }
 
@@ -470,7 +493,7 @@ func TestGatewaySolveRejectsMalformedRHS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e gwError
+		var e server.ErrorBody
 		json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {

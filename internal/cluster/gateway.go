@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,11 +22,8 @@ import (
 	"blockfanout/internal/machine"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/order"
-	"blockfanout/internal/plancache"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/server"
-	"blockfanout/internal/sparse"
-	"blockfanout/internal/store"
 )
 
 // GatewayConfig configures the cluster gateway.
@@ -78,10 +73,15 @@ type GatewayConfig struct {
 	// frame lost en route to every assembly target (default 5s).
 	ReadyTimeout time.Duration
 	// DisableLocalFallback turns off degraded mode: by default, when fewer
-	// than MinNodes are alive the gateway factors locally (single-node,
-	// in-process) and keeps serving solves, reporting "degraded" from
-	// /healthz instead of erroring.
+	// than MinNodes are alive the gateway factors on its own Local backend
+	// (single-node, in-process) and keeps serving solves, reporting
+	// "degraded" from /healthz instead of erroring.
 	DisableLocalFallback bool
+	// StoreDir, RequestTimeout, MaxBodyBytes, the cache budgets and the
+	// admission knobs configure the request pipeline (internal/server)
+	// that NewGateway puts in front of the cluster; NewGatewayFront takes
+	// a server.Config for them instead.
+	//
 	// StoreDir, when non-empty, enables the durable snapshot store: plans
 	// (and degraded-mode local factors) persist across gateway restarts via
 	// WarmStart.
@@ -159,15 +159,6 @@ func (c *GatewayConfig) fillDefaults() {
 	if c.ReadyTimeout <= 0 {
 		c.ReadyTimeout = 5 * time.Second
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 120 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 512 << 20
-	}
-	if c.AdmissionWorkers <= 0 {
-		c.AdmissionWorkers = 16
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
@@ -215,8 +206,9 @@ func (m *member) isAlive() bool {
 
 // gwJob is one pattern's distributed factorization state on the gateway.
 type gwJob struct {
-	id string
-	n  int // matrix dimension, fixed by the pattern the id hashes
+	id   string
+	n    int   // matrix dimension, fixed by the pattern the id hashes
+	nnzL int64 // nnz(L) of the pattern's plan (solve cost estimates)
 
 	// reqMu serializes factor requests per pattern (a run must finish or
 	// fail before the next re-shards the same job).
@@ -248,11 +240,9 @@ type gwJob struct {
 	tenant        string
 	deadlineMicro int64
 	val           []float64 // current run's matrix values (for failover restarts)
-	// localF is the degraded-mode factor: built in-process when the fleet
-	// is below MinNodes (or restored by WarmStart), it serves solves when no
-	// assembly node holds the distributed factor. Cleared at the start of
-	// each factor request so it can never serve stale values.
-	localF *core.Factor
+	// lastSnap is when the pattern's plan snapshot was last enqueued.
+	// Guarded by reqMu.
+	lastSnap time.Time
 }
 
 func (j *gwJob) wake() {
@@ -263,15 +253,15 @@ func (j *gwJob) wake() {
 }
 
 // Gateway shards factor ownership across worker nodes and fails running
-// factorizations over to buddies when a node dies. Mount Handler behind
-// HTTP; Serve accepts node control connections.
+// factorizations over to buddies when a node dies. It is the cluster
+// backend of a server.Server request pipeline: mount Handler behind HTTP;
+// Serve accepts node control connections.
 type Gateway struct {
 	cfg   GatewayConfig
-	cache *plancache.Cache
-	adm   *admission.Controller
+	front *server.Server
+	local *server.Local // degraded mode: the front's in-process backend
 
-	planOpts core.Options
-	planKey  uint64
+	planKey uint64 // the nodes' plan configuration, digested
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -290,24 +280,50 @@ type Gateway struct {
 	runSeq   atomic.Uint64
 	solveSeq atomic.Uint64
 
-	// Durable snapshot store (nil when cfg.StoreDir is empty).
-	st       *store.Store
-	storeErr error
-
-	metFactorReqs   atomic.Uint64
-	metSolveReqs    atomic.Uint64
 	metFailovers    atomic.Uint64
 	metEpochs       atomic.Uint64
 	metEpochRetries atomic.Uint64
 	metLocalFactors atomic.Uint64
 	metLocalSolves  atomic.Uint64
-	metWarmPlans    atomic.Uint64
 	metTunedMaps    atomic.Uint64
 }
 
-// NewGateway builds a gateway; call Serve with a listener for the node
-// control plane.
+// NewGateway builds a gateway whose request pipeline takes its settings
+// from cfg (16 admission workers and a 120s request timeout by default);
+// call Serve with a listener for the node control plane.
 func NewGateway(cfg GatewayConfig) *Gateway {
+	front := server.Config{
+		Workers:        cfg.AdmissionWorkers,
+		QueueDepth:     cfg.QueueDepth,
+		CacheEntries:   cfg.CacheEntries,
+		CacheBytes:     cfg.CacheBytes,
+		RequestTimeout: cfg.RequestTimeout,
+		MaxBodyBytes:   cfg.MaxBodyBytes,
+		StoreDir:       cfg.StoreDir,
+		TenantDefault:  cfg.TenantDefault,
+		Tenants:        cfg.Tenants,
+		ShedAt:         cfg.ShedAt,
+		RejectAt:       cfg.RejectAt,
+		MemSoftBytes:   cfg.MemSoftBytes,
+		MemHardBytes:   cfg.MemHardBytes,
+	}
+	if front.Workers <= 0 {
+		front.Workers = 16
+	}
+	if front.RequestTimeout <= 0 {
+		front.RequestTimeout = 120 * time.Second
+	}
+	return NewGatewayFront(cfg, front)
+}
+
+// NewGatewayFront builds a gateway whose request pipeline is configured by
+// front, exactly as a single-process server's would be; cfg's pipeline
+// fields (see StoreDir) are not consulted. Three front settings are the
+// cluster's to decide: the plan options and Procs come from cfg, because
+// every node derives its schedule from them; RHS batching is off, because
+// a cluster solve must not wait out a batch window; and Tune is cfg.Tune's
+// tuned-map propagation, not the server's measured first factorization.
+func NewGatewayFront(cfg GatewayConfig, front server.Config) *Gateway {
 	cfg.fillDefaults()
 	opts := core.Options{
 		BlockSize:      cfg.BlockSize,
@@ -317,32 +333,23 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		Exec:           cfg.Exec,
 	}
 	g := &Gateway{
-		cfg:   cfg,
-		cache: plancache.New(plancache.Config{MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes}),
-		adm: admission.New(admission.Config{
-			Workers:      cfg.AdmissionWorkers,
-			QueueDepth:   cfg.QueueDepth,
-			Default:      cfg.TenantDefault,
-			Tenants:      cfg.Tenants,
-			ShedAt:       cfg.ShedAt,
-			RejectAt:     cfg.RejectAt,
-			MemSoftBytes: cfg.MemSoftBytes,
-			MemHardBytes: cfg.MemHardBytes,
-		}),
-		planOpts: opts,
-		planKey:  opts.ConfigKey(),
-		byID:     make(map[string]int),
-		jobs:     make(map[string]*gwJob),
-		tuned:    make(map[uint64]*mapping.Mapping),
+		cfg:     cfg,
+		planKey: opts.ConfigKey(),
+		byID:    make(map[string]int),
+		jobs:    make(map[string]*gwJob),
+		tuned:   make(map[uint64]*mapping.Mapping),
 	}
-	if cfg.StoreDir != "" {
-		g.st, g.storeErr = store.Open(cfg.StoreDir)
-		if g.storeErr != nil {
-			cfg.Logf("cluster gateway: snapshot store disabled: %v", g.storeErr)
-		}
-	}
+	front.Procs = cfg.Procs
+	front.BatchWindow = -1
+	front.Tune = false
+	g.front = server.NewFront(front, opts, g)
+	g.local = g.front.Local()
 	return g
 }
+
+// Front returns the gateway's request pipeline, for draining, closing and
+// the debug listener.
+func (g *Gateway) Front() *server.Server { return g.front }
 
 // SetTunedMapping registers (or, with m == nil, clears) a measured-cost
 // mapping for a pattern: the next factor request for it ships the mapping
@@ -703,158 +710,35 @@ func (g *Gateway) handleReady(m *member, fr *wire.FactorReady) {
 	j.wake()
 }
 
-// ---- HTTP API ----
+// ---- the cluster backend ----
 
-// Handler returns the gateway's HTTP mux: the serving tier's /v1 surface
-// backed by the cluster instead of an in-process executor.
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/factor", g.handleFactor)
-	mux.HandleFunc("/v1/solve", g.handleSolve)
-	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.HandleFunc("/metrics", g.handleMetrics)
-	return mux
+// Handler returns the gateway's HTTP mux: the server's request pipeline,
+// its heavy work running on the cluster.
+func (g *Gateway) Handler() http.Handler { return g.front.Handler() }
+
+// Live reports a pattern the cluster holds a job for, or failing that a
+// factor the degraded-mode Local backend holds.
+func (g *Gateway) Live(id string) (int, int64, bool) {
+	if j := g.jobByID(id); j != nil {
+		return j.n, j.nnzL, true
+	}
+	return g.local.Live(id)
 }
 
-type gwError struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"` // stable admission codes ("tenant_rate", "brownout", ...)
-	// RetryAfterS mirrors the Retry-After header on 429/503 rejections.
-	RetryAfterS float64 `json:"retry_after_s,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (g *Gateway) writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, gwError{Error: err.Error()})
-}
-
-// gwTenantOf extracts the request's tenant identity.
-func gwTenantOf(r *http.Request) string {
-	if t := r.Header.Get("X-Tenant"); t != "" {
-		return t
+// Factor runs one distributed factorization to completion (through any
+// failovers), or — with the fleet below MinNodes — degrades to the Local
+// backend.
+func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.FactorResponse, error) {
+	var resp server.FactorResponse
+	if c.Perturb {
+		return resp, server.WithStatus(http.StatusBadRequest,
+			errors.New("perturb=1 is not supported by the cluster: its nodes apply no diagonal shift"))
 	}
-	return admission.DefaultTenant
-}
-
-// writeRejection renders an admission rejection: the Retry-After header
-// (whole seconds, as HTTP requires) plus the envelope carrying the stable
-// code and the same hint in-body.
-func (g *Gateway) writeRejection(w http.ResponseWriter, rej *admission.Rejection) {
-	ra := rej.RetryAfter
-	if ra <= 0 {
-		ra = time.Second
-	}
-	secs := int64((ra + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, rej.Status, gwError{
-		Error: rej.Message, Code: rej.Code, RetryAfterS: float64(secs),
-	})
-}
-
-// admit runs the gateway's admission gate; it reports whether the caller
-// may proceed, having already written the response when not.
-func (g *Gateway) admit(ctx context.Context, w http.ResponseWriter, req admission.Request) (func(), bool) {
-	release, rej, err := g.adm.Admit(ctx, req)
-	if rej != nil {
-		g.writeRejection(w, rej)
-		return nil, false
-	}
-	if err != nil {
-		// The requester gave up while queued.
-		g.writeErr(w, http.StatusGatewayTimeout, err)
-		return nil, false
-	}
-	return release, true
-}
-
-type gwFactorResponse struct {
-	ID       string `json:"id"`
-	N        int    `json:"n"`
-	NNZ      int    `json:"nnz"`
-	NNZL     int64  `json:"nnz_l"`
-	Flops    int64  `json:"flops"`
-	CacheHit bool   `json:"cache_hit"`
-	Nodes    int    `json:"nodes"`
-	Epochs   uint32 `json:"epochs"` // failover restarts this run survived
-	Primary  string `json:"primary"`
-	// Degraded is true when the fleet was unavailable and the factor was
-	// computed locally on the gateway (Nodes 0, Primary "local").
-	Degraded  bool    `json:"degraded,omitempty"`
-	ElapsedMs float64 `json:"elapsed_ms"`
-}
-
-func (g *Gateway) handleFactor(w http.ResponseWriter, r *http.Request) {
-	g.metFactorReqs.Add(1)
-	if r.Method != http.MethodPost {
-		g.writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
-	// Shed doomed requests before parsing the matrix body; the class is
-	// unknowable until the pattern hash is, so precheck as Refactor (the
-	// lenient choice — Admit below re-applies the gates with the real
-	// class).
-	if rej := g.adm.Precheck(gwTenantOf(r), admission.Refactor); rej != nil {
-		g.writeRejection(w, rej)
-		return
-	}
-	m, err := server.ReadMatrix(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), r.Header.Get("Content-Type"))
-	if err != nil {
-		g.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// A pattern the cluster already holds is a refactor (values reload on a
-	// cached plan); an unknown one is a cold factorization and queues behind
-	// everything else under load.
-	tenant := gwTenantOf(r)
-	pri := admission.Cold
-	if j := g.jobByID(fmt.Sprintf("%016x", m.PatternHash())); j != nil {
-		pri = admission.Refactor
-	}
-	deadline, _ := ctx.Deadline()
-	release, ok := g.admit(ctx, w, admission.Request{
-		Tenant: tenant, Priority: pri, Deadline: deadline,
-	})
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	resp, code, err := g.factor(ctx, m, tenant)
-	if err != nil {
-		g.writeErr(w, code, err)
-		return
-	}
-	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1e3
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// factor runs one distributed factorization to completion (through any
-// failovers) and returns the response.
-func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (*gwFactorResponse, int, error) {
-	id := fmt.Sprintf("%016x", m.PatternHash())
-	entry, hit, err := g.cache.GetOrBuild(m, g.planKey, func() (*core.Plan, sched.Assignment, error) {
-		plan, err := core.NewPlan(m, g.planOpts)
-		if err != nil {
-			return nil, sched.Assignment{}, err
-		}
-		a, _ := buildSchedule(plan, g.cfg.Procs)
-		return plan, a, nil
-	})
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
-	}
-
+	id, m, entry := c.ID, c.M, c.Entry
 	g.mu.Lock()
 	j, ok := g.jobs[id]
 	if !ok {
-		j = &gwJob{id: id, n: m.N, notify: make(chan struct{}, 1)}
+		j = &gwJob{id: id, n: m.N, nnzL: entry.Plan.Exact.NZinL, notify: make(chan struct{}, 1)}
 		g.jobs[id] = j
 	}
 	g.mu.Unlock()
@@ -863,7 +747,7 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 	defer j.reqMu.Unlock()
 
 	if j.plan != nil && !j.plan.A.SamePattern(m) {
-		return nil, http.StatusConflict, fmt.Errorf("factor id %s is held by a different sparsity pattern (hash collision)", id)
+		return resp, server.WithStatus(http.StatusConflict, fmt.Errorf("factor id %s is held by a different sparsity pattern (hash collision)", id))
 	}
 	// (Re)build the schedule when the job is new or its tuned mapping
 	// changed — a measured remap registered between runs must reshape this
@@ -893,15 +777,18 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 		// Partitioned from (or never had) the fleet: degrade to a local
 		// single-node factorization instead of erroring, unless disabled.
 		if !g.cfg.DisableLocalFallback {
-			return g.factorLocal(ctx, j, entry, m, hit)
+			return g.factorDegraded(ctx, j, c)
 		}
-		return nil, http.StatusServiceUnavailable,
-			fmt.Errorf("cluster has %d nodes, need %d", len(parts), g.cfg.MinNodes)
+		return resp, server.WithStatus(http.StatusServiceUnavailable,
+			fmt.Errorf("cluster has %d nodes, need %d", len(parts), g.cfg.MinNodes))
 	}
 
+	// A degraded-mode factor of this pattern holds older values than this
+	// run: retire it so it can never answer a solve again.
+	g.local.Forget(id)
 	j.mu.Lock()
-	j.localF = nil // never serve stale values if this run changes them
-	j.tenant = tenant
+	resp.Refactored = j.solvable
+	j.tenant = c.Tenant
 	j.deadlineMicro = 0
 	if dl, ok := ctx.Deadline(); ok {
 		j.deadlineMicro = dl.UnixMicro()
@@ -921,8 +808,8 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 		// non-finite): refuse loudly instead of silently piling every
 		// processor onto whichever node the degenerate arithmetic favored.
 		j.mu.Unlock()
-		return nil, http.StatusServiceUnavailable,
-			fmt.Errorf("cannot partition processors across nodes: %w", perr)
+		return resp, server.WithStatus(http.StatusServiceUnavailable,
+			fmt.Errorf("cannot partition processors across nodes: %w", perr))
 	}
 	j.nodeOf = nodeOf
 	ids := make([]string, len(parts))
@@ -948,14 +835,14 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 		j.mu.Lock()
 		if j.runID != runID {
 			j.mu.Unlock()
-			return nil, http.StatusConflict, errors.New("superseded by a newer factor request")
+			return resp, server.WithStatus(http.StatusConflict, errors.New("superseded by a newer factor request"))
 		}
 		if len(j.failures) > 0 {
 			fail := bestFailure(j.failures)
 			if fail.HasPivot {
 				j.mu.Unlock()
 				g.abort(j, runID, fail.Err)
-				return nil, http.StatusUnprocessableEntity, &kernels.PivotError{
+				return resp, &kernels.PivotError{
 					Block: int(fail.PivotBlock), Row: int(fail.PivotRow), Pivot: fail.Pivot,
 				}
 			}
@@ -964,7 +851,7 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 				// passed. Retrying cannot beat an expired clock: answer 504.
 				j.mu.Unlock()
 				g.abort(j, runID, fail.Err)
-				return nil, http.StatusGatewayTimeout, errors.New(fail.Err)
+				return resp, server.WithStatus(http.StatusGatewayTimeout, errors.New(fail.Err))
 			}
 			anyAlive := false
 			for _, mm := range j.members {
@@ -973,7 +860,7 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 			if !anyAlive && !g.cfg.DisableLocalFallback {
 				j.mu.Unlock()
 				g.cfg.Logf("cluster gateway: job %s lost every node; degrading to local factorization", j.id)
-				return g.factorLocal(ctx, j, entry, m, hit)
+				return g.factorDegraded(ctx, j, c)
 			}
 			if anyAlive && retries < g.cfg.FactorRetries {
 				retries++
@@ -990,7 +877,7 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 				select {
 				case <-ctx.Done():
 					g.abort(j, runID, "request cancelled")
-					return nil, http.StatusGatewayTimeout, ctx.Err()
+					return resp, ctx.Err()
 				case <-time.After(delay):
 				}
 				j.mu.Lock()
@@ -1002,30 +889,22 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 			}
 			j.mu.Unlock()
 			g.abort(j, runID, fail.Err)
-			return nil, http.StatusInternalServerError, errors.New(fail.Err)
+			return resp, errors.New(fail.Err)
 		}
 		if j.allDoneLocked() && len(j.ready) > 0 {
 			j.solvable = true
-			epochs := j.epoch
-			primary := j.members[j.primary].id
-			nodes := len(j.members)
+			resp.Epochs = j.epoch
+			resp.Primary = j.members[j.primary].id
+			resp.Nodes = len(j.members)
 			j.mu.Unlock()
-			plan := j.plan
-			// Persist a plan snapshot (matrix + config, no blocks): a
-			// restarted gateway skips ordering and symbolic analysis for
-			// this pattern; the factor itself lives on the nodes.
-			g.saveSnapshot(m, nil)
-			return &gwFactorResponse{
-				ID: id, N: m.N, NNZ: m.NNZ(),
-				NNZL: plan.Exact.NZinL, Flops: plan.Exact.Flops,
-				CacheHit: hit, Nodes: nodes, Epochs: epochs, Primary: primary,
-			}, 0, nil
+			g.saveSnapshot(j, m)
+			return resp, nil
 		}
 		j.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			g.abort(j, runID, "request cancelled")
-			return nil, http.StatusGatewayTimeout, ctx.Err()
+			return resp, ctx.Err()
 		case <-j.notify:
 		case <-time.After(g.cfg.ReadyTimeout):
 			// Every node finished its slice but no assembly target ever
@@ -1107,98 +986,46 @@ func (g *Gateway) abort(j *gwJob, runID uint64, reason string) {
 	}
 }
 
-type gwSolveResponse struct {
-	ID        string    `json:"id"`
-	X         []float64 `json:"x"`
-	Node      string    `json:"node"`
-	ElapsedMs float64   `json:"elapsed_ms"`
-}
-
-func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
-	g.metSolveReqs.Add(1)
-	if r.Method != http.MethodPost {
-		g.writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
-	deadline, _ := ctx.Deadline()
-	release, ok := g.admit(ctx, w, admission.Request{
-		Tenant: gwTenantOf(r), Priority: admission.Interactive, Deadline: deadline,
-	})
-	if !ok {
-		return
-	}
-	defer release()
-	req, err := server.ReadSolve(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		g.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+// Solve routes a single right-hand side to the job's primary if it still
+// holds the factor, else to any ready replica — the solve-side half of
+// buddy failover. The degraded-mode Local backend's factor is the target of
+// last resort.
+func (g *Gateway) Solve(ctx context.Context, req *server.SolveRequest) (server.SolveResponse, error) {
 	if req.BS != nil {
-		g.writeErr(w, http.StatusBadRequest, errors.New(`the gateway solves one right-hand side per request: send "b", not "bs"`))
-		return
+		return server.SolveResponse{}, server.WithStatus(http.StatusBadRequest,
+			errors.New(`the gateway solves one right-hand side per request: send "b", not "bs"`))
 	}
-	j := g.jobByID(req.ID)
-	if j == nil {
-		g.writeErr(w, http.StatusNotFound, fmt.Errorf("no factor %q", req.ID))
-		return
-	}
-	// A malformed right-hand side is the client's error: refuse it here,
-	// before every node refuses it and the request ends as a 503.
-	if err := req.Check(j.n); err != nil {
-		g.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// Route to the primary if it still holds the factor, else any ready
-	// replica — the solve-side half of buddy failover. The degraded-mode
-	// local factor is the target of last resort.
-	j.mu.Lock()
-	localF := j.localF
 	var targets []*member
-	if j.solvable {
-		order := append([]int{j.primary}, j.replicas...)
-		for _, i := range order {
-			if j.ready[i] && j.members[i].isAlive() {
-				targets = append(targets, j.members[i])
+	if j := g.jobByID(req.ID); j != nil {
+		j.mu.Lock()
+		if j.solvable {
+			order := append([]int{j.primary}, j.replicas...)
+			for _, i := range order {
+				if j.ready[i] && j.members[i].isAlive() {
+					targets = append(targets, j.members[i])
+				}
 			}
 		}
+		j.mu.Unlock()
 	}
-	j.mu.Unlock()
-	if len(targets) == 0 && localF == nil {
-		g.writeErr(w, http.StatusConflict, fmt.Errorf("factor %q is not ready", req.ID))
-		return
-	}
-
-	start := time.Now()
 	var lastErr error
 	for _, t := range targets {
 		x, err := g.solveOn(ctx, t, req.ID, req.B)
 		if err == nil {
-			writeJSON(w, http.StatusOK, gwSolveResponse{
-				ID: req.ID, X: x, Node: t.id,
-				ElapsedMs: float64(time.Since(start).Microseconds()) / 1e3,
-			})
-			return
+			return server.SolveResponse{X: x, Node: t.id}, nil
 		}
 		lastErr = err
 	}
-	if localF != nil {
+	if _, _, ok := g.local.Live(req.ID); ok {
 		g.metLocalSolves.Add(1)
-		x, err := localF.Solve(req.B)
-		if err == nil {
-			writeJSON(w, http.StatusOK, gwSolveResponse{
-				ID: req.ID, X: x, Node: "local",
-				ElapsedMs: float64(time.Since(start).Microseconds()) / 1e3,
-			})
-			return
-		}
-		lastErr = err
+		resp, err := g.local.Solve(ctx, req)
+		resp.Node = "local"
+		return resp, err
 	}
 	if lastErr == nil {
-		lastErr = errors.New("no assembly node holds the factor")
+		return server.SolveResponse{}, server.WithStatus(http.StatusConflict, fmt.Errorf("factor %q is not ready", req.ID))
 	}
-	g.writeErr(w, http.StatusServiceUnavailable, lastErr)
+	return server.SolveResponse{}, server.WithStatus(http.StatusServiceUnavailable, lastErr)
 }
 
 func (g *Gateway) solveOn(ctx context.Context, m *member, jobID string, b []float64) ([]float64, error) {
@@ -1226,48 +1053,12 @@ func (g *Gateway) solveOn(ctx context.Context, m *member, jobID string, b []floa
 	}
 }
 
-type gwNodeHealth struct {
-	ID         string  `json:"id"`
-	Alive      bool    `json:"alive"`
-	DataAddr   string  `json:"data_addr"`
-	LastBeatMs float64 `json:"last_heartbeat_ms"`
-	Speed      float64 `json:"speed"`
-}
-
-type gwHealth struct {
-	Status    string         `json:"status"`    // ok | degraded | down
-	Admission string         `json:"admission"` // ok | shed-low-priority | reject-new-factors | drain
-	Nodes     []gwNodeHealth `json:"nodes"`
-}
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g.mu.Lock()
-	members := append([]*member(nil), g.members...)
-	g.mu.Unlock()
-	status, _, _ := g.fleetStatus()
-	h := gwHealth{Status: status, Admission: g.adm.State().String()}
-	for _, m := range members {
-		m.mu.Lock()
-		nh := gwNodeHealth{
-			ID: m.id, Alive: m.alive, DataAddr: m.dataAddr, Speed: m.speed,
-			LastBeatMs: float64(time.Since(m.lastBeat).Microseconds()) / 1e3,
-		}
-		m.mu.Unlock()
-		h.Nodes = append(h.Nodes, nh)
-	}
-	// "degraded" answers 200: the gateway still serves (local fallback or a
-	// reduced fleet), and a load balancer should keep routing to it. Only
-	// "down" — below MinNodes with fallback disabled — is a 503.
-	code := http.StatusOK
-	if status == "down" {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, h)
-}
-
-type gwNodeMetrics struct {
+// nodeRow is one node's row in /healthz and /metrics.
+type nodeRow struct {
 	ID          string  `json:"id"`
 	Alive       bool    `json:"alive"`
+	DataAddr    string  `json:"data_addr"`
+	Speed       float64 `json:"speed"`
 	LastBeatMs  float64 `json:"last_heartbeat_ms"` // age of the newest heartbeat
 	BlocksOwned uint64  `json:"blocks_owned"`
 	BlocksDone  uint64  `json:"blocks_done"`
@@ -1284,51 +1075,42 @@ type gwNodeMetrics struct {
 	SnapshotWriteErrors uint64 `json:"snapshot_write_errors"`
 }
 
-type gwMetricsDoc struct {
-	Status         string          `json:"status"` // ok | degraded | down
-	FactorRequests uint64          `json:"factor_requests"`
-	SolveRequests  uint64          `json:"solve_requests"`
-	Failovers      uint64          `json:"failovers"`
-	Epochs         uint64          `json:"epochs_started"`
-	EpochRetries   uint64          `json:"epoch_retries"` // backoff restarts after infra failures
-	LocalFactors   uint64          `json:"local_factors"` // degraded-mode factorizations
-	LocalSolves    uint64          `json:"local_solves"`  // solves served by the local fallback factor
-	WarmPlans      uint64          `json:"warm_plans"`    // plans restored by the last WarmStart
-	TunedMaps      uint64          `json:"tuned_maps"`    // measured-cost mappings registered for propagation
-	Jobs           int             `json:"jobs"`
-	Store          *store.Stats    `json:"store,omitempty"` // absent without -store-dir
-	Admission      admission.Stats `json:"admission"`
-	Nodes          []gwNodeMetrics `json:"nodes"`
+// clusterDoc is the cluster backend's /metrics section.
+type clusterDoc struct {
+	Failovers    uint64    `json:"failovers"`
+	Epochs       uint64    `json:"epochs_started"`
+	EpochRetries uint64    `json:"epoch_retries"` // backoff restarts after infra failures
+	LocalFactors uint64    `json:"local_factors"` // degraded-mode factorizations
+	LocalSolves  uint64    `json:"local_solves"`  // solves served by the Local backend
+	TunedMaps    uint64    `json:"tuned_maps"`    // measured-cost mappings registered for propagation
+	Jobs         int       `json:"jobs"`
+	Nodes        []nodeRow `json:"nodes"`
 }
 
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// Status reports the fleet: "ok" with every node alive, "down" when the
+// gateway cannot serve at all (below MinNodes with local fallback
+// disabled), "degraded" in between — some nodes dead, or running on the
+// Local backend. /healthz and /metrics both list the nodes.
+func (g *Gateway) Status() server.BackendStatus {
 	g.mu.Lock()
 	members := append([]*member(nil), g.members...)
 	jobs := len(g.jobs)
 	g.mu.Unlock()
-	status, _, _ := g.fleetStatus()
-	doc := gwMetricsDoc{
-		Status:         status,
-		FactorRequests: g.metFactorReqs.Load(),
-		SolveRequests:  g.metSolveReqs.Load(),
-		Failovers:      g.metFailovers.Load(),
-		Epochs:         g.metEpochs.Load(),
-		EpochRetries:   g.metEpochRetries.Load(),
-		LocalFactors:   g.metLocalFactors.Load(),
-		LocalSolves:    g.metLocalSolves.Load(),
-		WarmPlans:      g.metWarmPlans.Load(),
-		TunedMaps:      g.metTunedMaps.Load(),
-		Jobs:           jobs,
-		Admission:      g.adm.Snapshot(),
+	doc := clusterDoc{
+		Failovers:    g.metFailovers.Load(),
+		Epochs:       g.metEpochs.Load(),
+		EpochRetries: g.metEpochRetries.Load(),
+		LocalFactors: g.metLocalFactors.Load(),
+		LocalSolves:  g.metLocalSolves.Load(),
+		TunedMaps:    g.metTunedMaps.Load(),
+		Jobs:         jobs,
+		Nodes:        []nodeRow{},
 	}
-	if g.st != nil {
-		st := g.st.Stats()
-		doc.Store = &st
-	}
+	alive := 0
 	for _, m := range members {
 		m.mu.Lock()
-		doc.Nodes = append(doc.Nodes, gwNodeMetrics{
-			ID: m.id, Alive: m.alive,
+		doc.Nodes = append(doc.Nodes, nodeRow{
+			ID: m.id, Alive: m.alive, DataAddr: m.dataAddr, Speed: m.speed,
 			LastBeatMs:  float64(time.Since(m.lastBeat).Microseconds()) / 1e3,
 			BlocksOwned: m.stats.BlocksOwned, BlocksDone: m.stats.BlocksDone,
 			Flops: m.stats.Flops, Steals: m.stats.Steals,
@@ -1336,9 +1118,22 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Failovers: m.stats.Failovers, DeadlineAborts: m.stats.DeadlineAborts,
 			SnapshotWriteErrors: m.stats.SnapshotWriteErrors,
 		})
+		if m.alive {
+			alive++
+		}
 		m.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, doc)
+	state := "degraded"
+	switch {
+	case alive >= g.cfg.MinNodes && alive == len(members):
+		state = "ok"
+	case alive < g.cfg.MinNodes && g.cfg.DisableLocalFallback:
+		state = "down"
+	}
+	health := struct {
+		Nodes []nodeRow `json:"nodes"`
+	}{doc.Nodes}
+	return server.BackendStatus{State: state, Health: health, Metrics: doc}
 }
 
 // NodeOfSnapshot returns the current processor→node partition of a job's

@@ -269,6 +269,15 @@ func (p *Plan) Assign(m *mapping.Mapping, domainBeta float64) sched.Assignment {
 	return a
 }
 
+// ServingAssignment is the serving tier's assignment over procs
+// processors: the best-fit grid, Increasing Depth rows × Column-intensive
+// columns, and domains at β = 2. The solve server, the cluster gateway and
+// every cluster node call it, so all parties derive the identical schedule
+// for a pattern.
+func (p *Plan) ServingAssignment(procs int) sched.Assignment {
+	return p.Assign(p.Map(mapping.BestGrid(procs), mapping.ID, mapping.CY), 2)
+}
+
 // Factor runs the real parallel block fan-out factorization under the
 // assignment and returns the numeric factor. The factor keeps the
 // assignment's schedule and executor, so SolveParallel can reuse the data

@@ -80,7 +80,7 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second metered solve: %d (%s), want 429", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBatcherExpiredContextNotCoalesced(t *testing.T) {
 	s, ts := testService(t, Config{Procs: 1, Workers: 1, BlockSize: 16, BatchWindow: 50 * time.Millisecond})
 	a := gen.Grid2D(8)
 	fr := factorMatrix(t, ts.URL, a)
-	fe, ok := s.lookup(fr.ID)
+	fe, ok := s.local.lookup(fr.ID)
 	if !ok {
 		t.Fatal("factor entry missing")
 	}
@@ -159,7 +159,7 @@ func TestFactorBytesGate(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized factor: %d (%s), want 413", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTenantCacheByteQuota(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota factor: %d (%s), want 429", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestHealthzAndMetricsShowBrownout(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("cold factor under brownout: %d (%s), want 503", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,10 @@ import (
 	"blockfanout/internal/admission"
 )
 
-// solveOutcome is what one solve (batched single-RHS or direct multi-RHS)
-// gets back.
+// solveOutcome is what one batched single-RHS solve gets back.
 type solveOutcome struct {
-	x     []float64   // single-RHS solution
-	xs    [][]float64 // multi-RHS solutions (direct path only)
-	batch int         // how many right-hand sides shared the sweep
+	x     []float64 // the solution
+	batch int       // how many right-hand sides shared the sweep
 	err   error
 }
 
@@ -30,7 +28,7 @@ type pendingSolve struct {
 // sweep loads every factor block once for the whole batch — the serving
 // win SolveN was built for.
 type batcher struct {
-	s  *Server
+	l  *Local
 	fe *factorEntry
 
 	mu      sync.Mutex
@@ -52,7 +50,7 @@ func (bt *batcher) submit(ctx context.Context, b []float64) solveOutcome {
 	bt.mu.Lock()
 	bt.pending = append(bt.pending, req)
 	switch {
-	case len(bt.pending) >= bt.s.cfg.BatchLimit:
+	case len(bt.pending) >= bt.l.s.cfg.BatchLimit:
 		if bt.timer != nil {
 			bt.timer.Stop()
 			bt.timer = nil
@@ -62,7 +60,7 @@ func (bt *batcher) submit(ctx context.Context, b []float64) solveOutcome {
 		bt.mu.Unlock()
 		go bt.run(batch)
 	case len(bt.pending) == 1:
-		bt.timer = time.AfterFunc(bt.s.cfg.BatchWindow, bt.flush)
+		bt.timer = time.AfterFunc(bt.l.s.cfg.BatchWindow, bt.flush)
 		bt.mu.Unlock()
 	default:
 		bt.mu.Unlock()
@@ -93,12 +91,12 @@ func (bt *batcher) flush() {
 // constituent solve was already charged against its tenant's bucket at
 // arrival, so the sweep itself only competes for a worker slot.
 func (bt *batcher) run(batch []pendingSolve) {
-	s := bt.s
+	s := bt.l.s
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 	defer cancel()
 	rel, rej, err := s.adm.Admit(ctx, admission.Request{
 		Priority: admission.Interactive,
-		Cost:     s.solveCost(bt.fe, len(batch)),
+		Cost:     s.cost.Estimate(4 * bt.fe.nnzL * int64(len(batch))),
 		Deadline: admissionDeadline(ctx),
 		Internal: true,
 	})
@@ -117,7 +115,6 @@ func (bt *batcher) run(batch []pendingSolve) {
 	for i, req := range batch {
 		bs[i] = req.b
 	}
-	start := time.Now()
 	bt.fe.mu.RLock()
 	if bt.fe.f == nil {
 		// The factor was invalidated (failed refactor) after these requests
@@ -131,7 +128,6 @@ func (bt *batcher) run(batch []pendingSolve) {
 	}
 	xs, err := bt.fe.f.SolveMany(bs)
 	bt.fe.mu.RUnlock()
-	s.met.solveLat.Observe(time.Since(start))
 	if err != nil {
 		for _, req := range batch {
 			req.res <- solveOutcome{err: err}
@@ -140,7 +136,6 @@ func (bt *batcher) run(batch []pendingSolve) {
 	}
 	s.met.batches.Add(1)
 	s.met.batched.Add(int64(len(batch)))
-	s.met.solvedRHS.Add(int64(len(batch)))
 	for i, req := range batch {
 		req.res <- solveOutcome{x: xs[i], batch: len(batch)}
 	}

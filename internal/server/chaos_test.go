@@ -75,7 +75,7 @@ func TestChaosSolveFaultsRetriedThenSurfaced(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve with one transient fault: status %d (%s)", resp.StatusCode, body)
 	}
-	var sr solveResponse
+	var sr SolveResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -4,49 +4,30 @@ import (
 	"fmt"
 	"time"
 
-	"blockfanout/internal/core"
-	"blockfanout/internal/mapping"
-	"blockfanout/internal/sched"
-	"blockfanout/internal/sparse"
 	"blockfanout/internal/store"
+	"blockfanout/internal/tune"
 )
 
-// buildPlan is the one place the server turns a matrix into an analysis:
-// ordering + symbolic + partitioning + mapping under the configured options.
-// Both the cold /v1/factor path and WarmStart build through it, so a
-// restored plan is bit-identical to a freshly built one.
-func (s *Server) buildPlan(m *sparse.Matrix) (*core.Plan, sched.Assignment, error) {
-	plan, err := core.NewPlan(m, s.planOpts)
-	if err != nil {
-		return nil, sched.Assignment{}, err
-	}
-	g := mapping.BestGrid(s.cfg.Procs)
-	mp := plan.Map(g, mapping.ID, mapping.CY)
-	return plan, plan.Assign(mp, 2), nil
-}
-
-// saveSnapshot enqueues a write-behind snapshot of a freshly completed
-// factor. Called with the entry's write lock held, so the block export is a
-// coherent copy; the durable write itself happens on the single writer
-// goroutine, off the request path. A full queue drops the snapshot (counted
-// in /metrics) rather than stalling factorization: durability here is an
-// optimization for restart time, never a source of tail latency.
+// SaveSnapshot enqueues a write-behind snapshot built by snap; the durable
+// write happens on the single writer goroutine, off the request path. A
+// full queue drops the snapshot (counted in /metrics) rather than stalling
+// the request: durability here is an optimization for restart time, never
+// a source of tail latency.
 //
 // Two throttles keep the request path honest before any bytes are copied:
 // SnapshotInterval spaces snapshots of the same factor (a refactor storm
 // must not rewrite one key back-to-back, burning writer CPU and disk
 // bandwidth for snapshots that supersede each other within milliseconds),
 // and a full queue skips the snapshot outright — in both cases the request
-// pays nothing at all, and the entry's next eligible completion re-arms.
-// cfgKey is the configuration key of the plan the factor was built under —
-// s.planKey for static mappings, the provenance-bearing tuned key for
-// factors running a measured remap — so tuned and static snapshots of the
-// same pattern never alias on disk.
-func (s *Server) saveSnapshot(fe *factorEntry, m *sparse.Matrix, f *core.Factor, cfgKey uint64) {
+// pays nothing at all, and the factor's next eligible completion re-arms.
+// last is the factor's previous snapshot time, guarded by the caller; snap
+// runs synchronously, under whatever lock the caller holds, so a block
+// export in it is a coherent copy.
+func (s *Server) SaveSnapshot(last *time.Time, snap func() *store.FactorSnapshot) {
 	if s.st == nil {
 		return
 	}
-	if iv := s.cfg.SnapshotInterval; iv > 0 && !fe.lastSnap.IsZero() && time.Since(fe.lastSnap) < iv {
+	if iv := s.cfg.SnapshotInterval; iv > 0 && !last.IsZero() && time.Since(*last) < iv {
 		s.met.snapSkipped.Add(1)
 		return
 	}
@@ -57,18 +38,9 @@ func (s *Server) saveSnapshot(fe *factorEntry, m *sparse.Matrix, f *core.Factor,
 		s.met.snapDropped.Add(1)
 		return
 	}
-	fs := &store.FactorSnapshot{
-		PatternHash: m.PatternHash(),
-		ConfigKey:   cfgKey,
-		N:           m.N,
-		ColPtr:      m.ColPtr,
-		RowInd:      m.RowInd,
-		Val:         m.Val,
-		Blocks:      f.Numeric().ExportBlocks(),
-	}
 	select {
-	case s.snapCh <- fs:
-		fe.lastSnap = time.Now()
+	case s.snapCh <- snap():
+		*last = time.Now()
 	default:
 		s.met.snapDropped.Add(1)
 	}
@@ -117,52 +89,67 @@ func (s *Server) Close() {
 
 // WarmStart restores the server's working set from the snapshot store:
 // every snapshot written under this server's configuration key has its plan
-// rebuilt into the plan cache and its numeric factor restored from the
-// snapshotted blocks — no refactorization — and registered under the same
-// factor id the original process served, so a client's previously issued id
-// keeps working across the restart. Returns the number of factors restored.
-// Corrupt snapshots are quarantined by the store and simply rebuilt cold on
-// their next /v1/factor.
+// rebuilt into the plan cache, and a snapshot that carries factor blocks
+// also has its numeric factor restored into the Local backend — no
+// refactorization — under the same factor id the original process served,
+// so a client's previously issued id keeps working across the restart.
+// Returns the number of snapshots restored. Corrupt snapshots are
+// quarantined by the store and simply rebuilt cold on their next
+// /v1/factor.
 func (s *Server) WarmStart() (int, error) {
 	if s.st == nil {
 		return 0, s.storeErr
 	}
 	// Tuned factors first: a pattern with a persisted cost profile and a
 	// tuned-key snapshot claims its id under the measured mapping before
-	// the static pass below can (claimEntry is first-wins), so a restart
+	// the static pass below can (claims are first-wins), so a restart
 	// keeps serving the tuned mapping instead of regressing to static.
-	restored := s.restoreTuned()
+	restored := s.local.restoreTuned()
 	warm, err := s.cache.WarmStart(s.st, s.planKey, s.buildPlan)
 	if err != nil {
 		return restored, err
 	}
 	for _, we := range warm {
-		f, err := we.Entry.Plan.RestoreFactor(we.Entry.Assign, we.Snap.Val, we.Snap.Blocks)
-		if err != nil {
-			// Blocks inconsistent with the rebuilt plan (e.g. snapshot from a
-			// different build): drop it and let the next request build cold.
-			s.st.DeleteFactor(we.Snap.PatternHash, we.Snap.ConfigKey)
-			continue
+		if len(we.Snap.Blocks) > 0 {
+			f, err := we.Entry.Plan.RestoreFactor(we.Entry.Assign, we.Snap.Val, we.Snap.Blocks)
+			if err != nil {
+				// Blocks inconsistent with the rebuilt plan (e.g. snapshot from
+				// a different build): drop it and let the next request build
+				// cold.
+				s.st.DeleteFactor(we.Snap.PatternHash, we.Snap.ConfigKey)
+				continue
+			}
+			if !s.local.restore(fmt.Sprintf("%016x", we.Snap.PatternHash), we.Snap.N, we.Entry.Plan, f) {
+				continue // already live (duplicate snapshot key); keep the first
+			}
 		}
-		id := fmt.Sprintf("%016x", we.Snap.PatternHash)
-		fe, created := s.claimEntry(id, we.Snap.N, we.Entry.Plan)
-		if !created {
-			continue // already live (duplicate snapshot key); keep the first
-		}
-		fe.f = f
-		s.markReady(fe)
-		fe.mu.Unlock()
 		restored++
 	}
 	s.met.warmRestored.Store(int64(restored))
 	return restored, nil
 }
 
-// StoreStats exposes the snapshot-store counters (nil without a store).
-func (s *Server) StoreStats() *store.Stats {
+// TunedProfiles visits every cost profile persisted under this server's
+// plan configuration. keep reports whether a profile is still valid; an
+// invalid one, like one that no longer decodes, is deleted from the store.
+func (s *Server) TunedProfiles(keep func(patternHash uint64, prof *tune.CostProfile) bool) {
 	if s.st == nil {
-		return nil
+		return
 	}
-	st := s.st.Stats()
-	return &st
+	keys, err := s.st.ScanProfiles()
+	if err != nil {
+		return
+	}
+	for _, k := range keys {
+		if k.ConfigKey != s.planKey {
+			continue // measured under a different plan configuration
+		}
+		ps, err := s.st.GetProfile(k.PatternHash, k.ConfigKey)
+		if err != nil {
+			continue // missing, or corrupt and already quarantined
+		}
+		if prof, err := tune.FromSnapshot(ps); err != nil || !keep(k.PatternHash, prof) {
+			s.st.DeleteProfile(k.PatternHash, k.ConfigKey)
+		}
+	}
 }

@@ -20,7 +20,7 @@ func solveVec(t *testing.T, url, id string, b []float64) []float64 {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
 	}
-	var sr solveResponse
+	var sr SolveResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,417 @@
+package server
+
+import (
+	"container/list"
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"sync"
+	"time"
+
+	"blockfanout/internal/core"
+	"blockfanout/internal/faultinject"
+	"blockfanout/internal/obs"
+	"blockfanout/internal/sched"
+	"blockfanout/internal/sparse"
+	"blockfanout/internal/store"
+)
+
+// Local is the in-process backend: a registry of live factors, each
+// factored, refactored in place and solved by this process's fan-out
+// executor, with single-RHS solves coalesced by the RHS batcher. It is
+// the solve server's backend and the cluster gateway's degraded mode.
+type Local struct {
+	s *Server
+
+	mu      sync.Mutex // guards factors, lru
+	factors map[string]*factorEntry
+	lru     *list.List // front = most recently used factorEntry
+}
+
+func newLocal(s *Server) *Local {
+	return &Local{s: s, factors: make(map[string]*factorEntry), lru: list.New()}
+}
+
+// factorEntry is one live factor. mu serializes refactorization (writer)
+// against solves (readers). f is nil while the initial factorization is
+// still running under the write lock, and again — permanently — after a
+// failed factorization or refactorization invalidates the entry; every
+// reader must check f under the lock before dereferencing.
+type factorEntry struct {
+	id   string
+	n    int
+	nnzL int64      // nnz(L) of the pattern's plan (solve cost estimates)
+	plan *core.Plan // the analysis this factor was built from (pattern guard)
+	mu   sync.RWMutex
+	f    *core.Factor
+	bt   *batcher
+	el   *list.Element // position in the factor LRU
+	// building is true while the creator still holds mu for the initial
+	// factorization. Guarded by Local.mu; eviction skips building entries
+	// so a freshly issued id cannot vanish before its factor lands.
+	building bool
+	// lastSnap is when this factor last enqueued a write-behind snapshot
+	// (zero: never). Guarded by mu (held for writing at both snapshot
+	// sites); Config.SnapshotInterval throttles against it.
+	lastSnap time.Time
+}
+
+var errFactorInvalid = errors.New("factor is no longer valid: its factorization or refactorization failed; re-POST the matrix to /v1/factor")
+
+// Factor factors c.M into a new live factor c.ID, or — when the id is
+// already live — refactors that factor in place with c.M's values.
+func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, error) {
+	s, m, id := l.s, c.M, c.ID
+	var resp FactorResponse
+
+	// Feedback-driven mapping: if a tuned sibling of the static entry is
+	// cached, factor under it instead — the second (and every later)
+	// factorization of a pattern runs the mapping rebuilt from the first
+	// run's measured span costs.
+	entry := c.Entry // static entry: the tuned link lives on it
+	tunedPlan := false
+	if s.cfg.Tune {
+		if tcfg := s.cache.TunedConfig(c.Entry); tcfg != 0 {
+			if te, ok := s.cache.Get(m, tcfg); ok {
+				entry, tunedPlan = te, true
+			}
+		}
+	}
+
+	for attempt := 0; ; attempt++ {
+		fe, created := l.claimEntry(id, m.N, entry.Plan)
+		if created {
+			// fe.mu is held for writing; publish the factor, or unregister
+			// (before unlocking, so waiters that see f==nil know the entry
+			// is already gone and can safely re-claim) on failure. The
+			// factorization must use the posted values, not the plan's: on a
+			// cache hit the plan carries whichever values built it.
+			measure := s.cfg.Tune && !tunedPlan && !c.Perturb
+			var f *core.Factor
+			var rec *obs.Recorder
+			var pr *sched.Program
+			ferr := l.guardEntry(fe, func() error {
+				return l.withRetry(ctx, func() error {
+					if err := faultinject.Fire("server.factor"); err != nil {
+						return err
+					}
+					var err error
+					switch {
+					case c.Perturb:
+						f, resp.Shift, err = entry.Plan.FactorValuesPerturbedContext(ctx, entry.Assign, m.Val, core.Perturbation{})
+					case measure:
+						f, rec, pr, err = entry.Plan.FactorMeasuredValuesContext(ctx, entry.Assign, m.Val)
+					default:
+						f, err = entry.Plan.FactorValuesContext(ctx, entry.Assign, m.Val)
+					}
+					return err
+				})
+			})
+			if ferr != nil {
+				l.dropEntry(fe)
+				fe.mu.Unlock()
+				return resp, ferr
+			}
+			fe.f = f
+			if measure && rec != nil {
+				if tf, tp := l.tuneFromMeasurement(c.Entry, m, f, rec, pr); tf != nil {
+					// Same numeric blocks, tuned ownership: swap the live
+					// factor without a second factorization.
+					fe.f, fe.plan = tf, tp
+				}
+			}
+			l.saveSnapshot(fe, m)
+			l.markReady(fe)
+			fe.mu.Unlock()
+			return resp, nil
+		}
+		// Live factor for this pattern: numeric-only refactorization. The
+		// write lock serializes against in-flight solves, so a solve
+		// observes either the old values' factor or the new one, never a
+		// half-updated state.
+		fe.mu.Lock()
+		if fe.f == nil {
+			// The entry's creator failed and dropped it between our claim
+			// and this lock; retry — we will most likely become the creator.
+			fe.mu.Unlock()
+			if attempt < 4 {
+				continue
+			}
+			return resp, WithStatus(http.StatusServiceUnavailable, errors.New("factorization repeatedly failing for this pattern"))
+		}
+		if !fe.plan.A.SamePattern(m) {
+			// 64-bit pattern-hash collision with a live factor: refuse
+			// rather than refactor the wrong structure.
+			fe.mu.Unlock()
+			return resp, WithStatus(http.StatusConflict, fmt.Errorf("factor id %s is held by a different sparsity pattern (hash collision)", id))
+		}
+		rerr := l.guardEntry(fe, func() error {
+			return l.withRetry(ctx, func() error {
+				if err := faultinject.Fire("server.refactor"); err != nil {
+					return err
+				}
+				if c.Perturb {
+					var err error
+					resp.Shift, err = fe.f.RefactorPerturbedContext(ctx, m.Val, core.Perturbation{})
+					return err
+				}
+				return fe.f.RefactorContext(ctx, m.Val)
+			})
+		})
+		if rerr != nil {
+			// A failed (or cancelled) refactor leaves the factor numerically
+			// invalid: invalidate and unregister it so it can never serve a
+			// solve again. In-flight solves holding this entry see f==nil.
+			fe.f = nil
+			l.dropEntry(fe)
+			fe.mu.Unlock()
+			return resp, rerr
+		}
+		l.saveSnapshot(fe, m)
+		fe.mu.Unlock()
+		resp.Refactored = true
+		return resp, nil
+	}
+}
+
+// Solve answers req from its live factor: a single right-hand side joins
+// the RHS batcher when batching is on (the pipeline charged its tenant);
+// anything else runs one direct sweep (the pipeline admitted it).
+func (l *Local) Solve(ctx context.Context, req *SolveRequest) (SolveResponse, error) {
+	fe, ok := l.lookup(req.ID)
+	if !ok {
+		return SolveResponse{}, WithStatus(http.StatusNotFound, fmt.Errorf("unknown factor id %q", req.ID))
+	}
+	if req.B != nil && l.s.batching() {
+		out := fe.bt.submit(ctx, req.B)
+		return SolveResponse{X: out.x, Batch: out.batch}, out.err
+	}
+	bs := req.BS
+	if req.B != nil {
+		bs = [][]float64{req.B}
+	}
+	xs, err := l.solve(ctx, fe, bs)
+	switch {
+	case err != nil:
+		return SolveResponse{}, err
+	case req.B != nil:
+		return SolveResponse{X: xs[0], Batch: 1}, nil
+	default:
+		return SolveResponse{XS: xs}, nil
+	}
+}
+
+// solve runs one SolveMany against fe, retrying transient faults.
+func (l *Local) solve(ctx context.Context, fe *factorEntry, bs [][]float64) ([][]float64, error) {
+	var xs [][]float64
+	err := l.withRetry(ctx, func() error {
+		if err := faultinject.Fire("server.solve"); err != nil {
+			return err
+		}
+		fe.mu.RLock()
+		defer fe.mu.RUnlock() // deferred so a solve panic cannot wedge the read lock
+		if fe.f == nil {
+			return errFactorInvalid
+		}
+		var err error
+		xs, err = fe.f.SolveMany(bs)
+		return err
+	})
+	return xs, err
+}
+
+// Live reports the registered factor id, building ones included.
+func (l *Local) Live(id string) (int, int64, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fe, ok := l.factors[id]
+	if !ok {
+		return 0, 0, false
+	}
+	return fe.n, fe.nnzL, true
+}
+
+// localDoc is the Local backend's /metrics section.
+type localDoc struct {
+	Batches  int64    `json:"batches"`      // coalesced SolveMany calls issued by the batcher
+	BatchedR int64    `json:"batched_rhs"`  // right-hand sides that travelled in those batches
+	LiveFac  int      `json:"live_factors"` // registered factors
+	Tune     *tuneDoc `json:"tune,omitempty"`
+}
+
+// tuneDoc is the /metrics section for feedback-driven mapping.
+type tuneDoc struct {
+	Adopted      int64 `json:"adopted"`       // tuned mappings adopted over static
+	Declined     int64 `json:"declined"`      // measured remaps that did not beat static
+	Skipped      int64 `json:"skipped"`       // unusable measurements (truncation, restore failure)
+	DroppedSpans int64 `json:"dropped_spans"` // recorder drops seen on measurement runs (0 = healthy)
+	WarmRestored int64 `json:"warm_restored"` // tuned mappings restored by the last WarmStart
+}
+
+// Status reports the Local backend, which is always "ok" while the
+// process runs.
+func (l *Local) Status() BackendStatus {
+	met := &l.s.met
+	doc := localDoc{Batches: met.batches.Load(), BatchedR: met.batched.Load()}
+	l.mu.Lock()
+	doc.LiveFac = len(l.factors)
+	l.mu.Unlock()
+	if l.s.cfg.Tune {
+		doc.Tune = &tuneDoc{
+			Adopted:      met.tuneAdopted.Load(),
+			Declined:     met.tuneDeclined.Load(),
+			Skipped:      met.tuneSkipped.Load(),
+			DroppedSpans: met.tuneDropped.Load(),
+			WarmRestored: met.tuneRestored.Load(),
+		}
+	}
+	return BackendStatus{State: "ok", Metrics: doc}
+}
+
+// Forget unregisters the live factor id, if any, so it never answers a
+// solve again; solves already holding it finish.
+func (l *Local) Forget(id string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if fe, ok := l.factors[id]; ok {
+		l.lru.Remove(fe.el)
+		delete(l.factors, id)
+	}
+}
+
+// withRetry runs op, retrying transient failures (injected infrastructure
+// faults, never numeric errors) with exponential backoff. The backoff wait
+// respects the request's deadline.
+func (l *Local) withRetry(ctx context.Context, op func() error) error {
+	backoff := l.s.cfg.RetryBackoff
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil || attempt >= l.s.cfg.RetryAttempts || !faultinject.IsTransient(err) {
+			return err
+		}
+		l.s.met.retries.Add(1)
+		timer := time.NewTimer(backoff)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return ctx.Err()
+		}
+		backoff *= 2
+	}
+}
+
+// guardEntry runs op while the caller holds fe.mu for writing. If op
+// panics, the entry is invalidated, unregistered, and unlocked before the
+// panic continues to the recovery middleware — otherwise the wedged write
+// lock would deadlock every later request for this pattern (the panic test
+// in chaos_test.go found exactly that).
+func (l *Local) guardEntry(fe *factorEntry, op func() error) error {
+	defer func() {
+		if rec := recover(); rec != nil {
+			fe.f = nil
+			l.dropEntry(fe)
+			fe.mu.Unlock()
+			panic(rec)
+		}
+	}()
+	return op()
+}
+
+// claimEntry returns the factor entry for id, creating it if absent. When
+// created is true the entry's write lock is held and fe.f is nil — the
+// caller must set fe.f and unlock (or dropEntry on failure). This is the
+// per-factor singleflight: a concurrent request for the same new pattern
+// blocks on fe.mu instead of factoring twice.
+func (l *Local) claimEntry(id string, n int, plan *core.Plan) (fe *factorEntry, created bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if fe, ok := l.factors[id]; ok {
+		l.lru.MoveToFront(fe.el)
+		return fe, false
+	}
+	fe = &factorEntry{id: id, n: n, plan: plan, building: true}
+	if plan != nil {
+		fe.nnzL = plan.Exact.NZinL
+	}
+	fe.bt = &batcher{l: l, fe: fe}
+	fe.mu.Lock()
+	l.factors[id] = fe
+	fe.el = l.lru.PushFront(fe)
+	// Evict from the cold end, skipping entries whose initial factorization
+	// is still in flight — evicting those would 404 an id the server is
+	// about to return.
+	for el := l.lru.Back(); el != nil && len(l.factors) > l.s.cfg.MaxFactors; {
+		victim := el.Value.(*factorEntry)
+		el = el.Prev()
+		if victim.building {
+			continue
+		}
+		l.lru.Remove(victim.el)
+		delete(l.factors, victim.id)
+	}
+	return fe, true
+}
+
+// markReady clears the eviction guard once the creator has published fe.f.
+func (l *Local) markReady(fe *factorEntry) {
+	l.mu.Lock()
+	fe.building = false
+	l.mu.Unlock()
+}
+
+// dropEntry unregisters exactly fe: the pointer comparison keeps a stale
+// drop (after a failed build) from deleting a newer entry that a concurrent
+// request re-created under the same id.
+func (l *Local) dropEntry(fe *factorEntry) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if cur, ok := l.factors[fe.id]; ok && cur == fe {
+		l.lru.Remove(fe.el)
+		delete(l.factors, fe.id)
+	}
+}
+
+// lookup returns the entry for id, promoting it in the LRU.
+func (l *Local) lookup(id string) (*factorEntry, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fe, ok := l.factors[id]
+	if ok {
+		l.lru.MoveToFront(fe.el)
+	}
+	return fe, ok
+}
+
+// saveSnapshot enqueues a write-behind snapshot of fe's freshly completed
+// factor. Called with fe's write lock held, so the block export is a
+// coherent copy. The snapshot is filed under the configuration key of the
+// plan the factor runs — the tuned key for a measured remap — so tuned and
+// static snapshots of the same pattern never alias on disk.
+func (l *Local) saveSnapshot(fe *factorEntry, m *sparse.Matrix) {
+	l.s.SaveSnapshot(&fe.lastSnap, func() *store.FactorSnapshot {
+		return &store.FactorSnapshot{
+			PatternHash: m.PatternHash(),
+			ConfigKey:   fe.plan.Opts.ConfigKey(),
+			N:           m.N,
+			ColPtr:      m.ColPtr,
+			RowInd:      m.RowInd,
+			Val:         m.Val,
+			Blocks:      fe.f.Numeric().ExportBlocks(),
+		}
+	})
+}
+
+// restore registers a factor rebuilt from a snapshot under id, unless the
+// id is already live (first wins). It reports whether it registered.
+func (l *Local) restore(id string, n int, plan *core.Plan, f *core.Factor) bool {
+	fe, created := l.claimEntry(id, n, plan)
+	if !created {
+		return false
+	}
+	fe.f = f
+	l.markReady(fe)
+	fe.mu.Unlock()
+	return true
+}

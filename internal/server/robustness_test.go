@@ -19,9 +19,9 @@ func indefinite(m *sparse.Matrix, col int) *sparse.Matrix {
 	return bad
 }
 
-func decodeErr(t *testing.T, body []byte) errorBody {
+func decodeErr(t *testing.T, body []byte) ErrorBody {
 	t.Helper()
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("error body %q: %v", body, err)
 	}
@@ -29,7 +29,7 @@ func decodeErr(t *testing.T, body []byte) errorBody {
 }
 
 // checkPivotBody asserts the 422 envelope carries the breakdown location.
-func checkPivotBody(t *testing.T, eb errorBody, n int) {
+func checkPivotBody(t *testing.T, eb ErrorBody, n int) {
 	t.Helper()
 	if eb.Block == nil || eb.Row == nil || eb.Pivot == nil {
 		t.Fatalf("pivot error body missing coordinates: %+v", eb)
@@ -103,7 +103,7 @@ func TestConcurrentPivotFailures(t *testing.T) {
 	var wg sync.WaitGroup
 	type result struct {
 		code int
-		eb   errorBody
+		eb   ErrorBody
 	}
 	results := make([]result, clients)
 	for i := 0; i < clients; i++ {
@@ -202,7 +202,7 @@ func TestPerturbFactorsIndefinite(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("perturbed factor: status %d (%s)", resp.StatusCode, body)
 	}
-	var fr factorResponse
+	var fr FactorResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestPerturbFactorsIndefinite(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve on perturbed factor: status %d (%s)", resp.StatusCode, body)
 	}
-	var sr solveResponse
+	var sr SolveResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPerturbFactorsIndefinite(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("perturbed SPD refactor: status %d (%s)", resp.StatusCode, body)
 	}
-	var fr2 factorResponse
+	var fr2 FactorResponse
 	if err := json.Unmarshal(body, &fr2); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,11 @@
 //	GET  /healthz     liveness (503 while draining)
 //	GET  /metrics     expvar-style counter document
 //
+// One request pipeline serves these endpoints over a Backend: the
+// in-process Local backend, or the cluster gateway's worker nodes
+// (internal/cluster). The two tiers differ only in where block operations
+// run, never in the HTTP contract.
+//
 // Heavy work (analysis, factorization, solves) runs through the
 // multi-tenant admission controller (internal/admission): requests carry a
 // tenant identity (X-Tenant header) subject to token-bucket rates and
@@ -28,7 +33,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,9 +47,7 @@ import (
 	"blockfanout/internal/blocks"
 	"blockfanout/internal/core"
 	"blockfanout/internal/fanout"
-	"blockfanout/internal/faultinject"
 	"blockfanout/internal/kernels"
-	"blockfanout/internal/obs"
 	"blockfanout/internal/plancache"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
@@ -220,44 +222,64 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// factorEntry is one live factor. mu serializes refactorization (writer)
-// against solves (readers). f is nil while the initial factorization is
-// still running under the write lock, and again — permanently — after a
-// failed factorization or refactorization invalidates the entry; every
-// reader must check f under the lock before dereferencing.
-type factorEntry struct {
-	id   string
-	n    int
-	plan *core.Plan // the analysis this factor was built from (pattern guard)
-	mu   sync.RWMutex
-	f    *core.Factor
-	bt   *batcher
-	el   *list.Element // position in the server's factor LRU
-	// building is true while the creator still holds mu for the initial
-	// factorization. Guarded by the server's mu; eviction skips building
-	// entries so a freshly issued id cannot vanish before its factor lands.
-	building bool
-	// lastSnap is when this factor last enqueued a write-behind snapshot
-	// (zero: never). Guarded by mu (held for writing at both snapshot
-	// sites); Config.SnapshotInterval throttles against it.
-	lastSnap time.Time
+// Backend is where an admitted request's heavy work runs. The Server's
+// pipeline owns everything around it — method, drain and timeout
+// handling, admission and the cost model, body parsing and RHS checks, the
+// breaker and the factor-size and tenant-cache gates, the plan cache, the
+// error envelope, snapshots and metrics — so every backend answers the
+// same HTTP contract. Errors map to statuses as in errStatus; WithStatus
+// sets one explicitly.
+type Backend interface {
+	// Factor factors or refactors c.M and fills the response fields the
+	// pipeline cannot know: Refactored, Shift and the cluster placement.
+	Factor(ctx context.Context, c *FactorCall) (FactorResponse, error)
+	// Solve answers an admitted request whose right-hand sides the
+	// pipeline already checked against the factor's dimension, filling X
+	// or XS, Batch and Node.
+	Solve(ctx context.Context, req *SolveRequest) (SolveResponse, error)
+	// Live reports the dimension and nnz(L) of the live factor id, without
+	// touching any recency order.
+	Live(id string) (n int, nnzL int64, ok bool)
+	// Status reports the backend's state and its /healthz and /metrics
+	// sections.
+	Status() BackendStatus
 }
 
-// Server is the solve service. Create with New, mount via Handler.
+// FactorCall is one admitted factor request.
+type FactorCall struct {
+	ID      string           // the pattern id: M's pattern hash in hex
+	M       *sparse.Matrix   // the posted matrix
+	Entry   *plancache.Entry // the plan-cache entry for M's pattern
+	Tenant  string
+	Perturb bool // ?perturb=1: factor A+αI when A is not positive definite
+}
+
+// BackendStatus is a backend's part of /healthz and /metrics.
+type BackendStatus struct {
+	// State is "ok", "degraded" or "down"; "down" answers /healthz with
+	// 503. Degraded still answers 200: the service is serving.
+	State string
+	// Health and Metrics are JSON objects whose fields join the /healthz
+	// and /metrics documents (nil: none).
+	Health, Metrics any
+}
+
+// Server is the request pipeline in front of one Backend. Create with New
+// (the Local backend) or NewFront, and mount via Handler.
 type Server struct {
-	cfg   Config
-	cache *plancache.Cache
-	adm   *admission.Controller // multi-tenant worker-pool gate
-	cost  admission.CostModel   // observed ns/flop for deadline feasibility
+	cfg     Config
+	cache   *plancache.Cache
+	adm     *admission.Controller // multi-tenant worker-pool gate
+	cost    admission.CostModel   // observed ns/flop for deadline feasibility
+	backend Backend
+	local   *Local // the in-process backend; the backend itself unless NewFront chose another
 
 	// planOpts/planKey are the fixed plan-construction options and their
-	// cache-key digest, computed once from cfg.
+	// cache-key digest.
 	planOpts core.Options
 	planKey  uint64
 
-	mu       sync.Mutex // guards factors, lru, breakers
-	factors  map[string]*factorEntry
-	lru      *list.List // front = most recently used factorEntry
+	mu       sync.Mutex // guards draining, breakers
 	draining bool
 	breakers map[string]*breakerState
 
@@ -273,10 +295,23 @@ type Server struct {
 	met metrics
 }
 
-// New builds a Server from cfg.
+// New builds a Server whose requests run on the in-process Local backend.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	opts := core.Options{BlockSize: cfg.BlockSize, Blocking: cfg.Blocking, AmalgThreshold: cfg.AmalgThreshold, Exec: cfg.Exec}
+	return newServer(cfg, opts, nil)
+}
+
+// NewFront builds a Server whose pipeline plans with opts (cfg's plan
+// fields are not consulted) and runs requests on b. The server's Local
+// backend exists beside b: b may delegate to it (Local), and WarmStart
+// restores snapshotted factors into it.
+func NewFront(cfg Config, opts core.Options, b Backend) *Server {
+	cfg.fillDefaults()
+	return newServer(cfg, opts, b)
+}
+
+func newServer(cfg Config, opts core.Options, b Backend) *Server {
 	s := &Server{
 		cfg:      cfg,
 		planOpts: opts,
@@ -293,9 +328,12 @@ func New(cfg Config) *Server {
 			MemSoftBytes:       cfg.MemSoftBytes,
 			MemHardBytes:       cfg.MemHardBytes,
 		}),
-		factors:  make(map[string]*factorEntry),
-		lru:      list.New(),
 		breakers: make(map[string]*breakerState),
+	}
+	s.local = newLocal(s)
+	s.backend = b
+	if b == nil {
+		s.backend = s.local
 	}
 	if cfg.StoreDir != "" {
 		s.st, s.storeErr = store.Open(cfg.StoreDir)
@@ -308,6 +346,25 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
+
+// Local returns the server's in-process backend.
+func (s *Server) Local() *Local { return s.local }
+
+// buildPlan is the one place the pipeline turns a matrix into an analysis:
+// ordering + symbolic + partitioning under the configured options, mapped
+// by the serving tier's assignment. Both the cold /v1/factor path and
+// WarmStart build through it, so a restored plan is bit-identical to a
+// freshly built one.
+func (s *Server) buildPlan(m *sparse.Matrix) (*core.Plan, sched.Assignment, error) {
+	plan, err := core.NewPlan(m, s.planOpts)
+	if err != nil {
+		return nil, sched.Assignment{}, err
+	}
+	return plan, plan.ServingAssignment(s.cfg.Procs), nil
+}
+
+// batching reports whether single-RHS solves go through the RHS batcher.
+func (s *Server) batching() bool { return s.cfg.BatchWindow > 0 }
 
 // Handler returns the service's HTTP mux, wrapped in the panic-recovery
 // middleware: one request hitting a bug (or an injected panic) produces a
@@ -331,7 +388,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				s.met.panics.Add(1)
 				s.met.errors.Add(1)
 				writeJSON(w, http.StatusInternalServerError,
-					errorBody{Error: fmt.Sprintf("internal panic: %v", rec), Code: "panic"})
+					ErrorBody{Error: fmt.Sprintf("internal panic: %v", rec), Code: "panic"})
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -349,7 +406,11 @@ func (s *Server) Drain() {
 	s.adm.SetDraining(true)
 }
 
-var errFactorInvalid = errors.New("factor is no longer valid: its factorization or refactorization failed; re-POST the matrix to /v1/factor")
+func (s *Server) isDraining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
 
 // tenantOf extracts the request's tenant identity.
 func tenantOf(r *http.Request) string {
@@ -366,19 +427,13 @@ func admissionDeadline(ctx context.Context) time.Time {
 	return d
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // ---- response plumbing ----
 
-// errorBody is the JSON error envelope. Pivot breakdowns carry their
+// ErrorBody is the JSON error envelope. Pivot breakdowns carry their
 // location so a client can see *where* its matrix lost positive
 // definiteness, not just that it did; admission rejections carry the
 // Retry-After hint in-body as well as in the header.
-type errorBody struct {
+type ErrorBody struct {
 	Error string   `json:"error"`
 	Code  string   `json:"code,omitempty"`  // "pivot_breakdown", "breaker_open", "panic", admission codes, ...
 	Block *int     `json:"block,omitempty"` // failing panel (pivot breakdowns only)
@@ -390,8 +445,8 @@ type errorBody struct {
 
 // errBody builds the error envelope, extracting pivot coordinates when the
 // chain contains a kernels.PivotError.
-func errBody(err error) errorBody {
-	body := errorBody{Error: err.Error()}
+func errBody(err error) ErrorBody {
+	body := ErrorBody{Error: err.Error()}
 	var pe *kernels.PivotError
 	if errors.As(err, &pe) {
 		if errors.Is(err, errBreakerOpen) {
@@ -411,6 +466,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeMerged writes the JSON object doc with the fields of the JSON
+// object extra (a backend's section) appended; nil extra writes doc alone.
+func writeMerged(w http.ResponseWriter, code int, doc, extra any) {
+	b, _ := json.Marshal(doc) // plain data: cannot fail
+	if extra != nil {
+		if e, err := json.Marshal(extra); err == nil && len(e) > 2 {
+			b = append(append(b[:len(b)-1], ','), e[1:]...)
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(b, '\n'))
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
@@ -433,42 +502,53 @@ func (s *Server) writeRejection(w http.ResponseWriter, rej *admission.Rejection)
 	if rej.Status != http.StatusTooManyRequests {
 		s.met.errors.Add(1)
 	}
-	writeRejection(w, rej)
-}
-
-func writeRejection(w http.ResponseWriter, rej *admission.Rejection) {
 	ra := rej.RetryAfter
 	if ra <= 0 {
 		ra = time.Second
 	}
 	secs := int64((ra + time.Second - 1) / time.Second)
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, rej.Status, errorBody{
+	writeJSON(w, rej.Status, ErrorBody{
 		Error:       rej.Message,
 		Code:        rej.Code,
 		RetryAfterS: float64(secs),
 	})
 }
 
-// withRetry runs op, retrying transient failures (injected infrastructure
-// faults, never numeric errors) with exponential backoff. The backoff wait
-// respects the request's deadline.
-func (s *Server) withRetry(ctx context.Context, op func() error) error {
-	backoff := s.cfg.RetryBackoff
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil || attempt >= s.cfg.RetryAttempts || !faultinject.IsTransient(err) {
-			return err
-		}
-		s.met.retries.Add(1)
-		timer := time.NewTimer(backoff)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		}
-		backoff *= 2
+// statusError is a backend error carrying its HTTP status.
+type statusError struct {
+	code int
+	err  error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+// WithStatus marks a backend error to be answered with the HTTP status
+// code.
+func WithStatus(code int, err error) error { return &statusError{code: code, err: err} }
+
+// errStatus maps a backend or admission error to its HTTP status: an
+// explicit WithStatus or admission status first, then a pivot breakdown
+// (the client's matrix) 422, an invalidated factor 409, an expired
+// deadline 504, and anything else — transient faults that outlived their
+// retries included — 500.
+func errStatus(err error) int {
+	var se *statusError
+	var rej *admission.Rejection
+	switch {
+	case errors.As(err, &se):
+		return se.code
+	case errors.As(err, &rej):
+		return rej.Status
+	case errors.Is(err, kernels.ErrNotPositiveDefinite):
+		return http.StatusUnprocessableEntity
+	case errors.Is(err, errFactorInvalid):
+		return http.StatusConflict
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	default:
+		return http.StatusInternalServerError
 	}
 }
 
@@ -530,25 +610,10 @@ func (s *Server) breakerNote(id string, err error) {
 	}
 }
 
-// errStatus maps an operational error to its HTTP status. Admission
-// rejections carry their own status.
-func errStatus(err error) int {
-	var rej *admission.Rejection
-	switch {
-	case errors.As(err, &rej):
-		return rej.Status
-	case errors.Is(err, errFactorInvalid):
-		return http.StatusConflict
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // ---- /v1/factor ----
 
-type factorResponse struct {
+// FactorResponse is the /v1/factor success body.
+type FactorResponse struct {
 	ID         string `json:"id"`
 	N          int    `json:"n"`
 	NNZ        int    `json:"nnz"`
@@ -558,7 +623,15 @@ type factorResponse struct {
 	Refactored bool   `json:"refactored"`
 	// Shift is the diagonal perturbation α applied under ?perturb=1; zero
 	// when the matrix factored unmodified. The factor then solves A+αI.
-	Shift     float64 `json:"shift,omitempty"`
+	Shift float64 `json:"shift,omitempty"`
+	// Cluster placement, set by the cluster backend only: the nodes the
+	// run spanned, the failover epochs it survived and its primary
+	// assembly node. Degraded marks a factor computed on the gateway itself
+	// because the fleet was unavailable (Nodes 0, Primary "local").
+	Nodes     int     `json:"nodes,omitempty"`
+	Epochs    uint32  `json:"epochs,omitempty"`
+	Primary   string  `json:"primary,omitempty"`
+	Degraded  bool    `json:"degraded,omitempty"`
 	ElapsedMs float64 `json:"elapsed_ms"`
 }
 
@@ -581,7 +654,8 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 	// the server accepts. The class is not knowable until the pattern
 	// hash is, so precheck as Refactor (the lenient choice: a cold
 	// factorization slipping past here is still rejected by Admit).
-	if rej := s.adm.Precheck(tenantOf(r), admission.Refactor); rej != nil {
+	tenant := tenantOf(r)
+	if rej := s.adm.Precheck(tenant, admission.Refactor); rej != nil {
 		s.writeRejection(w, rej)
 		return
 	}
@@ -606,9 +680,8 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 	// numeric-only refactorization (middle priority class); a cached plan
 	// gives the exact modeled flops (deadline feasibility) and factor
 	// size. Neither peek promotes LRU positions or counts as a hit.
-	tenant := tenantOf(r)
 	pri := admission.Cold
-	if s.factorLive(id) {
+	if _, _, live := s.backend.Live(id); live {
 		pri = admission.Refactor
 	}
 	var costEst time.Duration
@@ -652,262 +725,44 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-
-	// Feedback-driven mapping: if a tuned sibling of the static entry is
-	// cached, factor under it instead — the second (and every later)
-	// factorization of a pattern runs the mapping rebuilt from the first
-	// run's measured span costs.
-	sentry := entry // static entry: the tuned link lives on it
-	tunedPlan := false
-	if s.cfg.Tune {
-		if tcfg := s.cache.TunedConfig(sentry); tcfg != 0 {
-			if te, ok := s.cache.Get(m, tcfg); ok {
-				entry, tunedPlan = te, true
-			}
-		}
+	resp, err := s.backend.Factor(ctx, &FactorCall{ID: id, M: m, Entry: entry, Tenant: tenant, Perturb: perturb})
+	s.breakerNote(id, err)
+	if err != nil {
+		s.writeErr(w, errStatus(err), err)
+		return
 	}
-
-	refactored := false
-	var shift float64
-	for attempt := 0; ; attempt++ {
-		fe, created := s.claimEntry(id, m.N, entry.Plan)
-		if created {
-			// fe.mu is held for writing; publish the factor, or unregister
-			// (before unlocking, so waiters that see f==nil know the entry
-			// is already gone and can safely re-claim) on failure. The
-			// factorization must use the posted values, not the plan's: on a
-			// cache hit the plan carries whichever values built it.
-			measure := s.cfg.Tune && !tunedPlan && !perturb
-			var f *core.Factor
-			var rec *obs.Recorder
-			var pr *sched.Program
-			ferr := s.guardEntry(fe, func() error {
-				return s.withRetry(ctx, func() error {
-					if err := faultinject.Fire("server.factor"); err != nil {
-						return err
-					}
-					var err error
-					switch {
-					case perturb:
-						f, shift, err = entry.Plan.FactorValuesPerturbedContext(ctx, entry.Assign, m.Val, core.Perturbation{})
-					case measure:
-						f, rec, pr, err = entry.Plan.FactorMeasuredValuesContext(ctx, entry.Assign, m.Val)
-					default:
-						f, err = entry.Plan.FactorValuesContext(ctx, entry.Assign, m.Val)
-					}
-					return err
-				})
-			})
-			s.breakerNote(id, ferr)
-			if ferr != nil {
-				s.dropEntry(fe)
-				fe.mu.Unlock()
-				s.writeErr(w, factorErrStatus(ferr), ferr)
-				return
-			}
-			fe.f = f
-			if measure && rec != nil {
-				if tf, tp := s.tuneFromMeasurement(sentry, m, f, rec, pr); tf != nil {
-					// Same numeric blocks, tuned ownership: swap the live
-					// factor without a second factorization.
-					fe.f, fe.plan = tf, tp
-				}
-			}
-			s.saveSnapshot(fe, m, fe.f, fe.plan.Opts.ConfigKey())
-			s.markReady(fe)
-			fe.mu.Unlock()
-			s.met.factors.Add(1)
-			s.met.factorLat.Observe(time.Since(start))
-			s.cost.Observe(entry.Plan.Exact.Flops, time.Since(start))
-			break
-		}
-		// Live factor for this pattern: numeric-only refactorization. The
-		// write lock serializes against in-flight solves, so a solve
-		// observes either the old values' factor or the new one, never a
-		// half-updated state.
-		fe.mu.Lock()
-		if fe.f == nil {
-			// The entry's creator failed and dropped it between our claim
-			// and this lock; retry — we will most likely become the creator.
-			fe.mu.Unlock()
-			if attempt < 4 {
-				continue
-			}
-			s.writeErr(w, http.StatusServiceUnavailable, errors.New("factorization repeatedly failing for this pattern"))
-			return
-		}
-		if !fe.plan.A.SamePattern(m) {
-			// 64-bit pattern-hash collision with a live factor: refuse
-			// rather than refactor the wrong structure.
-			fe.mu.Unlock()
-			s.writeErr(w, http.StatusConflict, fmt.Errorf("factor id %s is held by a different sparsity pattern (hash collision)", id))
-			return
-		}
-		rerr := s.guardEntry(fe, func() error {
-			return s.withRetry(ctx, func() error {
-				if err := faultinject.Fire("server.refactor"); err != nil {
-					return err
-				}
-				var err error
-				if perturb {
-					shift, err = fe.f.RefactorPerturbedContext(ctx, m.Val, core.Perturbation{})
-				} else {
-					err = fe.f.RefactorContext(ctx, m.Val)
-				}
-				return err
-			})
-		})
-		s.breakerNote(id, rerr)
-		if rerr != nil {
-			// A failed (or cancelled) refactor leaves the factor numerically
-			// invalid: invalidate and unregister it so it can never serve a
-			// solve again. In-flight solves holding this entry see f==nil.
-			fe.f = nil
-			s.dropEntry(fe)
-			fe.mu.Unlock()
-			s.writeErr(w, factorErrStatus(rerr), rerr)
-			return
-		}
-		s.saveSnapshot(fe, m, fe.f, fe.plan.Opts.ConfigKey())
-		fe.mu.Unlock()
-		refactored = true
+	took := time.Since(start)
+	if resp.Refactored {
 		s.met.refactors.Add(1)
-		s.met.refactorLat.Observe(time.Since(start))
-		s.cost.Observe(entry.Plan.Exact.Flops, time.Since(start))
-		break
+		s.met.refactorLat.Observe(took)
+	} else {
+		s.met.factors.Add(1)
+		s.met.factorLat.Observe(took)
 	}
-
 	plan := entry.Plan
-	writeJSON(w, http.StatusOK, factorResponse{
-		ID:         id,
-		N:          m.N,
-		NNZ:        m.NNZ(),
-		NNZL:       plan.Exact.NZinL,
-		Flops:      plan.Exact.Flops,
-		CacheHit:   hit,
-		Refactored: refactored,
-		Shift:      shift,
-		ElapsedMs:  float64(time.Since(start).Microseconds()) / 1e3,
-	})
-}
-
-// factorErrStatus: numeric failures (non-SPD input) are the client's
-// fault; transient infrastructure faults that survived the retries are the
-// server's.
-func factorErrStatus(err error) int {
-	if st := errStatus(err); st != http.StatusInternalServerError {
-		return st
-	}
-	if faultinject.IsTransient(err) {
-		return http.StatusInternalServerError
-	}
-	return http.StatusUnprocessableEntity
-}
-
-// guardEntry runs op while the caller holds fe.mu for writing. If op
-// panics, the entry is invalidated, unregistered, and unlocked before the
-// panic continues to the recovery middleware — otherwise the wedged write
-// lock would deadlock every later request for this pattern (the panic test
-// in chaos_test.go found exactly that).
-func (s *Server) guardEntry(fe *factorEntry, op func() error) error {
-	defer func() {
-		if rec := recover(); rec != nil {
-			fe.f = nil
-			s.dropEntry(fe)
-			fe.mu.Unlock()
-			panic(rec)
-		}
-	}()
-	return op()
-}
-
-// claimEntry returns the factor entry for id, creating it if absent. When
-// created is true the entry's write lock is held and fe.f is nil — the
-// caller must set fe.f and unlock (or dropEntry on failure). This is the
-// per-factor singleflight: a concurrent request for the same new pattern
-// blocks on fe.mu instead of factoring twice.
-func (s *Server) claimEntry(id string, n int, plan *core.Plan) (fe *factorEntry, created bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fe, ok := s.factors[id]; ok {
-		s.lru.MoveToFront(fe.el)
-		return fe, false
-	}
-	fe = &factorEntry{id: id, n: n, plan: plan, building: true}
-	fe.bt = &batcher{s: s, fe: fe}
-	fe.mu.Lock()
-	s.factors[id] = fe
-	fe.el = s.lru.PushFront(fe)
-	// Evict from the cold end, skipping entries whose initial factorization
-	// is still in flight — evicting those would 404 an id the server is
-	// about to return.
-	for el := s.lru.Back(); el != nil && len(s.factors) > s.cfg.MaxFactors; {
-		victim := el.Value.(*factorEntry)
-		el = el.Prev()
-		if victim.building {
-			continue
-		}
-		s.lru.Remove(victim.el)
-		delete(s.factors, victim.id)
-	}
-	return fe, true
-}
-
-// markReady clears the eviction guard once the creator has published fe.f.
-func (s *Server) markReady(fe *factorEntry) {
-	s.mu.Lock()
-	fe.building = false
-	s.mu.Unlock()
-}
-
-// dropEntry unregisters exactly fe: the pointer comparison keeps a stale
-// drop (after a failed build) from deleting a newer entry that a concurrent
-// request re-created under the same id.
-func (s *Server) dropEntry(fe *factorEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.factors[fe.id]; ok && cur == fe {
-		s.lru.Remove(fe.el)
-		delete(s.factors, fe.id)
-	}
-}
-
-func (s *Server) lookup(id string) (*factorEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fe, ok := s.factors[id]
-	if ok {
-		s.lru.MoveToFront(fe.el)
-	}
-	return fe, ok
-}
-
-// factorLive reports whether id already has a registered factor entry,
-// without promoting it in the LRU — used only to classify an incoming
-// factor request as a refactor vs a cold factorization for admission.
-func (s *Server) factorLive(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.factors[id]
-	return ok
+	s.cost.Observe(plan.Exact.Flops, took)
+	resp.ID, resp.N, resp.NNZ, resp.CacheHit = id, m.N, m.NNZ(), hit
+	resp.NNZL, resp.Flops = plan.Exact.NZinL, plan.Exact.Flops
+	resp.ElapsedMs = float64(took.Microseconds()) / 1e3
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // factorBytesGate enforces Config.MaxFactorBytes before any symbolic work.
 // exactBytes is the plan's exact nnz(L)×8 when the analysis is cached, 0
 // otherwise — then the gate falls back to 8×nnz(tril(A)), a true lower
 // bound since Cholesky fill only adds nonzeros to A's lower triangle.
-func (s *Server) factorBytesGate(m *sparse.Matrix, exactBytes int64) (errorBody, bool) {
+func (s *Server) factorBytesGate(m *sparse.Matrix, exactBytes int64) (ErrorBody, bool) {
 	if s.cfg.MaxFactorBytes <= 0 {
-		return errorBody{}, false
+		return ErrorBody{}, false
 	}
 	est, kind := exactBytes, "exact"
 	if est == 0 {
 		est, kind = 8*trilNNZ(m), "lower bound"
 	}
 	if est <= s.cfg.MaxFactorBytes {
-		return errorBody{}, false
+		return ErrorBody{}, false
 	}
-	return errorBody{
+	return ErrorBody{
 		Error: fmt.Sprintf("estimated factor size %d bytes (%s) exceeds the %d-byte budget", est, kind, s.cfg.MaxFactorBytes),
 		Code:  "factor_too_large",
 	}, true
@@ -950,11 +805,13 @@ func (s *Server) tenantCacheGate(tenant string, m *sparse.Matrix) *admission.Rej
 
 // ---- /v1/solve ----
 
-type solveResponse struct {
+// SolveResponse is the /v1/solve success body.
+type SolveResponse struct {
 	ID        string      `json:"id"`
 	X         []float64   `json:"x,omitempty"`
 	XS        [][]float64 `json:"xs,omitempty"`
 	Batch     int         `json:"batch,omitempty"` // RHS count of the coalesced sweep
+	Node      string      `json:"node,omitempty"`  // cluster node that solved ("local": the gateway itself)
 	ElapsedMs float64     `json:"elapsed_ms"`
 }
 
@@ -977,7 +834,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// flooding tenant's overflow must be rejected for microseconds of
 	// CPU, not a full JSON parse, or the rejection path itself becomes
 	// the overload. Admit re-applies the same gates authoritatively.
-	if rej := s.adm.Precheck(tenantOf(r), admission.Interactive); rej != nil {
+	tenant := tenantOf(r)
+	if rej := s.adm.Precheck(tenant, admission.Interactive); rej != nil {
 		s.writeRejection(w, rej)
 		return
 	}
@@ -987,130 +845,89 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	fe, ok := s.lookup(req.ID)
+	n, nnzL, ok := s.backend.Live(req.ID)
 	if !ok {
 		s.writeErr(w, http.StatusNotFound, fmt.Errorf("unknown factor id %q", req.ID))
 		return
 	}
-	if err := req.Check(fe.n); err != nil {
+	if err := req.Check(n); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant := tenantOf(r)
+	nrhs := len(req.BS)
+	if req.B != nil {
+		nrhs = 1
+	}
 
 	start := time.Now()
-	if req.B != nil {
-		var out solveOutcome
-		if s.cfg.BatchWindow > 0 {
-			// Batched path: the tenant is charged (token bucket + brownout
-			// gate) per request here; the coalesced sweep itself takes one
-			// internal worker slot on behalf of the whole batch.
-			if rej := s.adm.Charge(tenant, admission.Interactive); rej != nil {
-				s.writeRejection(w, rej)
-				return
-			}
-			out = fe.bt.submit(ctx, req.B)
-		} else {
-			out = s.solveDirect(ctx, fe, tenant, [][]float64{req.B})
-		}
-		if out.err != nil {
-			s.writeErr(w, errStatus(out.err), out.err)
+	if req.B != nil && s.batching() {
+		// Batched path: the tenant is charged (token bucket + brownout
+		// gate) per request here; the coalesced sweep itself takes one
+		// internal worker slot on behalf of the whole batch.
+		if rej := s.adm.Charge(tenant, admission.Interactive); rej != nil {
+			s.writeRejection(w, rej)
 			return
 		}
-		writeJSON(w, http.StatusOK, solveResponse{
-			ID: req.ID, X: out.x, Batch: out.batch,
-			ElapsedMs: float64(time.Since(start).Microseconds()) / 1e3,
+	} else {
+		// The solve's cost estimate is ~4 flops per nonzero of L per
+		// right-hand side (forward + back substitution), priced through
+		// the same observed-throughput model as factorizations so
+		// deadline-infeasible solves shed instead of queueing.
+		rel, rej, err := s.adm.Admit(ctx, admission.Request{
+			Tenant:   tenant,
+			Priority: admission.Interactive,
+			Cost:     s.cost.Estimate(4 * nnzL * int64(nrhs)),
+			Deadline: admissionDeadline(ctx),
 		})
+		if rej != nil {
+			s.writeRejection(w, rej)
+			return
+		}
+		if err != nil {
+			s.writeErr(w, errStatus(err), err)
+			return
+		}
+		defer rel()
+	}
+	resp, err := s.backend.Solve(ctx, req)
+	took := time.Since(start)
+	s.met.solveLat.Observe(took)
+	if err != nil {
+		s.writeErr(w, errStatus(err), err)
 		return
 	}
-
-	out := s.solveDirect(ctx, fe, tenant, req.BS)
-	if out.err != nil {
-		s.writeErr(w, errStatus(out.err), out.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, solveResponse{
-		ID: req.ID, XS: out.xs,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1e3,
-	})
-}
-
-// solveDirect runs one SolveMany on the worker pool, bypassing the batcher
-// (multi-RHS requests are already batches). The solve's cost estimate is
-// ~4 flops per nonzero of L per right-hand side (forward + back
-// substitution), priced through the same observed-throughput model as
-// factorizations so deadline-infeasible solves shed instead of queueing.
-func (s *Server) solveDirect(ctx context.Context, fe *factorEntry, tenant string, bs [][]float64) solveOutcome {
-	rel, rej, err := s.adm.Admit(ctx, admission.Request{
-		Tenant:   tenant,
-		Priority: admission.Interactive,
-		Cost:     s.solveCost(fe, len(bs)),
-		Deadline: admissionDeadline(ctx),
-	})
-	if rej != nil {
-		return solveOutcome{err: rej}
-	}
-	if err != nil {
-		return solveOutcome{err: err}
-	}
-	defer rel()
-	start := time.Now()
-	var xs [][]float64
-	err = s.withRetry(ctx, func() error {
-		if err := faultinject.Fire("server.solve"); err != nil {
-			return err
-		}
-		fe.mu.RLock()
-		defer fe.mu.RUnlock() // deferred so a solve panic cannot wedge the read lock
-		if fe.f == nil {
-			return errFactorInvalid
-		}
-		var serr error
-		xs, serr = fe.f.SolveMany(bs)
-		return serr
-	})
-	s.met.solveLat.Observe(time.Since(start))
-	if err != nil {
-		return solveOutcome{err: err}
-	}
-	s.met.solvedRHS.Add(int64(len(bs)))
-	if len(bs) == 1 {
-		return solveOutcome{x: xs[0], batch: 1}
-	}
-	return solveOutcome{xs: xs}
-}
-
-// solveCost estimates a SolveMany's execution time: triangular solves do
-// roughly 4·nnz(L) flops per right-hand side, converted through the
-// observed throughput model. A deliberately rough figure — it only has to
-// be the right order of magnitude for deadline shedding to beat silently
-// burning the deadline in the queue.
-func (s *Server) solveCost(fe *factorEntry, nrhs int) time.Duration {
-	if fe.plan == nil {
-		return 0
-	}
-	return s.cost.Estimate(4 * fe.plan.Exact.NZinL * int64(nrhs))
+	s.met.solvedRHS.Add(int64(nrhs))
+	resp.ID = req.ID
+	resp.ElapsedMs = float64(took.Microseconds()) / 1e3
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---- /healthz and /metrics ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.met.healthzRequests.Add(1)
-	state := s.adm.State()
-	body := map[string]string{"status": "ok", "admission": state.String()}
-	if s.isDraining() {
-		body["status"] = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
+	st := s.backend.Status()
+	body := struct {
+		Status    string `json:"status"`    // ok | degraded | down | draining
+		Admission string `json:"admission"` // ok | shed-low-priority | reject-new-factors | drain
+	}{st.State, s.adm.State().String()}
+	// Brownout and a degraded backend keep /healthz at 200 — the service is
+	// degraded, not dead, and a 503 here would make load balancers yank an
+	// instance that is still serving. The state strings are the signal.
+	code := http.StatusOK
+	switch {
+	case s.isDraining():
+		body.Status, code = "draining", http.StatusServiceUnavailable
+	case st.State == "down":
+		code = http.StatusServiceUnavailable
 	}
-	// Brownout keeps /healthz at 200 — the server is degraded, not dead,
-	// and a 503 here would make load balancers yank a node that is still
-	// serving interactive traffic. The state string is the signal.
-	writeJSON(w, http.StatusOK, body)
+	writeMerged(w, code, body, st.Health)
 }
 
-// metricsDoc is the /metrics JSON document.
+// metricsDoc is the pipeline's part of the /metrics JSON document; the
+// backend's section (BackendStatus.Metrics) joins it at the top level.
 type metricsDoc struct {
+	Status   string `json:"status"` // the backend's state
 	Requests struct {
 		Factor  int64 `json:"factor"`
 		Solve   int64 `json:"solve"`
@@ -1130,12 +947,8 @@ type metricsDoc struct {
 	Factors   int64           `json:"factors"`
 	Refactors int64           `json:"refactors"`
 	SolvedRHS int64           `json:"solved_rhs"`
-	Batches   int64           `json:"batches"`
-	BatchedR  int64           `json:"batched_rhs"`
 	Cache     plancache.Stats `json:"plan_cache"`
-	LiveFac   int             `json:"live_factors"`
-	Tune      *tuneDoc        `json:"tune,omitempty"`  // absent without -tune
-	Store     *storeDoc       `json:"store,omitempty"` // absent without -store-dir
+	Store     *storeDoc       `json:"store,omitempty"` // absent without a store directory
 	Admission admission.Stats `json:"admission"`       // brownout state, queues, per-tenant counters
 
 	Latency struct {
@@ -1147,7 +960,9 @@ type metricsDoc struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.metricsRequests.Add(1)
+	st := s.backend.Status()
 	var doc metricsDoc
+	doc.Status = st.State
 	doc.Requests.Factor = s.met.factorRequests.Load()
 	doc.Requests.Solve = s.met.solveRequests.Load()
 	doc.Requests.Healthz = s.met.healthzRequests.Load()
@@ -1158,15 +973,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	doc.Factors = s.met.factors.Load()
 	doc.Refactors = s.met.refactors.Load()
 	doc.SolvedRHS = s.met.solvedRHS.Load()
-	doc.Batches = s.met.batches.Load()
-	doc.BatchedR = s.met.batched.Load()
 	doc.Panics = s.met.panics.Load()
 	doc.Retries = s.met.retries.Load()
 	doc.Breaker.Trips = s.met.breakerTrips.Load()
 	doc.Breaker.FastFails = s.met.breakerFastFails.Load()
 	doc.Cache = s.cache.Stats()
 	s.mu.Lock()
-	doc.LiveFac = len(s.factors)
 	now := time.Now()
 	for _, bs := range s.breakers {
 		if !bs.until.IsZero() && now.Before(bs.until) {
@@ -1175,15 +987,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	doc.Admission = s.adm.Snapshot()
-	if s.cfg.Tune {
-		doc.Tune = &tuneDoc{
-			Adopted:      s.met.tuneAdopted.Load(),
-			Declined:     s.met.tuneDeclined.Load(),
-			Skipped:      s.met.tuneSkipped.Load(),
-			DroppedSpans: s.met.tuneDropped.Load(),
-			WarmRestored: s.met.tuneRestored.Load(),
-		}
-	}
 	doc.Latency.Factor = latencySnapshot(&s.met.factorLat)
 	doc.Latency.Refactor = latencySnapshot(&s.met.refactorLat)
 	doc.Latency.Solve = latencySnapshot(&s.met.solveLat)
@@ -1203,16 +1006,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		doc.Store = sd
 	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// tuneDoc is the /metrics section for feedback-driven mapping.
-type tuneDoc struct {
-	Adopted      int64 `json:"adopted"`       // tuned mappings adopted over static
-	Declined     int64 `json:"declined"`      // measured remaps that did not beat static
-	Skipped      int64 `json:"skipped"`       // unusable measurements (truncation, restore failure)
-	DroppedSpans int64 `json:"dropped_spans"` // recorder drops seen on measurement runs (0 = healthy)
-	WarmRestored int64 `json:"warm_restored"` // tuned mappings restored by the last WarmStart
+	writeMerged(w, http.StatusOK, doc, st.Metrics)
 }
 
 // storeDoc is the /metrics section for the durable snapshot store.
@@ -1221,7 +1015,7 @@ type storeDoc struct {
 	WriteErrors  int64       `json:"write_errors"`  // snapshot writes that failed
 	Dropped      int64       `json:"dropped"`       // snapshots dropped (queue full)
 	Skipped      int64       `json:"skipped"`       // snapshots skipped by the interval throttle
-	WarmRestored int64       `json:"warm_restored"` // factors restored by the last WarmStart
+	WarmRestored int64       `json:"warm_restored"` // snapshots restored by the last WarmStart
 	OpenError    string      `json:"open_error,omitempty"`
 	Stats        store.Stats `json:"stats"`
 }

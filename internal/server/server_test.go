@@ -52,27 +52,34 @@ func toCSC(m *sparse.Matrix) jsonCSC {
 	return jsonCSC{N: m.N, ColPtr: m.ColPtr, RowInd: m.RowInd, Val: m.Val}
 }
 
-func factorMatrix(t *testing.T, url string, m *sparse.Matrix) factorResponse {
+func factorMatrix(t *testing.T, url string, m *sparse.Matrix) FactorResponse {
 	t.Helper()
 	resp, body := postJSON(t, url+"/v1/factor", toCSC(m))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("factor: status %d: %s", resp.StatusCode, body)
 	}
-	var fr factorResponse
+	var fr FactorResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
 		t.Fatalf("factor response: %v", err)
 	}
 	return fr
 }
 
-func fetchMetrics(t *testing.T, url string) metricsDoc {
+// metricsView is the /metrics document of a server on the Local backend:
+// the pipeline's fields and the backend's section.
+type metricsView struct {
+	metricsDoc
+	localDoc
+}
+
+func fetchMetrics(t *testing.T, url string) metricsView {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc metricsDoc
+	var doc metricsView
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +143,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		bs[i] = b
 	}
 	var wg sync.WaitGroup
-	results := make([]solveResponse, batchLimit)
+	results := make([]SolveResponse, batchLimit)
 	errs := make([]error, batchLimit)
 	for i := 0; i < batchLimit; i++ {
 		wg.Add(1)
@@ -172,7 +179,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("multi solve: status %d: %s", resp.StatusCode, body)
 	}
-	var sr solveResponse
+	var sr SolveResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +235,7 @@ func TestServiceDistinctPatterns(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
 		}
-		var sr solveResponse
+		var sr SolveResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +257,7 @@ func TestServiceRequestValidation(t *testing.T) {
 		if resp.StatusCode != wantStatus {
 			t.Fatalf("%s: status %d, want %d (%s)", name, resp.StatusCode, wantStatus, body)
 		}
-		var eb errorBody
+		var eb ErrorBody
 		if err := json.Unmarshal(body, &eb); err != nil {
 			t.Fatalf("%s: non-JSON error body %q", name, body)
 		}
@@ -353,7 +360,7 @@ func TestServiceFailedFactorConcurrent(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after recovery: status %d (%s)", resp.StatusCode, body)
 	}
-	var sr solveResponse
+	var sr SolveResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +409,7 @@ func TestServiceFailedRefactorInvalidatesFactor(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after rebuild: status %d (%s)", resp.StatusCode, body)
 	}
-	var sr solveResponse
+	var sr SolveResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -416,18 +423,18 @@ func TestServiceFailedRefactorInvalidatesFactor(t *testing.T) {
 // invalidated or still-failing entry is left in — with errFactorInvalid
 // (409), not a nil dereference.
 func TestSolvePathsRejectInvalidatedFactor(t *testing.T) {
-	s := New(Config{})
+	l := New(Config{}).Local()
 	fe := &factorEntry{id: "dead", n: 4}
-	fe.bt = &batcher{s: s, fe: fe}
+	fe.bt = &batcher{l: l, fe: fe}
 
-	out := s.solveDirect(context.Background(), fe, "default", [][]float64{make([]float64, 4)})
-	if !errors.Is(out.err, errFactorInvalid) {
-		t.Fatalf("solveDirect on nil factor: err=%v; want errFactorInvalid", out.err)
+	_, err := l.solve(context.Background(), fe, [][]float64{make([]float64, 4)})
+	if !errors.Is(err, errFactorInvalid) {
+		t.Fatalf("direct solve on nil factor: err=%v; want errFactorInvalid", err)
 	}
-	if st := errStatus(out.err); st != http.StatusConflict {
+	if st := errStatus(err); st != http.StatusConflict {
 		t.Fatalf("errFactorInvalid maps to status %d; want 409", st)
 	}
-	out = fe.bt.submit(context.Background(), make([]float64, 4))
+	out := fe.bt.submit(context.Background(), make([]float64, 4))
 	if !errors.Is(out.err, errFactorInvalid) {
 		t.Fatalf("batched solve on nil factor: err=%v; want errFactorInvalid", out.err)
 	}
@@ -438,56 +445,56 @@ func TestSolvePathsRejectInvalidatedFactor(t *testing.T) {
 // in flight, and dropEntry only removes the exact entry it was given (a
 // stale drop must not delete a re-created successor under the same id).
 func TestFactorRegistryEvictionAndDrop(t *testing.T) {
-	s := New(Config{MaxFactors: 1})
-	feA, created := s.claimEntry("a", 4, nil)
+	l := New(Config{MaxFactors: 1}).Local()
+	feA, created := l.claimEntry("a", 4, nil)
 	if !created {
 		t.Fatal("claim a: want created")
 	}
-	feB, created := s.claimEntry("b", 4, nil)
+	feB, created := l.claimEntry("b", 4, nil)
 	if !created {
 		t.Fatal("claim b: want created")
 	}
-	s.mu.Lock()
-	live := len(s.factors)
-	s.mu.Unlock()
+	l.mu.Lock()
+	live := len(l.factors)
+	l.mu.Unlock()
 	if live != 2 {
 		t.Fatalf("%d live entries after two in-flight claims; eviction removed a building entry", live)
 	}
 
 	// Publish a; the next claim may evict it (cold end) but never the
 	// still-building b.
-	s.markReady(feA)
+	l.markReady(feA)
 	feA.mu.Unlock()
-	feC, created := s.claimEntry("c", 4, nil)
+	feC, created := l.claimEntry("c", 4, nil)
 	if !created {
 		t.Fatal("claim c: want created")
 	}
-	s.mu.Lock()
-	_, hasA := s.factors["a"]
-	_, hasB := s.factors["b"]
-	s.mu.Unlock()
+	l.mu.Lock()
+	_, hasA := l.factors["a"]
+	_, hasB := l.factors["b"]
+	l.mu.Unlock()
 	if hasA {
 		t.Fatal("ready entry a survived eviction while over budget")
 	}
 	if !hasB {
 		t.Fatal("building entry b was evicted")
 	}
-	s.markReady(feB)
+	l.markReady(feB)
 	feB.mu.Unlock()
-	s.markReady(feC)
+	l.markReady(feC)
 	feC.mu.Unlock()
 
 	// Stale drop: re-create c, then drop via the old pointer — the new
 	// entry must survive.
-	s.dropEntry(feC)
-	feC2, created := s.claimEntry("c", 4, nil)
+	l.dropEntry(feC)
+	feC2, created := l.claimEntry("c", 4, nil)
 	if !created {
 		t.Fatal("re-claim c: want created")
 	}
-	s.markReady(feC2)
+	l.markReady(feC2)
 	feC2.mu.Unlock()
-	s.dropEntry(feC)
-	if _, ok := s.lookup("c"); !ok {
+	l.dropEntry(feC)
+	if _, ok := l.lookup("c"); !ok {
 		t.Fatal("stale dropEntry removed the re-created entry")
 	}
 }
@@ -515,7 +522,7 @@ func TestServiceMatrixMarketBody(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("matrixmarket factor: status %d: %s", resp.StatusCode, body)
 	}
-	var fr factorResponse
+	var fr FactorResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +607,7 @@ func TestServiceBackpressure(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After header")
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,8 @@ import (
 // Called with the factor entry's write lock held. Returns (nil, nil) when
 // the measurement is unusable or the remap does not win; the static factor
 // then stands.
-func (s *Server) tuneFromMeasurement(sentry *plancache.Entry, m *sparse.Matrix, f *core.Factor, rec *obs.Recorder, pr *sched.Program) (*core.Factor, *core.Plan) {
+func (l *Local) tuneFromMeasurement(sentry *plancache.Entry, m *sparse.Matrix, f *core.Factor, rec *obs.Recorder, pr *sched.Program) (*core.Factor, *core.Plan) {
+	s := l.s
 	s.met.tuneDropped.Add(rec.Dropped())
 	prof, err := tune.BuildProfile(rec, pr, m.PatternHash(), s.planKey)
 	if err != nil {
@@ -50,7 +51,7 @@ func (s *Server) tuneFromMeasurement(sentry *plancache.Entry, m *sparse.Matrix, 
 		return nil, nil
 	}
 
-	te, tunedKey, err := s.insertTuned(sentry.Plan, prof, tm, m)
+	te, tunedKey, err := l.insertTuned(sentry.Plan, prof, tm, m)
 	if err != nil {
 		s.met.tuneSkipped.Add(1)
 		return nil, nil
@@ -80,12 +81,12 @@ func (s *Server) tuneFromMeasurement(sentry *plancache.Entry, m *sparse.Matrix, 
 // override: the adoption decision compared predicted loads under exactly
 // this ownership, and a domain layer would silently re-route panels away
 // from the mapping that won).
-func (s *Server) insertTuned(static *core.Plan, prof *tune.CostProfile, tm *mapping.Mapping, m *sparse.Matrix) (*plancache.Entry, uint64, error) {
+func (l *Local) insertTuned(static *core.Plan, prof *tune.CostProfile, tm *mapping.Mapping, m *sparse.Matrix) (*plancache.Entry, uint64, error) {
 	tp := *static // Plan is plain data; the analysis (A, Sym, BS) is shared read-only
 	tp.Opts.MapSource = core.MapTuned
 	tp.Opts.MapFingerprint = prof.Fingerprint()
 	tunedKey := tp.Opts.ConfigKey()
-	te, _, err := s.cache.GetOrBuild(m, tunedKey, func() (*core.Plan, sched.Assignment, error) {
+	te, _, err := l.s.cache.GetOrBuild(m, tunedKey, func() (*core.Plan, sched.Assignment, error) {
 		return &tp, tp.Assign(tm, 0), nil
 	})
 	if err != nil {
@@ -102,33 +103,21 @@ func (s *Server) insertTuned(static *core.Plan, prof *tune.CostProfile, tm *mapp
 // under the tuned ownership so the pattern's id claims first (the static
 // pass skips already-claimed ids). Returns the number of live factors
 // restored tuned.
-func (s *Server) restoreTuned() int {
-	if !s.cfg.Tune || s.st == nil {
-		return 0
-	}
-	keys, err := s.st.ScanProfiles()
-	if err != nil {
+func (l *Local) restoreTuned() int {
+	s := l.s
+	if !s.cfg.Tune {
 		return 0
 	}
 	restored := 0
-	for _, k := range keys {
-		if k.ConfigKey != s.planKey {
-			continue // measured under a different plan configuration
-		}
-		ps, err := s.st.GetProfile(k.PatternHash, k.ConfigKey)
-		if err != nil {
-			continue // missing, or corrupt and already quarantined
-		}
-		prof, err := tune.FromSnapshot(ps)
-		if err != nil || prof.Procs != s.cfg.Procs {
-			// Invalid, or measured at a different parallel width than this
-			// process serves: re-measure rather than trust it.
-			s.st.DeleteProfile(k.PatternHash, k.ConfigKey)
-			continue
+	s.TunedProfiles(func(hash uint64, prof *tune.CostProfile) bool {
+		if prof.Procs != s.cfg.Procs {
+			// Measured at a different parallel width than this process
+			// serves: re-measure rather than trust it.
+			return false
 		}
 		tm, _ := tune.Search(prof, s.cfg.Procs)
 		if tm == nil {
-			continue
+			return true
 		}
 		tunedOpts := s.planOpts
 		tunedOpts.MapSource = core.MapTuned
@@ -139,52 +128,46 @@ func (s *Server) restoreTuned() int {
 		// (it also restores the live factor); fall back to the static one
 		// (then only the plan link is restored — the next factorization of
 		// the pattern runs tuned without re-measuring).
-		fs, ferr := s.st.GetFactor(k.PatternHash, tunedKey)
+		fs, ferr := s.st.GetFactor(hash, tunedKey)
 		liveTuned := ferr == nil
 		if !liveTuned {
-			if fs, ferr = s.st.GetFactor(k.PatternHash, s.planKey); ferr != nil {
-				continue // no snapshot holds the pattern; profile waits for a re-POST
+			if fs, ferr = s.st.GetFactor(hash, s.planKey); ferr != nil {
+				return true // no snapshot holds the pattern; profile waits for a re-POST
 			}
 		}
 		mtx, err := fs.Matrix()
 		if err != nil {
-			continue
+			return true
 		}
 		se, _, err := s.cache.GetOrBuild(mtx, s.planKey, func() (*core.Plan, sched.Assignment, error) {
 			return s.buildPlan(mtx)
 		})
 		if err != nil {
-			continue
+			return true
 		}
 		if se.Plan.BS.N() != prof.N {
 			// The profile's block grid no longer matches what this build
 			// produces for the pattern: stale measurement.
-			s.st.DeleteProfile(k.PatternHash, k.ConfigKey)
-			continue
+			return false
 		}
-		te, tkey, err := s.insertTuned(se.Plan, prof, tm, mtx)
+		te, tkey, err := l.insertTuned(se.Plan, prof, tm, mtx)
 		if err != nil {
-			continue
+			return true
 		}
 		s.cache.SetTuned(se, tkey)
 		if !liveTuned {
-			continue
+			return true
 		}
 		f, err := te.Plan.RestoreFactor(te.Assign, fs.Val, fs.Blocks)
 		if err != nil {
-			s.st.DeleteFactor(k.PatternHash, tunedKey)
-			continue
+			s.st.DeleteFactor(hash, tunedKey)
+			return true
 		}
-		id := fmt.Sprintf("%016x", k.PatternHash)
-		fe, created := s.claimEntry(id, fs.N, te.Plan)
-		if !created {
-			continue
+		if l.restore(fmt.Sprintf("%016x", hash), fs.N, te.Plan, f) {
+			restored++
 		}
-		fe.f = f
-		s.markReady(fe)
-		fe.mu.Unlock()
-		restored++
-	}
+		return true
+	})
 	s.met.tuneRestored.Store(int64(restored))
 	return restored
 }
