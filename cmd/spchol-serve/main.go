@@ -213,6 +213,9 @@ func run() error {
 	srv.Drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
+	// Serve on while requests are in flight, so a fresh health probe sees
+	// 503 "draining" rather than a refused connection.
+	_ = srv.WaitIdle(shutdownCtx)
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}

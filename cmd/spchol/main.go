@@ -316,15 +316,7 @@ func run() error {
 
 	case "factor":
 		start := time.Now()
-		var (
-			f   *core.Factor
-			rec *obs.Recorder
-		)
-		if *traceOut != "" {
-			f, rec, err = plan.FactorTracedContext(context.Background(), assign)
-		} else {
-			f, err = plan.Factor(assign)
-		}
+		f, err := plan.Factor(context.Background(), assign, core.FactorOpts{Record: *traceOut != ""})
 		if err != nil {
 			return err
 		}
@@ -346,7 +338,7 @@ func run() error {
 			}
 			fmt.Printf("factor bundle saved to %s\n", *save)
 		}
-		if rec != nil {
+		if rec := f.Recorder(); rec != nil {
 			label := fmt.Sprintf("%s %v/%v P=%d (executed)", name, rh, ch, g.P())
 			return writeTraceFile(*traceOut, func(w io.Writer) error {
 				return rec.WriteTrace(w, label)

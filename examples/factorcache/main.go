@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -30,7 +31,7 @@ func main() {
 
 	start := time.Now()
 	g := mapping.Grid{Pr: 2, Pc: 2}
-	f, err := plan.Factor(plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2), core.FactorOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -47,7 +48,7 @@ func main() {
 	b[(*k/2)*(*k)+*k/2] = 1
 
 	start := time.Now()
-	f, err := plan.Factor(plan.Assign(heu, 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(heu, 2), core.FactorOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

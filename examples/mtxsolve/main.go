@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -65,7 +66,7 @@ func main() {
 		plan.Exact.NZinL, float64(plan.Exact.Flops)/1e6)
 
 	g := mapping.BestGrid(*procs)
-	f, err := plan.Factor(plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2), core.FactorOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

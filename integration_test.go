@@ -6,6 +6,7 @@ package blockfanout
 // computations and residual norms.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -98,7 +99,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if withDomains {
 					beta = 2.0
 				}
-				par, err := plan.Factor(plan.Assign(mp, beta))
+				par, err := plan.Factor(context.Background(), plan.Assign(mp, beta), core.FactorOpts{})
 				if err != nil {
 					t.Fatalf("parallel (domains=%v): %v", withDomains, err)
 				}
@@ -257,7 +258,7 @@ func TestQuickFullPipeline(t *testing.T) {
 			t.Logf("seed %d: plan: %v", seed, err)
 			return false
 		}
-		fac, err := plan.Factor(plan.Assign(plan.Map(g, rowH, colH), beta))
+		fac, err := plan.Factor(context.Background(), plan.Assign(plan.Map(g, rowH, colH), beta), core.FactorOpts{})
 		if err != nil {
 			t.Logf("seed %d: factor: %v", seed, err)
 			return false

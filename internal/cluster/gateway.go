@@ -208,7 +208,7 @@ func (m *member) isAlive() bool {
 type gwJob struct {
 	id   string
 	n    int   // matrix dimension, fixed by the pattern the id hashes
-	nnzL int64 // nnz(L) of the pattern's plan (solve cost estimates)
+	nnzL int64 // nnz(L) with the diagonal (solve cost estimates)
 
 	// reqMu serializes factor requests per pattern (a run must finish or
 	// fail before the next re-shards the same job).
@@ -738,7 +738,7 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 	g.mu.Lock()
 	j, ok := g.jobs[id]
 	if !ok {
-		j = &gwJob{id: id, n: m.N, nnzL: entry.Plan.Exact.NZinL, notify: make(chan struct{}, 1)}
+		j = &gwJob{id: id, n: m.N, nnzL: entry.Plan.Exact.NNZ(), notify: make(chan struct{}, 1)}
 		g.jobs[id] = j
 	}
 	g.mu.Unlock()

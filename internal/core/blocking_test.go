@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"blockfanout/internal/blocks"
@@ -34,7 +35,7 @@ func TestNewPlanBlockingStrategies(t *testing.T) {
 				}
 			}
 			mp := plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY)
-			f, err := plan.Factor(plan.Assign(mp, 2))
+			f, err := plan.Factor(context.Background(), plan.Assign(mp, 2), FactorOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

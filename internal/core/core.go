@@ -138,8 +138,8 @@ func (o Options) ConfigKey() uint64 {
 // are safe for concurrent use; the Plan itself is never mutated after
 // NewPlan.
 type Plan struct {
-	// Opts are the options the plan was built with; factorization entry
-	// points read Opts.Exec to pick the execution engine.
+	// Opts are the options the plan was built with; Factor reads
+	// Opts.Exec to pick the execution engine.
 	Opts Options
 	A    *sparse.Matrix    // the original matrix
 	Perm order.Permutation // total permutation (fill-reducing ∘ postorder)
@@ -278,89 +278,78 @@ func (p *Plan) ServingAssignment(procs int) sched.Assignment {
 	return p.Assign(p.Map(mapping.BestGrid(procs), mapping.ID, mapping.CY), 2)
 }
 
+// FactorOpts selects what one parallel factorization does besides the
+// run itself. The zero value factors the values the plan was analyzed
+// from, unshifted and unrecorded.
+type FactorOpts struct {
+	// Values, when non-nil, are factored instead of the plan's own values:
+	// laid out like plan.A.Val (same CSC entry order), every one finite. A
+	// cached plan asked to factor a newly posted same-pattern matrix must
+	// set it; nil factors whichever matrix originally built the plan.
+	Values []float64
+	// Perturb, when non-nil, turns on the diagonal-shift retry for
+	// borderline-SPD input (see Perturbation); Factor.Shift reports the α
+	// applied.
+	Perturb *Perturbation
+	// Record attaches a drop-free span recorder
+	// (fanout.Executor.NewMeasureRecorder) for this factorization only and
+	// exposes it as Factor.Recorder: one obs.Span per BFAC/BDIV/BMOD, ready
+	// for a cost profile (internal/tune) or a Chrome trace-event export.
+	// Span block ids index into Factor.Program.
+	Record bool
+}
+
 // Factor runs the real parallel block fan-out factorization under the
-// assignment and returns the numeric factor. The factor keeps the
-// assignment's schedule and executor, so SolveParallel can reuse the data
-// distribution and Refactor can re-run the factorization without any
+// assignment and returns the numeric factor; it aborts early (returning
+// ctx.Err()) if the context is cancelled. The factor keeps the
+// assignment's schedule and executor, so SolveParallel reuses the data
+// distribution and RefactorContext re-runs the factorization without any
 // setup work.
-func (p *Plan) Factor(a sched.Assignment) (*Factor, error) {
-	return p.FactorContext(context.Background(), a)
-}
-
-// FactorContext is Factor with cancellation: the parallel factorization
-// aborts early (returning ctx.Err()) if the context is cancelled.
-func (p *Plan) FactorContext(ctx context.Context, a sched.Assignment) (*Factor, error) {
-	nf, err := numeric.New(p.BS, p.PA)
+func (p *Plan) Factor(ctx context.Context, a sched.Assignment, o FactorOpts) (*Factor, error) {
+	f, err := p.newFactor(&a)
 	if err != nil {
 		return nil, err
 	}
-	pr := sched.Build(p.BS, a)
-	ex := fanout.NewExecutorMode(nf, pr, p.Opts.Exec)
-	if _, err := ex.RunContext(ctx); err != nil {
+	if o.Record {
+		// The recording covers this factorization only: later refactors
+		// run without the two clock reads per block op.
+		f.rec = f.ex.NewMeasureRecorder()
+		f.rec.Enable()
+		defer f.ex.SetRecorder(nil)
+		defer f.rec.Disable()
+	}
+	if o.Values != nil {
+		err = f.RefactorContext(ctx, o.Values, o.Perturb)
+	} else { // numeric.New already scattered the plan's values
+		err = f.factorLoaded(ctx, p.A.Val, o.Perturb)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return &Factor{plan: p, nf: nf, pr: pr, ex: ex, a: p.A}, nil
+	return f, nil
 }
 
-// FactorTracedContext is FactorContext with the executor's span recorder
-// attached and enabled: alongside the factor it returns the recorder
-// holding one obs.Span per BFAC/BDIV/BMOD the run performed, ready for
-// Chrome trace-event export. The instrumented run is the real execution,
-// not a replay — the recorder's gated hot path is cheap enough to time
-// production-shaped runs.
-func (p *Plan) FactorTracedContext(ctx context.Context, a sched.Assignment) (*Factor, *obs.Recorder, error) {
-	nf, err := numeric.New(p.BS, p.PA)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr := sched.Build(p.BS, a)
-	ex := fanout.NewExecutorMode(nf, pr, p.Opts.Exec)
-	rec := ex.NewRecorder()
-	rec.Enable()
-	if _, err := ex.RunContext(ctx); err != nil {
-		return nil, nil, err
-	}
-	return &Factor{plan: p, nf: nf, pr: pr, ex: ex, a: p.A}, rec, nil
-}
-
-// FactorMeasuredValuesContext is FactorValuesContext with a drop-free span
-// recorder attached and enabled (fanout.Executor.NewMeasureRecorder): lanes
-// are sized so every BFAC/BDIV/BMOD of the run is captured with
-// Recorder.Dropped() == 0, the completeness internal/tune requires before
-// it will aggregate the spans into a cost profile. It also returns the
-// schedule the run executed under, which maps span block ids back to block
-// coordinates.
-func (p *Plan) FactorMeasuredValuesContext(ctx context.Context, a sched.Assignment, values []float64) (*Factor, *obs.Recorder, *sched.Program, error) {
-	nf, err := numeric.New(p.BS, p.PA)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pr := sched.Build(p.BS, a)
-	ex := fanout.NewExecutorMode(nf, pr, p.Opts.Exec)
-	rec := ex.NewMeasureRecorder()
-	rec.Enable()
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: ex, a: p.A}
-	if err := f.RefactorContext(ctx, values); err != nil {
-		return nil, nil, nil, err
-	}
-	return f, rec, pr, nil
-}
-
-// FactorValuesContext is FactorContext for the analyze-once/factor-many
-// serving path: it factors the plan's fixed pattern carrying values (laid
-// out like A.Val, same CSC entry order) instead of the values the plan was
-// analyzed from. A cached plan asked to factor a newly posted same-pattern
-// matrix must use this — FactorContext would silently factor the stale
-// values of whichever matrix originally built the plan.
+// FactorValuesContext is Factor with FactorOpts{Values: values}.
+//
+// Deprecated: kept only because the frozen perfbench module calls it; the
+// next benchmark change moves perfbench to Factor and removes it.
 func (p *Plan) FactorValuesContext(ctx context.Context, a sched.Assignment, values []float64) (*Factor, error) {
+	return p.Factor(ctx, a, FactorOpts{Values: values})
+}
+
+// newFactor allocates the block storage, loaded with the plan's values,
+// and — for a parallel assignment — the schedule and its executor. It is
+// the one constructor behind Factor, RestoreFactor and FactorSequential
+// (a nil assignment).
+func (p *Plan) newFactor(a *sched.Assignment) (*Factor, error) {
 	nf, err := numeric.New(p.BS, p.PA)
 	if err != nil {
 		return nil, err
 	}
-	pr := sched.Build(p.BS, a)
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: fanout.NewExecutorMode(nf, pr, p.Opts.Exec), a: p.A}
-	if err := f.RefactorContext(ctx, values); err != nil {
-		return nil, err
+	f := &Factor{plan: p, nf: nf, a: p.A}
+	if a != nil {
+		f.pr = sched.Build(p.BS, *a)
+		f.ex = fanout.NewExecutorMode(nf, f.pr, p.Opts.Exec)
 	}
 	return f, nil
 }
@@ -370,67 +359,43 @@ func (p *Plan) FactorValuesContext(ctx context.Context, a sched.Assignment, valu
 // durable factor store. values must be laid out like plan.A.Val (the
 // matrix the snapshotted factor was computed from) and blocks must be the
 // ExportBlocks flattening of the finished numeric factor. The restored
-// factor carries the usual parallel executor, so later Refactor calls
+// factor carries the usual parallel executor, so later refactorizations
 // behave exactly as if the factor had been computed in this process.
 func (p *Plan) RestoreFactor(a sched.Assignment, values []float64, blocks [][]float64) (*Factor, error) {
 	if len(values) != len(p.A.Val) {
 		return nil, fmt.Errorf("core: restore got %d values, pattern has %d nonzeros", len(values), len(p.A.Val))
 	}
-	nf, err := numeric.New(p.BS, p.PA)
+	f, err := p.newFactor(&a)
 	if err != nil {
 		return nil, err
 	}
-	if err := nf.ImportBlocks(blocks); err != nil {
+	if err := f.nf.ImportBlocks(blocks); err != nil {
 		return nil, err
 	}
-	pr := sched.Build(p.BS, a)
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: fanout.NewExecutorMode(nf, pr, p.Opts.Exec)}
-	// The factor represents the snapshot's values, not whichever values
-	// built the (possibly shared) plan matrix.
-	f.a = &sparse.Matrix{
-		N:      p.A.N,
-		ColPtr: p.A.ColPtr,
-		RowInd: p.A.RowInd,
-		Val:    append([]float64(nil), values...),
-	}
+	f.represent(values) // the snapshot's values, not the plan's
 	return f, nil
 }
 
 // FactorSequential factors on one processor (the paper's t_seq baseline).
 func (p *Plan) FactorSequential() (*Factor, error) {
-	nf, err := numeric.New(p.BS, p.PA)
+	f, err := p.newFactor(nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := nf.FactorSequential(); err != nil {
+	if err := f.run(context.Background()); err != nil {
 		return nil, err
 	}
-	return &Factor{plan: p, nf: nf, a: p.A}, nil
-}
-
-// Refactor refactors f in place with new numeric values for the plan's
-// fixed pattern. It is the analyze-once/factor-many entry point; see
-// Factor.Refactor for the contract.
-func (p *Plan) Refactor(f *Factor, values []float64) error {
-	if f.plan != p {
-		return fmt.Errorf("core: factor belongs to a different plan")
-	}
-	return f.Refactor(values)
+	return f, nil
 }
 
 // Simulate runs the discrete-event multicomputer simulation of the fan-out
 // schedule under the assignment and machine model. The configuration must
-// be valid (machine.Config.Validate); experiments and examples construct
-// theirs from the fixed Paragon model, so an invalid one is a programming
-// error and panics. Use SimulateChecked for externally-supplied configs.
+// be valid: experiments and examples construct theirs from the fixed
+// Paragon model, so an invalid one is a programming error and panics.
+// Callers holding an externally supplied configuration check
+// machine.Config.Validate first.
 func (p *Plan) Simulate(a sched.Assignment, cfg machine.Config) machine.Result {
 	return machine.MustSimulate(sched.Build(p.BS, a), cfg)
-}
-
-// SimulateChecked is Simulate with the configuration error surfaced instead
-// of panicking, for callers whose machine model comes from user input.
-func (p *Plan) SimulateChecked(a sched.Assignment, cfg machine.Config) (machine.Result, error) {
-	return machine.Simulate(sched.Build(p.BS, a), cfg)
 }
 
 // CriticalPath returns the critical-path time bound (seconds) under the
@@ -441,19 +406,21 @@ func (p *Plan) CriticalPath(cfg machine.Config) float64 {
 
 // Factor is a computed Cholesky factor bound to its plan, able to solve
 // linear systems in the original (unpermuted) index space. A Factor is
-// safe for concurrent solves; Refactor must be externally serialized
-// against solves (e.g. the server wraps factors in an RWMutex).
+// safe for concurrent solves; RefactorContext must be externally
+// serialized against solves (e.g. the server wraps factors in an RWMutex).
 type Factor struct {
 	plan *Plan
 	nf   *numeric.Factor
 	pr   *sched.Program   // non-nil when the factor was computed in parallel
 	ex   *fanout.Executor // reusable parallel engine (nil for sequential factors)
 	// a is the matrix this factor currently represents: plan.A after
-	// Factor, a value-swapped view of the same pattern after Refactor.
+	// Factor, a value-swapped view of the same pattern after a refactor.
 	a *sparse.Matrix
 	// pav is the reusable scratch holding values gathered into permuted
-	// order; allocated on first Refactor, reused afterwards.
-	pav []float64
+	// order; allocated on first refactor, reused afterwards.
+	pav   []float64
+	rec   *obs.Recorder // the FactorOpts.Record recording (nil otherwise)
+	shift float64       // α of the most recent (re)factorization
 }
 
 // Numeric exposes the underlying block factor.
@@ -466,27 +433,48 @@ func (f *Factor) Plan() *Plan { return f.plan }
 // under (block ids in recorded spans index into it).
 func (f *Factor) Program() *sched.Program { return f.pr }
 
+// Recorder returns the span recording of the factorization that built f
+// under FactorOpts.Record, or nil. It is detached from the executor once
+// that factorization ends, so refactors never add to it.
+func (f *Factor) Recorder() *obs.Recorder { return f.rec }
+
+// Shift returns the diagonal shift α of the most recent (re)factorization:
+// 0 when the matrix factored unmodified, positive when a perturbation
+// retry factored A + αI instead.
+func (f *Factor) Shift() float64 { return f.shift }
+
 // Matrix returns the matrix the factor currently represents: the plan's
 // matrix, or a same-pattern matrix carrying the values of the most recent
-// Refactor.
+// refactor.
 func (f *Factor) Matrix() *sparse.Matrix { return f.a }
 
-// Refactor recomputes the factor for new numeric values on the plan's
-// fixed sparsity pattern. values must be laid out like plan.A.Val (same
-// CSC entry order); every value must be finite. No ordering, symbolic
-// analysis, or partitioning runs — the values are gathered through the
-// plan's ValMap into the preallocated block storage and the factorization
-// re-executes over the existing schedule, reusing the executor's
-// workspaces. Parallel factors refactor in parallel; sequential ones
-// sequentially.
+// Refactor is RefactorContext without cancellation or perturbation.
+//
+// Deprecated: kept only because the frozen perfbench module calls it; the
+// next benchmark change moves perfbench to RefactorContext and removes it.
 func (f *Factor) Refactor(values []float64) error {
-	return f.RefactorContext(context.Background(), values)
+	return f.RefactorContext(context.Background(), values, nil)
 }
 
-// RefactorContext is Refactor with cancellation. A cancelled refactor
-// leaves the factor numerically invalid; a subsequent successful Refactor
-// restores it.
-func (f *Factor) RefactorContext(ctx context.Context, values []float64) error {
+// RefactorContext recomputes the factor for new numeric values on the
+// plan's fixed sparsity pattern. values must be laid out like plan.A.Val
+// (same CSC entry order); every value must be finite. No ordering,
+// symbolic analysis, or partitioning runs — the values are gathered
+// through the plan's ValMap into the preallocated block storage and the
+// factorization re-executes over the existing schedule, reusing the
+// executor's workspaces. Parallel factors refactor in parallel, sequential
+// ones sequentially. A non-nil pert turns on the diagonal-shift retry; the
+// applied α is Shift(). A failed or cancelled refactor leaves the factor
+// numerically invalid; a subsequent successful one restores it.
+func (f *Factor) RefactorContext(ctx context.Context, values []float64, pert *Perturbation) error {
+	if err := f.load(values); err != nil {
+		return err
+	}
+	return f.factorLoaded(ctx, values, pert)
+}
+
+// load validates values and scatters them into the block storage.
+func (f *Factor) load(values []float64) error {
 	if len(values) != len(f.plan.A.Val) {
 		return fmt.Errorf("core: refactor got %d values, pattern has %d nonzeros", len(values), len(f.plan.A.Val))
 	}
@@ -495,32 +483,83 @@ func (f *Factor) RefactorContext(ctx context.Context, values []float64) error {
 			return fmt.Errorf("core: refactor value %d is not finite (%g)", i, v)
 		}
 	}
-	// Keep f.a describing the current values without mutating the plan's
-	// (possibly shared) matrix: first Refactor clones the pattern view with
-	// private value storage, later ones overwrite it in place.
-	if f.a == f.plan.A {
-		f.a = &sparse.Matrix{
-			N:      f.plan.A.N,
-			ColPtr: f.plan.A.ColPtr,
-			RowInd: f.plan.A.RowInd,
-			Val:    make([]float64, len(values)),
-		}
-	}
-	copy(f.a.Val, values)
+	f.represent(values)
 	if f.pav == nil {
 		f.pav = make([]float64, len(values))
 	}
 	for q, src := range f.plan.ValMap {
 		f.pav[q] = values[src]
 	}
-	if err := f.nf.Reload(f.pav); err != nil {
-		return err
+	return f.nf.Reload(f.pav)
+}
+
+// represent points f.a at values without mutating the plan's (possibly
+// shared) matrix: the first call clones the pattern view with private
+// value storage, later ones overwrite it in place.
+func (f *Factor) represent(values []float64) {
+	if f.a == f.plan.A {
+		a := *f.plan.A
+		a.Val = make([]float64, len(values))
+		f.a = &a
 	}
+	copy(f.a.Val, values)
+}
+
+// run factors whatever the block storage holds: in parallel on the
+// executor, or sequentially for a factor without one.
+func (f *Factor) run(ctx context.Context) error {
 	if f.ex != nil {
 		_, err := f.ex.RunContext(ctx)
 		return err
 	}
 	return f.nf.FactorSequential()
+}
+
+// factorLoaded factors the already loaded values and, when pert is non-nil
+// and the run breaks down on a non-positive pivot, retries on A + αI with
+// escalating α (the Manteuffel strategy). Non-breakdown errors
+// (cancellation, malformed values) are returned without retrying.
+func (f *Factor) factorLoaded(ctx context.Context, values []float64, pert *Perturbation) error {
+	f.shift = 0
+	err := f.run(ctx)
+	if err == nil || pert == nil || !errors.Is(err, kernels.ErrNotPositiveDefinite) {
+		return err
+	}
+	p := pert.withDefaults()
+	a := f.plan.A
+	scale := 0.0
+	for j := 0; j < a.N; j++ {
+		if d := math.Abs(values[a.ColPtr[j]]); d > scale {
+			scale = d
+		}
+	}
+	if scale == 0 {
+		scale = 1
+	}
+	shifted := append([]float64(nil), values...)
+	alpha := p.InitialShift * scale
+	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
+		for j := 0; j < a.N; j++ {
+			q := a.ColPtr[j]
+			shifted[q] = values[q] + alpha
+		}
+		if f.rec.Enabled() {
+			f.rec.Reset() // a recording holds the run that succeeded
+		}
+		if err = f.load(shifted); err == nil {
+			err = f.run(ctx)
+		}
+		if err == nil {
+			f.shift = alpha
+			return nil
+		}
+		if !errors.Is(err, kernels.ErrNotPositiveDefinite) {
+			return err
+		}
+		alpha *= p.Growth
+	}
+	return fmt.Errorf("core: still not positive definite after %d diagonal perturbations (last shift %g): %w",
+		p.MaxAttempts, alpha/p.Growth, err)
 }
 
 // Perturbation configures the opt-in graceful-degradation mode for
@@ -529,7 +568,7 @@ func (f *Factor) RefactorContext(ctx context.Context, values []float64) error {
 // strategy) and the factorization retried with escalating α, a bounded
 // number of times. The shift trades exactness for existence — the factor
 // solves a nearby SPD problem — so callers must opt in and are told the α
-// that was applied.
+// that was applied (Factor.Shift).
 type Perturbation struct {
 	// InitialShift is the first α relative to max |A_jj| (default 1e-8).
 	InitialShift float64
@@ -551,66 +590,6 @@ func (p Perturbation) withDefaults() Perturbation {
 		p.MaxAttempts = 8
 	}
 	return p
-}
-
-// RefactorPerturbedContext is RefactorContext with the diagonal-perturbation
-// retry. It returns the absolute shift α that was applied: 0 when the
-// matrix factored unmodified, positive when a shifted A + αI was factored
-// instead. Non-breakdown errors (cancellation, malformed values) are
-// returned immediately without retrying.
-func (f *Factor) RefactorPerturbedContext(ctx context.Context, values []float64, pert Perturbation) (float64, error) {
-	err := f.RefactorContext(ctx, values)
-	if err == nil {
-		return 0, nil
-	}
-	if !errors.Is(err, kernels.ErrNotPositiveDefinite) {
-		return 0, err
-	}
-	pert = pert.withDefaults()
-	a := f.plan.A
-	scale := 0.0
-	for j := 0; j < a.N; j++ {
-		if d := math.Abs(values[a.ColPtr[j]]); d > scale {
-			scale = d
-		}
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	shifted := append([]float64(nil), values...)
-	alpha := pert.InitialShift * scale
-	for attempt := 0; attempt < pert.MaxAttempts; attempt++ {
-		for j := 0; j < a.N; j++ {
-			q := a.ColPtr[j]
-			shifted[q] = values[q] + alpha
-		}
-		if err = f.RefactorContext(ctx, shifted); err == nil {
-			return alpha, nil
-		}
-		if !errors.Is(err, kernels.ErrNotPositiveDefinite) {
-			return 0, err
-		}
-		alpha *= pert.Growth
-	}
-	return 0, fmt.Errorf("core: still not positive definite after %d diagonal perturbations (last shift %g): %w",
-		pert.MaxAttempts, alpha/pert.Growth, err)
-}
-
-// FactorValuesPerturbedContext is FactorValuesContext with the
-// diagonal-perturbation retry; it reports the applied shift alongside the
-// factor.
-func (p *Plan) FactorValuesPerturbedContext(ctx context.Context, a sched.Assignment, values []float64, pert Perturbation) (*Factor, float64, error) {
-	nf, err := numeric.New(p.BS, p.PA)
-	if err != nil {
-		return nil, 0, err
-	}
-	pr := sched.Build(p.BS, a)
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: fanout.NewExecutorMode(nf, pr, p.Opts.Exec), a: p.A}
-	shift, err := f.RefactorPerturbedContext(ctx, values, pert)
-	if err != nil {
-		return nil, 0, err
-	}
-	return f, shift, nil
 }
 
 // checkRHS validates one right-hand side: exact length and finite entries.

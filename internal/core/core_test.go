@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestParallelFactorViaCore(t *testing.T) {
 	}
 	g := mapping.Grid{Pr: 2, Pc: 2}
 	mp := plan.Map(g, mapping.DW, mapping.CY)
-	f, err := plan.Factor(plan.Assign(mp, 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(mp, 2), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestSequentialAndParallelSameSolution(t *testing.T) {
 	}
 	xs, _ := fs.Solve(b)
 	g := mapping.Grid{Pr: 3, Pc: 2}
-	fp, err := plan.Factor(plan.Assign(plan.Map(g, mapping.DN, mapping.IN), 2))
+	fp, err := plan.Factor(context.Background(), plan.Assign(plan.Map(g, mapping.DN, mapping.IN), 2), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestSolveParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := mapping.Grid{Pr: 2, Pc: 2}
-	f, err := plan.Factor(plan.Assign(plan.Map(g, mapping.DW, mapping.CY), 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(plan.Map(g, mapping.DW, mapping.CY), 2), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

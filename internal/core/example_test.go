@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"blockfanout/internal/core"
@@ -27,7 +28,7 @@ func Example() {
 	fmt.Printf("balance improves: %v\n",
 		plan.Balances(heur).Overall > plan.Balances(cyclic).Overall)
 
-	f, err := plan.Factor(plan.Assign(heur, 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(heur, 2), core.FactorOpts{})
 	if err != nil {
 		panic(err)
 	}

@@ -35,7 +35,7 @@ func TestFactorValuesPropagatesPivotError(t *testing.T) {
 	plan := planForPerturb(t)
 	a := plan.Assign(plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 0)
 	bad := indefiniteValues(t, plan, 40)
-	_, err := plan.FactorValuesContext(context.Background(), a, bad)
+	_, err := plan.Factor(context.Background(), a, FactorOpts{Values: bad})
 	var pe *kernels.PivotError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *kernels.PivotError", err)
@@ -53,10 +53,11 @@ func TestPerturbationRecoversIndefiniteMatrix(t *testing.T) {
 	a := plan.Assign(plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 0)
 	bad := indefiniteValues(t, plan, 40)
 
-	f, shift, err := plan.FactorValuesPerturbedContext(context.Background(), a, bad, Perturbation{})
+	f, err := plan.Factor(context.Background(), a, FactorOpts{Values: bad, Perturb: &Perturbation{}})
 	if err != nil {
 		t.Fatalf("perturbed factorization failed: %v", err)
 	}
+	shift := f.Shift()
 	if shift <= 0 {
 		t.Fatalf("indefinite matrix factored with shift %g, expected a positive shift", shift)
 	}
@@ -80,9 +81,12 @@ func TestPerturbationRecoversIndefiniteMatrix(t *testing.T) {
 	}
 
 	// SPD values must factor with zero shift through the same entry point.
-	f2, shift2, err := plan.FactorValuesPerturbedContext(context.Background(), a, plan.A.Val, Perturbation{})
-	if err != nil || shift2 != 0 {
-		t.Fatalf("SPD matrix: shift %g err %v", shift2, err)
+	f2, err := plan.Factor(context.Background(), a, FactorOpts{Values: plan.A.Val, Perturb: &Perturbation{}})
+	if err != nil {
+		t.Fatalf("SPD matrix: %v", err)
+	}
+	if f2.Shift() != 0 {
+		t.Fatalf("SPD matrix: shift %g", f2.Shift())
 	}
 	if _, err := f2.Solve(b); err != nil {
 		t.Fatal(err)
@@ -98,12 +102,12 @@ func TestPerturbationBoundedAttempts(t *testing.T) {
 	for j := 0; j < plan.A.N; j++ {
 		bad[plan.A.ColPtr[j]] = -1e6
 	}
-	nf, err := plan.FactorValuesContext(context.Background(), a, plan.A.Val)
+	nf, err := plan.Factor(context.Background(), a, FactorOpts{Values: plan.A.Val})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = nf.RefactorPerturbedContext(context.Background(), bad,
-		Perturbation{InitialShift: 1e-12, Growth: 2, MaxAttempts: 3})
+	err = nf.RefactorContext(context.Background(), bad,
+		&Perturbation{InitialShift: 1e-12, Growth: 2, MaxAttempts: 3})
 	if err == nil {
 		t.Fatal("hopeless matrix factored")
 	}

@@ -21,7 +21,7 @@ func refactorFixture(t testing.TB) (*Plan, *Factor, []float64) {
 		t.Fatal(err)
 	}
 	g := mapping.Grid{Pr: 2, Pc: 2}
-	f, err := plan.Factor(plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ func refactorFixture(t testing.TB) (*Plan, *Factor, []float64) {
 	return plan, f, vals
 }
 
-// TestRefactorMatchesFromScratch: Plan.Refactor on a fixed pattern with new
+// TestRefactorMatchesFromScratch: RefactorContext on a fixed pattern with new
 // values must match a from-scratch NewPlan+Factor to 1e-12 relative — the
 // PR's acceptance criterion.
 func TestRefactorMatchesFromScratch(t *testing.T) {
 	plan, f, vals := refactorFixture(t)
-	if err := plan.Refactor(f, vals); err != nil {
+	if err := f.RefactorContext(context.Background(), vals, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestRefactorMatchesFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := plan2.Factor(plan2.Assign(plan2.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2))
+	f2, err := plan2.Factor(context.Background(), plan2.Assign(plan2.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestRefactorMatchesFromScratch(t *testing.T) {
 }
 
 // TestFactorValuesMatchesFromScratch: a cached plan factoring a same-
-// pattern matrix via FactorValuesContext must use the supplied values, not
+// pattern matrix via FactorOpts.Values must use the supplied values, not
 // the values the plan was analyzed from, and match a from-scratch
 // NewPlan+Factor of the new matrix.
 func TestFactorValuesMatchesFromScratch(t *testing.T) {
 	plan, _, vals := refactorFixture(t)
 	asn := plan.Assign(plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2)
-	f, err := plan.FactorValuesContext(context.Background(), asn, vals)
+	f, err := plan.Factor(context.Background(), asn, FactorOpts{Values: vals})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFactorValuesMatchesFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := plan2.Factor(plan2.Assign(plan2.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2))
+	f2, err := plan2.Factor(context.Background(), plan2.Assign(plan2.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRefactorZeroSymbolicAllocs(t *testing.T) {
 	}
 	// Single processor keeps goroutine startup noise at its floor.
 	g := mapping.Grid{Pr: 1, Pc: 1}
-	f, err := plan.Factor(plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 0))
+	f, err := plan.Factor(context.Background(), plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 0), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +185,10 @@ func TestRefactorErrors(t *testing.T) {
 		t.Fatal("Refactor accepted Inf values")
 	}
 
-	other := gen.Grid2D(10)
-	otherPlan, err := NewPlan(other, Options{Ordering: order.NDGrid2D, GridDim: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := otherPlan.Refactor(f, other.Val); err == nil {
-		t.Fatal("Plan.Refactor accepted a factor from a different plan")
-	}
-
 	// Cancelled context aborts the parallel refactorization.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := f.RefactorContext(ctx, vals); err == nil {
+	if err := f.RefactorContext(ctx, vals, nil); err == nil {
 		t.Fatal("RefactorContext ignored a cancelled context")
 	}
 	// The factor recovers on the next successful refactor.
@@ -273,7 +264,7 @@ func TestRestoreFactorRoundTrip(t *testing.T) {
 	}
 	g := mapping.BestGrid(4)
 	a := plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2)
-	f, err := plan.FactorContext(context.Background(), a)
+	f, err := plan.Factor(context.Background(), a, FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

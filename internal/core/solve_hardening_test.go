@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func TestSolveRejectsBadRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := plan.Factor(plan.Assign(plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2), FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,6 +179,11 @@ func FactorStats(counts []int) Stats {
 	return s
 }
 
+// NNZ is nnz(L) with the diagonal — the entry count a stored factor
+// holds, and the size every byte or solve-cost estimate must use. NZinL,
+// the paper's number, counts off-diagonal entries only.
+func (s Stats) NNZ() int64 { return s.NZinL + int64(s.N) }
+
 // SubtreeWork returns, for every column, the total work (Σ c(j)² over the
 // subtree rooted there). Domain selection splits the elimination forest
 // into subtrees of roughly equal subtree work.

@@ -419,8 +419,8 @@ func Arbitrary(w io.Writer, cfg Config) error {
 		aAR := sched.Assignment{Map: cp, Override: arb}
 		volCP := commvol.Of(plan.BS, aCP)
 		volAR := commvol.Of(plan.BS, aAR)
-		mfCP := mflops(plan, machine.MustSimulate(sched.Build(plan.BS, aCP), cfg.Machine))
-		mfAR := mflops(plan, machine.MustSimulate(sched.Build(plan.BS, aAR), cfg.Machine))
+		mfCP := mflops(plan, plan.Simulate(aCP, cfg.Machine))
+		mfAR := mflops(plan, plan.Simulate(aAR, cfg.Machine))
 		fmt.Fprintf(w, "%-12s %10.2f %10.2f %12d %12d %10.0f %10.0f\n",
 			p.Name, balCP, balAR, volCP.Bytes, volAR.Bytes, mfCP, mfAR)
 	}

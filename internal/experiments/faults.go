@@ -53,10 +53,10 @@ func Faults(w io.Writer, cfg Config) error {
 				},
 				RecoveryDelay: 1e-3,
 			}
-			faulted, err := plan.SimulateChecked(a, mc)
-			if err != nil {
+			if err := mc.Validate(g.P()); err != nil {
 				return fmt.Errorf("experiments: faults: %s/%s: %w", p.Name, c.name, err)
 			}
+			faulted := plan.Simulate(a, mc)
 			fmt.Fprintf(w, " %12.4f %10.1f", base.Time, pct(faulted.Time, base.Time))
 		}
 		fmt.Fprintln(w)

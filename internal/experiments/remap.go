@@ -139,23 +139,23 @@ const remapReps = 3
 
 // remapRun times remapReps measured factorizations under an assignment,
 // verifies each against the sequential reference, and returns the fastest
-// run's compute window, execution balance, and recording (for profile
-// building).
-func remapRun(plan *core.Plan, a sched.Assignment, seq *core.Factor) (sec, bal float64, rec *obs.Recorder, pr *sched.Program, err error) {
+// run's compute window, execution balance, and factor (whose recording
+// and schedule build the profile).
+func remapRun(plan *core.Plan, a sched.Assignment, seq *core.Factor) (sec, bal float64, best *core.Factor, err error) {
 	for rep := 0; rep < remapReps; rep++ {
-		f, r, p, err := plan.FactorMeasuredValuesContext(context.Background(), a, plan.A.Val)
+		f, err := plan.Factor(context.Background(), a, core.FactorOpts{Record: true})
 		if err != nil {
-			return 0, 0, nil, nil, err
+			return 0, 0, nil, err
 		}
 		if err := verifyFactor(seq, f); err != nil {
-			return 0, 0, nil, nil, err
+			return 0, 0, nil, err
 		}
-		b, w := measuredBalance(r)
-		if rec == nil || w < sec {
-			sec, bal, rec, pr = w, b, r, p
+		b, w := measuredBalance(f.Recorder())
+		if best == nil || w < sec {
+			sec, bal, best = w, b, f
 		}
 	}
-	return sec, bal, rec, pr, nil
+	return sec, bal, best, nil
 }
 
 // RemapRows runs the full remap-after-measure comparison for each problem
@@ -189,11 +189,11 @@ func RemapRows(cfg Config, procs []int) ([]RemapResult, error) {
 			// intensive columns, domains enabled), exactly what a -tune
 			// server measures on the first factorization of a pattern.
 			serveA := plan.Assign(plan.Map(g, mapping.ID, mapping.CY), cfg.DomainBeta)
-			sec, bal, rec, pr, err := remapRun(plan, serveA, seq)
+			sec, bal, serve, err := remapRun(plan, serveA, seq)
 			if err != nil {
 				return nil, err
 			}
-			prof, err := tune.BuildProfile(rec, pr, 0, 0)
+			prof, err := tune.BuildProfile(serve.Recorder(), serve.Program(), 0, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -210,7 +210,7 @@ func RemapRows(cfg Config, procs []int) ([]RemapResult, error) {
 					continue // ID/CY above is the serving configuration
 				}
 				a := plan.Assign(plan.Map(g, h, h), cfg.DomainBeta)
-				sec, bal, _, _, err := remapRun(plan, a, seq)
+				sec, bal, _, err := remapRun(plan, a, seq)
 				if err != nil {
 					return nil, err
 				}
@@ -228,7 +228,7 @@ func RemapRows(cfg Config, procs []int) ([]RemapResult, error) {
 			// loads under exactly this ownership (see internal/tune).
 			tm, _ := tune.Search(prof, np)
 			ta := plan.Assign(tm, 0)
-			sec, bal, _, _, err = remapRun(plan, ta, seq)
+			sec, bal, _, err = remapRun(plan, ta, seq)
 			if err != nil {
 				return nil, err
 			}

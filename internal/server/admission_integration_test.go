@@ -10,7 +10,10 @@ import (
 	"time"
 
 	"blockfanout/internal/admission"
+	"blockfanout/internal/core"
 	"blockfanout/internal/gen"
+	"blockfanout/internal/sched"
+	"blockfanout/internal/sparse"
 )
 
 // postJSONTenant is postJSON with an X-Tenant header.
@@ -169,6 +172,38 @@ func TestFactorBytesGate(t *testing.T) {
 	doc := fetchMetrics(t, ts.URL)
 	if doc.Cache.Misses != 0 {
 		t.Fatalf("byte gate ran after symbolic work: %d cache misses", doc.Cache.Misses)
+	}
+}
+
+// TestFactorBytesGateCountsDiagonal: the gate's exact size on a plan-cache
+// hit counts L's diagonal, so it never falls below the lower bound the
+// gate uses on a miss. A tridiagonal matrix has no fill, so both are
+// 8×nnz(tril(A)) = 319,992 bytes at order 20,000; off-diagonal entries
+// alone would be 159,992. A budget between the two rejects the request
+// whether or not the plan is cached.
+func TestFactorBytesGateCountsDiagonal(t *testing.T) {
+	const n = 20000
+	m := &sparse.Matrix{N: n, ColPtr: make([]int, n+1)}
+	for j := 0; j < n; j++ {
+		m.RowInd, m.Val = append(m.RowInd, j), append(m.Val, 3)
+		if j+1 < n {
+			m.RowInd, m.Val = append(m.RowInd, j+1), append(m.Val, -1)
+		}
+		m.ColPtr[j+1] = len(m.RowInd)
+	}
+	s, ts := testService(t, Config{Procs: 1, Workers: 2, BatchWindow: -1, MaxFactorBytes: 240000})
+	for _, cached := range []bool{false, true} {
+		if cached {
+			if _, _, err := s.cache.GetOrBuild(m, s.planKey, func() (*core.Plan, sched.Assignment, error) {
+				return s.buildPlan(m)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/factor", toCSC(m))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("plan cached %v: status %d (%s), want 413", cached, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 
 	"blockfanout/internal/core"
 	"blockfanout/internal/faultinject"
-	"blockfanout/internal/obs"
-	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
 	"blockfanout/internal/store"
 )
@@ -41,7 +39,7 @@ func newLocal(s *Server) *Local {
 type factorEntry struct {
 	id   string
 	n    int
-	nnzL int64      // nnz(L) of the pattern's plan (solve cost estimates)
+	nnzL int64      // nnz(L) with the diagonal (solve cost estimates)
 	plan *core.Plan // the analysis this factor was built from (pattern guard)
 	mu   sync.RWMutex
 	f    *core.Factor
@@ -64,6 +62,10 @@ var errFactorInvalid = errors.New("factor is no longer valid: its factorization 
 func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, error) {
 	s, m, id := l.s, c.M, c.ID
 	var resp FactorResponse
+	var pert *core.Perturbation // ?perturb=1: the default diagonal-shift retry
+	if c.Perturb {
+		pert = &core.Perturbation{}
+	}
 
 	// Feedback-driven mapping: if a tuned sibling of the static entry is
 	// cached, factor under it instead — the second (and every later)
@@ -87,24 +89,15 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 			// is already gone and can safely re-claim) on failure. The
 			// factorization must use the posted values, not the plan's: on a
 			// cache hit the plan carries whichever values built it.
-			measure := s.cfg.Tune && !tunedPlan && !c.Perturb
+			o := core.FactorOpts{Values: m.Val, Perturb: pert, Record: s.cfg.Tune && !tunedPlan && !c.Perturb}
 			var f *core.Factor
-			var rec *obs.Recorder
-			var pr *sched.Program
 			ferr := l.guardEntry(fe, func() error {
 				return l.withRetry(ctx, func() error {
 					if err := faultinject.Fire("server.factor"); err != nil {
 						return err
 					}
 					var err error
-					switch {
-					case c.Perturb:
-						f, resp.Shift, err = entry.Plan.FactorValuesPerturbedContext(ctx, entry.Assign, m.Val, core.Perturbation{})
-					case measure:
-						f, rec, pr, err = entry.Plan.FactorMeasuredValuesContext(ctx, entry.Assign, m.Val)
-					default:
-						f, err = entry.Plan.FactorValuesContext(ctx, entry.Assign, m.Val)
-					}
+					f, err = entry.Plan.Factor(ctx, entry.Assign, o)
 					return err
 				})
 			})
@@ -113,9 +106,9 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 				fe.mu.Unlock()
 				return resp, ferr
 			}
-			fe.f = f
-			if measure && rec != nil {
-				if tf, tp := l.tuneFromMeasurement(c.Entry, m, f, rec, pr); tf != nil {
+			fe.f, resp.Shift = f, f.Shift()
+			if o.Record {
+				if tf, tp := l.tuneFromMeasurement(c.Entry, m, f); tf != nil {
 					// Same numeric blocks, tuned ownership: swap the live
 					// factor without a second factorization.
 					fe.f, fe.plan = tf, tp
@@ -151,12 +144,7 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 				if err := faultinject.Fire("server.refactor"); err != nil {
 					return err
 				}
-				if c.Perturb {
-					var err error
-					resp.Shift, err = fe.f.RefactorPerturbedContext(ctx, m.Val, core.Perturbation{})
-					return err
-				}
-				return fe.f.RefactorContext(ctx, m.Val)
+				return fe.f.RefactorContext(ctx, m.Val, pert)
 			})
 		})
 		if rerr != nil {
@@ -169,6 +157,7 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 			return resp, rerr
 		}
 		l.saveSnapshot(fe, m)
+		resp.Shift = fe.f.Shift()
 		fe.mu.Unlock()
 		resp.Refactored = true
 		return resp, nil
@@ -333,7 +322,7 @@ func (l *Local) claimEntry(id string, n int, plan *core.Plan) (fe *factorEntry, 
 	}
 	fe = &factorEntry{id: id, n: n, plan: plan, building: true}
 	if plan != nil {
-		fe.nnzL = plan.Exact.NZinL
+		fe.nnzL = plan.Exact.NNZ()
 	}
 	fe.bt = &batcher{l: l, fe: fe}
 	fe.mu.Lock()

@@ -237,8 +237,8 @@ type Backend interface {
 	// pipeline already checked against the factor's dimension, filling X
 	// or XS, Batch and Node.
 	Solve(ctx context.Context, req *SolveRequest) (SolveResponse, error)
-	// Live reports the dimension and nnz(L) of the live factor id, without
-	// touching any recency order.
+	// Live reports the dimension and nnz(L), diagonal included, of the
+	// live factor id, without touching any recency order.
 	Live(id string) (n int, nnzL int64, ok bool)
 	// Status reports the backend's state and its /healthz and /metrics
 	// sections.
@@ -282,6 +282,7 @@ type Server struct {
 	mu       sync.Mutex // guards draining, breakers
 	draining bool
 	breakers map[string]*breakerState
+	idle     chan struct{} // leave's wake-up for WaitIdle (capacity 1)
 
 	// Durable snapshot store (nil when Config.StoreDir is empty or the
 	// directory failed to open; storeErr keeps the failure for /metrics).
@@ -329,6 +330,7 @@ func newServer(cfg Config, opts core.Options, b Backend) *Server {
 			MemHardBytes:       cfg.MemHardBytes,
 		}),
 		breakers: make(map[string]*breakerState),
+		idle:     make(chan struct{}, 1),
 	}
 	s.local = newLocal(s)
 	s.backend = b
@@ -397,13 +399,38 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 
 // Drain flips the server into shutdown mode: /healthz reports 503 so load
 // balancers stop routing, new factor/solve requests are refused and queued
-// waiters are shed while in-flight ones finish (http.Server.Shutdown
-// provides the actual wait).
+// waiters are shed while in-flight ones finish (WaitIdle waits for them).
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.adm.SetDraining(true)
+}
+
+// WaitIdle blocks until no factor or solve request is in flight, or ctx
+// ends. A shutdown calls it between Drain and closing its listeners, so
+// a fresh /healthz probe sees 503 "draining" rather than a refused
+// connection for as long as in-flight work keeps the process up.
+func (s *Server) WaitIdle(ctx context.Context) error {
+	for s.met.inFlight.Load() > 0 {
+		select {
+		case <-s.idle:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// leave ends a request's in-flight count, waking WaitIdle when it was the
+// last one.
+func (s *Server) leave() {
+	if s.met.inFlight.Add(-1) == 0 {
+		select {
+		case s.idle <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
 }
 
 func (s *Server) isDraining() bool {
@@ -638,7 +665,7 @@ type FactorResponse struct {
 func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 	s.met.factorRequests.Add(1)
 	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
+	defer s.leave()
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
@@ -688,7 +715,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 	var exactBytes int64
 	if pe, ok := s.cache.Peek(m, s.planKey); ok {
 		costEst = s.cost.Estimate(pe.Plan.Exact.Flops)
-		exactBytes = pe.Plan.Exact.NZinL * 8
+		exactBytes = pe.Plan.Exact.NNZ() * 8
 	}
 	if body, reject := s.factorBytesGate(m, exactBytes); reject {
 		s.met.rejected.Add(1)
@@ -748,7 +775,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 }
 
 // factorBytesGate enforces Config.MaxFactorBytes before any symbolic work.
-// exactBytes is the plan's exact nnz(L)×8 when the analysis is cached, 0
+// exactBytes is 8×nnz(L), diagonal included, when the analysis is cached, 0
 // otherwise — then the gate falls back to 8×nnz(tril(A)), a true lower
 // bound since Cholesky fill only adds nonzeros to A's lower triangle.
 func (s *Server) factorBytesGate(m *sparse.Matrix, exactBytes int64) (ErrorBody, bool) {
@@ -818,7 +845,7 @@ type SolveResponse struct {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.met.solveRequests.Add(1)
 	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
+	defer s.leave()
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return

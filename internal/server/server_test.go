@@ -560,6 +560,34 @@ func TestServiceDrain(t *testing.T) {
 	}
 }
 
+// TestWaitIdle: WaitIdle returns once the last in-flight request leaves,
+// and gives up when its context ends first.
+func TestWaitIdle(t *testing.T) {
+	s := New(Config{Procs: 1, BatchWindow: -1})
+	defer s.Close()
+	if err := s.WaitIdle(context.Background()); err != nil {
+		t.Fatalf("idle server: %v", err)
+	}
+	s.met.inFlight.Add(2) // two requests enter
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := s.WaitIdle(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("busy server: %v, want deadline exceeded", err)
+	}
+	s.leave()
+	done := make(chan error, 1)
+	go func() { done <- s.WaitIdle(context.Background()) }()
+	select {
+	case err := <-done:
+		t.Fatalf("returned with a request still in flight: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.leave()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceBackpressure: with a one-worker pool and a one-slot queue,
 // a request arriving while both are held must get a structured 429 —
 // queue_full code, Retry-After header and in-body hint — and bump the

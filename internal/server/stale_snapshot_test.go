@@ -27,7 +27,7 @@ func TestIdentityOrderedSnapshotNeverRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := plan.FactorContext(context.Background(), plan.Assign(plan.Map(mapping.BestGrid(2), mapping.ID, mapping.CY), 2))
+	f, err := plan.Factor(context.Background(), plan.Assign(plan.Map(mapping.BestGrid(2), mapping.ID, mapping.CY), 2), core.FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"blockfanout/internal/core"
 	"blockfanout/internal/mapping"
-	"blockfanout/internal/obs"
 	"blockfanout/internal/plancache"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
@@ -25,10 +24,11 @@ import (
 // Called with the factor entry's write lock held. Returns (nil, nil) when
 // the measurement is unusable or the remap does not win; the static factor
 // then stands.
-func (l *Local) tuneFromMeasurement(sentry *plancache.Entry, m *sparse.Matrix, f *core.Factor, rec *obs.Recorder, pr *sched.Program) (*core.Factor, *core.Plan) {
+func (l *Local) tuneFromMeasurement(sentry *plancache.Entry, m *sparse.Matrix, f *core.Factor) (*core.Factor, *core.Plan) {
 	s := l.s
+	rec := f.Recorder()
 	s.met.tuneDropped.Add(rec.Dropped())
-	prof, err := tune.BuildProfile(rec, pr, m.PatternHash(), s.planKey)
+	prof, err := tune.BuildProfile(rec, f.Program(), m.PatternHash(), s.planKey)
 	if err != nil {
 		// Truncated or empty recording: a biased profile must not steer the
 		// mapping. The next cold factorization of the pattern re-measures.

@@ -13,8 +13,8 @@
 // A profile is only trustworthy if the recording is complete: a recorder
 // that dropped spans under-represents whatever ran late, so BuildProfile
 // refuses truncated recordings outright (ErrTruncated). Use
-// fanout.Executor.NewMeasureRecorder (via core.Plan.
-// FactorMeasuredValuesContext) to get lanes sized so drops cannot happen.
+// fanout.Executor.NewMeasureRecorder (via core.FactorOpts.Record) to get
+// lanes sized so drops cannot happen.
 package tune
 
 import (

@@ -26,10 +26,11 @@ func measuredProfile(t *testing.T, procs int) (*core.Plan, *tune.CostProfile) {
 	}
 	g := mapping.BestGrid(procs)
 	a := plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2)
-	_, rec, pr, err := plan.FactorMeasuredValuesContext(context.Background(), a, plan.A.Val)
+	f, err := plan.Factor(context.Background(), a, core.FactorOpts{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec, pr := f.Recorder(), f.Program()
 	if rec.Dropped() != 0 {
 		t.Fatalf("measure recorder dropped %d spans; NewMeasureRecorder must size lanes drop-free", rec.Dropped())
 	}
@@ -116,7 +117,7 @@ func TestTunedFactorMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := plan.FactorValuesContext(context.Background(), plan.Assign(tm, 0), plan.A.Val)
+	f, err := plan.Factor(context.Background(), plan.Assign(tm, 0), core.FactorOpts{Values: plan.A.Val})
 	if err != nil {
 		t.Fatal(err)
 	}
