@@ -13,8 +13,8 @@ import (
 // TestRemapRegressionGate is the CI gate for feedback-driven remapping:
 // it runs the remap experiment's measured factorizations on the irregular
 // generators at P=8 and 16, writes every row to bench-remap.json (uploaded
-// as a CI artifact, and the same rows BENCH_kernels.json carries), and
-// fails if the tuned mapping's balance over the measured cost profile
+// as a CI artifact; `go run ./cmd/spchol -exp remap` prints the same
+// rows), and fails if the tuned mapping's balance over the measured cost profile
 // regresses below the best static heuristic's. The balance comparison is
 // over one shared profile, so it is deterministic given the measurement
 // and does not gate on wall time (meaningless on loaded CI machines); the

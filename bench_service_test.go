@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
-	"blockfanout/internal/benchjson"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/server"
 	"blockfanout/internal/sparse"
@@ -99,28 +97,4 @@ func postFactor(url string, m *sparse.Matrix) (string, error) {
 		return "", err
 	}
 	return fr.ID, nil
-}
-
-// TestWriteBenchServiceJSON regenerates BENCH_service.json, the committed
-// serving-path report (cold factor vs warm refactor, solo vs batched solve).
-// Opt-in like the kernel report:
-//
-//	BENCH_JSON=1 go test -run WriteBenchServiceJSON .
-func TestWriteBenchServiceJSON(t *testing.T) {
-	if os.Getenv("BENCH_JSON") == "" {
-		t.Skip("set BENCH_JSON=1 to measure the service and rewrite BENCH_service.json")
-	}
-	rep, err := benchjson.CollectService(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteFile("BENCH_service.json"); err != nil {
-		t.Fatal(err)
-	}
-	if rep.RefactorSpeedup <= 1 {
-		t.Errorf("refactor (%.2fms) not faster than cold factor (%.2fms)", rep.RefactorMs, rep.ColdFactorMs)
-	}
-	t.Logf("wrote BENCH_service.json: cold=%.1fms refactor=%.1fms (%.1fx), solo=%.2fms batched/rhs=%.2fms (%.1fx)",
-		rep.ColdFactorMs, rep.RefactorMs, rep.RefactorSpeedup,
-		rep.SoloSolveMs, rep.BatchedPerRHSMs, rep.BatchSpeedup)
 }

@@ -57,7 +57,7 @@ func BenchmarkKernelMulSubNaive(b *testing.B) {
 	for _, w := range benchWidths {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			benchMulSub(b, w, func(c []float64, ldc int, a []float64, ra int, bb []float64, rb, w int, relRow, relCol []int) {
-				MulSubNaive(c, ldc, a, ra, bb, rb, w, relRow, relCol, false, nil, nil)
+				mulSubNaive(c, ldc, a, ra, bb, rb, w, relRow, relCol, false, nil, nil)
 			})
 		})
 	}
@@ -85,12 +85,12 @@ func BenchmarkKernelCholesky(b *testing.B) {
 
 func BenchmarkKernelCholeskyNaive(b *testing.B) {
 	for _, w := range benchWidths {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchCholesky(b, w, CholeskyNaive) })
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchCholesky(b, w, choleskyNaive) })
 	}
 }
 
 // BenchmarkKernelCholeskyNoChecks is the pivot-check-free baseline for the
-// BFAC overhead number in BENCH_robustness.json: the delta against
+// BFAC overhead TestPivotCheckOverhead gates: the delta against
 // BenchmarkKernelCholesky is the full cost of breakdown detection.
 func BenchmarkKernelCholeskyNoChecks(b *testing.B) {
 	for _, w := range benchWidths {
@@ -124,7 +124,7 @@ func BenchmarkKernelSolveRight(b *testing.B) {
 
 func BenchmarkKernelSolveRightNaive(b *testing.B) {
 	for _, w := range benchWidths {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchSolveRight(b, w, SolveRightNaive) })
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchSolveRight(b, w, solveRightNaive) })
 	}
 }
 

@@ -23,7 +23,7 @@ func xgetbv0() (eax, edx uint32)
 func dot4x2fma(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
 
 // hasFMA is the single hardware-capability gate, computed once at init;
-// SetFMA can never turn the micro-kernel on without it.
+// setFMA can never turn the micro-kernel on without it.
 var hasFMA = detectFMA()
 
 // useFMA gates the assembly micro-kernel. It is a variable, not a constant,

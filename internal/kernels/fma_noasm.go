@@ -4,7 +4,7 @@ package kernels
 
 // Non-amd64 builds have no assembly micro-kernel: the single capability
 // gate hasFMA is constant-false, so dispatch can never select the FMA path
-// (SetFMA(true) is a no-op). dot4x2fma nevertheless has a real pure-Go
+// (setFMA(true) is a no-op). dot4x2fma nevertheless has a real pure-Go
 // implementation — not a panic — so even a hypothetical dispatch bug
 // degrades to correct, slower code instead of crashing the process.
 const hasFMA = false

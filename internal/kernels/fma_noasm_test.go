@@ -10,8 +10,8 @@ func TestNoAsmFallbackNeverPanics(t *testing.T) {
 	if hasFMA {
 		t.Fatal("hasFMA must be false on non-amd64 builds")
 	}
-	if SetFMA(true) {
-		t.Fatal("SetFMA(true) must stay off without assembly support")
+	if setFMA(true) {
+		t.Fatal("setFMA(true) must stay off without assembly support")
 	}
 	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	b := []float64{1, 1, 2, 2}

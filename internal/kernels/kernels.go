@@ -14,9 +14,8 @@
 // right-hand-side rows per pass so every loaded L entry is used four
 // times, and BFAC is a blocked right-looking factorization whose trailing
 // update reuses the tiled multiply. The naive triple-loop
-// variants are kept in-tree (CholeskyNaive, SolveRightNaive, MulSubNaive)
-// as the reference implementations the property tests and benchmarks
-// compare against.
+// reference variants the property tests and benchmarks compare against
+// live in naive_test.go.
 //
 // Storage conventions: a diagonal block of panel width w is a full w×w
 // row-major matrix of which only the lower triangle is meaningful; an
@@ -108,15 +107,6 @@ func Cholesky(a []float64, w int) error {
 		syrkLowerLD(a[(k+nb)*w+(k+nb):], rem, w, panel, nb, w)
 	}
 	return nil
-}
-
-// CholeskyNaive is the unblocked reference factorization the tiled kernel
-// is validated and benchmarked against.
-func CholeskyNaive(a []float64, w int) error {
-	if len(a) < w*w {
-		return fmt.Errorf("kernels: Cholesky buffer %d < %d", len(a), w*w)
-	}
-	return choleskyUnblockedLD(a, w, w, 0)
 }
 
 // choleskyUnblockedLD factors the leading n×n lower triangle of a matrix
@@ -239,25 +229,6 @@ func SolveRight(x []float64, r int, l []float64, w int) error {
 	return nil
 }
 
-// SolveRightNaive is the one-row-at-a-time reference implementation.
-func SolveRightNaive(x []float64, r int, l []float64, w int) error {
-	if err := checkSolvePivots(l, w, w); err != nil {
-		return err
-	}
-	for s := 0; s < r; s++ {
-		row := x[s*w : s*w+w]
-		for j := 0; j < w; j++ {
-			v := row[j]
-			lj := l[j*w:]
-			for t := 0; t < j; t++ {
-				v -= row[t] * lj[t]
-			}
-			row[j] = v / lj[j]
-		}
-	}
-	return nil
-}
-
 // solveRightLD solves X ← X·L⁻ᵀ for an r×n block X with leading dimension
 // ldx against the leading n×n lower triangle of l (leading dimension ldl),
 // processing four right-hand-side rows at a time.
@@ -337,28 +308,6 @@ func consecutive(rel []int, n int) bool {
 		}
 	}
 	return true
-}
-
-// MulSubNaive is the reference triple-loop BMOD the tiled kernels are
-// validated and benchmarked against. Unlike MulSub it accepts unsorted
-// rowsA/rowsB in the lower case.
-func MulSubNaive(c []float64, ldc int, a []float64, ra int, b []float64, rb int, w int,
-	relRow, relCol []int, lower bool, rowsA, rowsB []int) {
-	for s := 0; s < ra; s++ {
-		as := a[s*w : s*w+w]
-		crow := c[relRow[s]*ldc:]
-		for t := 0; t < rb; t++ {
-			if lower && rowsA[s] < rowsB[t] {
-				continue
-			}
-			bt := b[t*w : t*w+w]
-			var sum float64
-			for k := 0; k < w; k++ {
-				sum += as[k] * bt[k]
-			}
-			crow[relCol[t]] -= sum
-		}
-	}
 }
 
 // MulSubContig performs C ← C − A·Bᵀ for a dense consecutive destination:
@@ -660,10 +609,10 @@ func BackSolveDiag(l []float64, w int, b []float64) {
 }
 
 // CholeskyNoChecks is the pivot-check-free twin of Cholesky, kept solely as
-// the baseline BENCH_robustness.json measures the breakdown-detection
-// overhead against. On indefinite input it silently emits NaN — exactly the
-// failure mode the checked kernels exist to prevent — so nothing outside
-// benchmark tooling may call it.
+// the baseline TestPivotCheckOverhead and BenchmarkKernelCholeskyNoChecks
+// measure the breakdown-detection overhead against. On indefinite input it
+// silently emits NaN — exactly the failure mode the checked kernels exist
+// to prevent — so nothing outside those measurements may call it.
 func CholeskyNoChecks(a []float64, w int) {
 	if w <= choleskyNB {
 		choleskyUncheckedLD(a, w, w)
@@ -728,12 +677,12 @@ func dot4x2fmaGeneric(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64) {
 // HasFMA reports whether the AVX2+FMA micro-kernel is active.
 func HasFMA() bool { return useFMA }
 
-// SetFMA enables or disables the FMA micro-kernel and reports the previous
-// setting. It exists for benchmark tooling that measures the portable path.
+// setFMA enables or disables the FMA micro-kernel and reports the previous
+// setting. It exists for tests that exercise the portable path.
 // Dispatch is gated on the single hasFMA capability check performed at
 // init: requesting FMA on hardware (or a build) without support is a no-op
 // rather than a crash, so the pure-Go path is always safe to select.
-func SetFMA(on bool) bool {
+func setFMA(on bool) bool {
 	prev := useFMA
 	useFMA = on && hasFMA
 	return prev

@@ -3,7 +3,10 @@ package kernels
 import (
 	"errors"
 	"math"
+	"os"
+	"sort"
 	"testing"
+	"time"
 )
 
 // Breakdown reporting: every bad-pivot shape (negative, zero, NaN, +Inf)
@@ -29,7 +32,7 @@ func TestPivotErrorShapes(t *testing.T) {
 			for _, fac := range []struct {
 				name string
 				f    func([]float64, int) error
-			}{{"naive", CholeskyNaive}, {"blocked", Cholesky}} {
+			}{{"naive", choleskyNaive}, {"blocked", Cholesky}} {
 				b := append([]float64(nil), a...)
 				err := fac.f(b, w)
 				if err == nil {
@@ -66,7 +69,7 @@ func TestSolveRightBrokenDiagonal(t *testing.T) {
 	for _, sv := range []struct {
 		name string
 		f    func([]float64, int, []float64, int) error
-	}{{"tiled", SolveRight}, {"naive", SolveRightNaive}} {
+	}{{"tiled", SolveRight}, {"naive", solveRightNaive}} {
 		xs := append([]float64(nil), x...)
 		err := sv.f(xs, r, l, w)
 		var pe *PivotError
@@ -126,8 +129,58 @@ func TestCholeskyNoChecksMatches(t *testing.T) {
 	}
 }
 
+// TestPivotCheckOverhead is the CI gate on what breakdown detection costs
+// BFAC: at every block width the partitioner produces, Cholesky (pivot
+// checks on) must stay within 5% of CholeskyNoChecks. Each width times
+// many pairs of adjacent ~2ms slices, one per variant in alternating
+// order, and gates on the median of the per-pair ratios, the method of
+// the fan-out disabled-recorder gate. Timing is noisy on shared runners, so
+// the check runs only when OBS_OVERHEAD_CHECK=1 (the CI overhead step sets
+// it).
+func TestPivotCheckOverhead(t *testing.T) {
+	if os.Getenv("OBS_OVERHEAD_CHECK") != "1" {
+		t.Skip("set OBS_OVERHEAD_CHECK=1 to run the timing comparison")
+	}
+	checked := func(a []float64, w int) {
+		if err := Cholesky(a, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range benchWidths {
+		src := spd(w, 2)
+		dst := make([]float64, len(src))
+		n := 1000
+		slice := func(factor func([]float64, int)) float64 {
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				copy(dst, src)
+				factor(dst, w)
+			}
+			return float64(time.Since(start).Nanoseconds()) / float64(n)
+		}
+		n = int(float64(2*time.Millisecond)/slice(checked)) + 1
+		ratios := make([]float64, 120)
+		for p := range ratios {
+			var base, gated float64
+			if p%2 == 0 {
+				gated, base = slice(checked), slice(CholeskyNoChecks)
+			} else {
+				base, gated = slice(CholeskyNoChecks), slice(checked)
+			}
+			ratios[p] = gated / base
+		}
+		sort.Float64s(ratios)
+		ratio := (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
+		t.Logf("w=%d: checked / unchecked median ratio %.4f over %d pairs (range %.4f–%.4f)",
+			w, ratio, len(ratios), ratios[0], ratios[len(ratios)-1])
+		if ratio > 1.05 {
+			t.Errorf("w=%d: pivot checks cost %.2f%% of BFAC throughput (> 5%%)", w, (ratio-1)*100)
+		}
+	}
+}
+
 // FMA dispatch hardening: the portable fallback must agree with the
-// register-tiled reference, and SetFMA can never switch the micro-kernel on
+// register-tiled reference, and setFMA can never switch the micro-kernel on
 // without hardware support.
 
 func TestDot4x2FMAGenericMatchesReference(t *testing.T) {
@@ -170,13 +223,13 @@ func TestDot4x2FMAGenericMatchesReference(t *testing.T) {
 
 func TestSetFMAGatedOnHardware(t *testing.T) {
 	prev := useFMA
-	defer SetFMA(prev)
-	SetFMA(true)
+	defer setFMA(prev)
+	setFMA(true)
 	if useFMA && !hasFMA {
-		t.Fatal("SetFMA(true) enabled the micro-kernel without hardware support")
+		t.Fatal("setFMA(true) enabled the micro-kernel without hardware support")
 	}
-	SetFMA(false)
+	setFMA(false)
 	if useFMA {
-		t.Fatal("SetFMA(false) left the micro-kernel enabled")
+		t.Fatal("setFMA(false) left the micro-kernel enabled")
 	}
 }

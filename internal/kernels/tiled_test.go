@@ -62,7 +62,7 @@ func TestMulSubMatchesNaiveRandom(t *testing.T) {
 		c := randSlice(rng, nrows*ldc)
 		cNaive := append([]float64(nil), c...)
 		MulSub(c, ldc, a, ra, b, rb, w, relRow, relCol, false, nil, nil)
-		MulSubNaive(cNaive, ldc, a, ra, b, rb, w, relRow, relCol, false, nil, nil)
+		mulSubNaive(cNaive, ldc, a, ra, b, rb, w, relRow, relCol, false, nil, nil)
 		for i := range c {
 			if !closeEnough(c[i], cNaive[i]) {
 				t.Fatalf("trial %d (w=%d ra=%d rb=%d contig=%v/%v): C[%d]=%g, naive %g",
@@ -91,7 +91,7 @@ func TestMulSubLowerMatchesNaiveRandom(t *testing.T) {
 		c := randSlice(rng, nrows*ldc)
 		cNaive := append([]float64(nil), c...)
 		MulSub(c, ldc, a, ra, b, rb, w, relRow, relCol, true, rowsA, rowsB)
-		MulSubNaive(cNaive, ldc, a, ra, b, rb, w, relRow, relCol, true, rowsA, rowsB)
+		mulSubNaive(cNaive, ldc, a, ra, b, rb, w, relRow, relCol, true, rowsA, rowsB)
 		for i := range c {
 			if !closeEnough(c[i], cNaive[i]) {
 				t.Fatalf("trial %d (w=%d ra=%d rb=%d): C[%d]=%g, naive %g",
@@ -112,7 +112,7 @@ func TestCholeskyMatchesNaive(t *testing.T) {
 			if err := Cholesky(tiled, w); err != nil {
 				t.Fatal(err)
 			}
-			if err := CholeskyNaive(naive, w); err != nil {
+			if err := choleskyNaive(naive, w); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < w; i++ {
@@ -162,7 +162,7 @@ func TestSolveRightMatchesNaive(t *testing.T) {
 			if err := SolveRight(x, r, l, w); err != nil {
 				t.Fatal(err)
 			}
-			if err := SolveRightNaive(xNaive, r, l, w); err != nil {
+			if err := solveRightNaive(xNaive, r, l, w); err != nil {
 				t.Fatal(err)
 			}
 			for i := range x {

@@ -32,15 +32,14 @@ func (c *Cache) WarmStart(st *store.Store, cfgKey uint64, build func(*sparse.Mat
 		if k.ConfigKey != cfgKey {
 			continue
 		}
+		// GetFactor quarantines a snapshot whose records or matrix fail
+		// validation; the next factor of that pattern builds cold.
 		fs, err := st.GetFactor(k.PatternHash, k.ConfigKey)
 		if err != nil {
-			continue // corrupt → quarantined by the store; next factor builds cold
+			continue
 		}
 		m, err := fs.Matrix()
 		if err != nil {
-			// The records decoded but the matrix is inconsistent (or its
-			// pattern no longer hashes to the key): drop the lying snapshot.
-			st.DeleteFactor(k.PatternHash, k.ConfigKey)
 			continue
 		}
 		e, _, err := c.GetOrBuild(m, cfgKey, func() (*core.Plan, sched.Assignment, error) { return build(m) })

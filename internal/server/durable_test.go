@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"blockfanout/internal/gen"
 	"blockfanout/internal/sparse"
@@ -173,5 +175,58 @@ func TestSnapshotWriteBehindFlush(t *testing.T) {
 	}
 	if snaps != 2 {
 		t.Fatalf("found %d snapshots after Close, want 2", snaps)
+	}
+}
+
+// TestWriteBehindOverhead gates what durability costs the requests it
+// protects: a same-pattern refactor on a server with a snapshot store must
+// stay within 5% of one on a server without. Like the other overhead
+// gates, under the same switch (OBS_OVERHEAD_CHECK=1), it gates on the
+// median of per-pair ratios of adjacent measurements; each pair here is
+// stored, plain, plain, stored, so the first request after a pause pays
+// its wake-up cost on both sides of the ratio. The store keeps the default snapshot interval,
+// so this is the steady-state path: most refactors skip the snapshot and
+// the occasional one pays the in-memory block export.
+func TestWriteBehindOverhead(t *testing.T) {
+	if os.Getenv("OBS_OVERHEAD_CHECK") != "1" {
+		t.Skip("set OBS_OVERHEAD_CHECK=1 to run the timing comparison")
+	}
+	m := gen.IrregularMesh(2000, 7, 3, 7)
+	plain, tsPlain := testService(t, Config{Procs: 1, BatchWindow: -1})
+	t.Cleanup(plain.Close)
+	stored, tsStored := testService(t, Config{Procs: 1, BatchWindow: -1, StoreDir: t.TempDir()})
+	t.Cleanup(stored.Close)
+	factorMatrix(t, tsPlain.URL, m)
+	factorMatrix(t, tsStored.URL, m)
+
+	m2 := m.Clone()
+	refactor := func(url string) float64 {
+		start := time.Now()
+		if fr := factorMatrix(t, url, m2); !fr.Refactored {
+			t.Fatalf("same-pattern factor was not refactored in place: %+v", fr)
+		}
+		return time.Since(start).Seconds()
+	}
+	ratios := make([]float64, 96)
+	for p := range ratios {
+		for j := 0; j < m2.N; j++ {
+			m2.Val[m2.ColPtr[j]] *= 1.0001 // new values, same pattern
+		}
+		gated := refactor(tsStored.URL)
+		base := refactor(tsPlain.URL) + refactor(tsPlain.URL)
+		gated += refactor(tsStored.URL)
+		ratios[p] = gated / base
+		// Let the snapshot writer finish before the next pair. The claim
+		// is that the request pays only the in-memory export; a durable
+		// write racing the next refactor for the CPU would measure
+		// contention instead.
+		time.Sleep(50 * time.Millisecond)
+	}
+	sort.Float64s(ratios)
+	ratio := (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
+	t.Logf("stored / plain refactor: median ratio %.4f over %d pairs (range %.4f–%.4f)",
+		ratio, len(ratios), ratios[0], ratios[len(ratios)-1])
+	if ratio > 1.05 {
+		t.Fatalf("write-behind snapshotting costs %.2f%% of refactor latency (> 5%%)", (ratio-1)*100)
 	}
 }

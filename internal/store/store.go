@@ -52,11 +52,6 @@ var magic = [4]byte{'S', 'P', 'C', 'S'}
 // quarantines) any other version rather than guessing at its layout.
 const Version byte = 1
 
-// MaxPayload bounds a record's announced payload; larger lengths are
-// rejected before allocation (a corrupted length field must not force a
-// multi-gigabyte allocation).
-const MaxPayload = 1 << 31
-
 // Record types.
 const (
 	recFactorMeta byte = 1 // pattern hash, config key, n
@@ -300,7 +295,13 @@ func (s *Store) GetFactor(pattern, cfg uint64) (*FactorSnapshot, error) {
 		for i := 0; i < nb && d.err == nil; i++ {
 			fs.Blocks = append(fs.Blocks, d.f64s())
 		}
-		return d.done()
+		if err := d.done(); err != nil {
+			return err
+		}
+		// Sound records can still carry a matrix that is invalid or no
+		// longer hashes to its key; such a snapshot is corrupt too.
+		_, err := fs.Matrix()
+		return err
 	}()
 	if derr != nil {
 		return nil, s.quarantine(name, derr)
@@ -472,6 +473,10 @@ func (s *Store) readFile(name string) ([]record, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	var hdr [5]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, s.quarantine(name, fmt.Errorf("short header: %w", err))
@@ -485,6 +490,7 @@ func (s *Store) readFile(name string) ([]record, error) {
 	var recs []record
 	var rh [5]byte
 	var crc [4]byte
+	left := info.Size() - int64(len(hdr)) // bytes not yet read
 	for {
 		if _, err := io.ReadFull(f, rh[:]); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -492,10 +498,15 @@ func (s *Store) readFile(name string) ([]record, error) {
 			}
 			return nil, s.quarantine(name, fmt.Errorf("short record header: %w", err))
 		}
+		left -= int64(len(rh))
+		// A length the rest of the file cannot hold is corrupt: rejecting it
+		// before allocating keeps a damaged header from costing more
+		// memory than the file's own size.
 		n := binary.LittleEndian.Uint32(rh[1:5])
-		if n > MaxPayload {
-			return nil, s.quarantine(name, fmt.Errorf("record claims %d-byte payload", n))
+		if int64(n)+int64(len(crc)) > left {
+			return nil, s.quarantine(name, fmt.Errorf("record claims %d-byte payload, %d bytes left", n, left))
 		}
+		left -= int64(n) + int64(len(crc))
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(f, payload); err != nil {
 			return nil, s.quarantine(name, fmt.Errorf("short payload: %w", err))

@@ -11,7 +11,7 @@ import (
 	"blockfanout/internal/gen"
 )
 
-func testSnapshot(t *testing.T) *FactorSnapshot {
+func testSnapshot(t testing.TB) *FactorSnapshot {
 	t.Helper()
 	m := gen.IrregularMesh(120, 5, 2, 7)
 	return &FactorSnapshot{
