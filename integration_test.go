@@ -238,7 +238,7 @@ func TestBlockedAgainstReference(t *testing.T) {
 }
 
 // TestQuickFullPipeline drives the entire pipeline — generator, ordering,
-// analysis, mapping heuristic, real parallel factorization, parallel solve
+// analysis, mapping heuristic, real parallel factorization, solve
 // — over randomized configurations and checks the residual every time.
 func TestQuickFullPipeline(t *testing.T) {
 	f := func(seed uint16) bool {
@@ -267,7 +267,7 @@ func TestQuickFullPipeline(t *testing.T) {
 		for i := range b {
 			b[i] = float64((i*int(seed+1))%13) - 6
 		}
-		x, err := fac.SolveParallel(b)
+		x, err := fac.Solve(b)
 		if err != nil {
 			t.Logf("seed %d: solve: %v", seed, err)
 			return false

@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"blockfanout/internal/core"
+	"blockfanout/internal/faultinject"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/server"
@@ -465,7 +467,71 @@ func TestClusterRefactorSamePattern(t *testing.T) {
 	}
 }
 
-var _ = fmt.Sprintf // keep fmt for debug helpers
+// TestFactorReportsReadyPrimary holds the planned primary's last block in
+// flight, so the replica's FactorReady ends the gateway's wait first. The
+// response must then name a node that holds every block — the node the
+// next solve goes to — and a solve in that window must be answered by it.
+func TestFactorReportsReadyPrimary(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	gcfg := GatewayConfig{Procs: 4, HeartbeatTimeout: 3 * time.Second}
+	m := gen.IrregularMesh(900, 9, 3, 15)
+	ids := []string{"n0", "n1"}
+	all := func(int) bool { return true }
+	planned := buildRing(ids).pick(fnv1a(fmt.Sprintf("%016x", m.PatternHash())), 1, all)[0]
+	// The planned primary advertises the slowest speed the partition
+	// accepts, so it gets no processors: every data-plane frame is the
+	// other node shipping a finished block to it.
+	cfgs := []NodeConfig{{ID: ids[0], Workers: 2}, {ID: ids[1], Workers: 2}}
+	cfgs[planned].Speed = 1e-6
+	tc := startCluster(t, gcfg, cfgs)
+
+	plan, err := core.NewPlan(m, testOpts(gcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nBlocks := 0
+	for _, c := range plan.BS.Cols {
+		nBlocks += len(c.Blocks)
+	}
+	faultinject.EnableNet(faultinject.NetRule{
+		Site: "cluster.node.data", Delay: 1, DelayFor: 2 * time.Second,
+		After: nBlocks - 1, Count: 1,
+	})
+	fr := tc.factor(t, m)
+	held := tc.nodes[planned]
+	held.mu.Lock()
+	hj := held.jobs[fr.ID]
+	held.mu.Unlock()
+	hj.mu.Lock()
+	have := hj.nHave
+	hj.mu.Unlock()
+	if have == nBlocks {
+		t.Fatal("the planned primary already holds every block: no window opened")
+	}
+	t.Logf("planned primary %s holds %d/%d blocks; response names %s", ids[planned], have, nBlocks, fr.Primary)
+	tc.verifyAssembled(t, fr.ID, fr.Primary, m, testOpts(gcfg), 1e-12)
+
+	b := make([]float64, m.N)
+	for i := range b {
+		b[i] = float64(1 + i%5)
+	}
+	raw, _ := json.Marshal(server.SolveRequest{ID: fr.ID, B: b})
+	resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr server.SolveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve in the window: status %d, decode error %v", resp.StatusCode, err)
+	}
+	if sr.Node != fr.Primary {
+		t.Fatalf("solve answered by %q, response named primary %q", sr.Node, fr.Primary)
+	}
+	if r := m.ResidualNorm(sr.X, b); r > 1e-6 {
+		t.Fatalf("solve residual %g", r)
+	}
+}
 
 // TestGatewaySolveRejectsMalformedRHS: a right-hand side that cannot fit
 // the factor is the client's error. The gateway answers 400 before routing,
@@ -517,5 +583,16 @@ func TestGatewaySolveRejectsMalformedRHS(t *testing.T) {
 	}
 	if nodeSolves() == solvesBefore {
 		t.Fatal("a valid solve never reached a node")
+	}
+
+	// A node runs the same check itself: a SolveReq frame sent straight to
+	// it, past the gateway's request check, must not solve a NaN.
+	j := tc.gw.jobByID(fr.ID)
+	j.mu.Lock()
+	target := j.readyTargetsLocked()[0]
+	j.mu.Unlock()
+	b[m.N/2] = math.NaN()
+	if _, err := tc.gw.solveOn(context.Background(), target, fr.ID, b); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("node %s answered a NaN rhs: err=%v; want a not-finite refusal", target.id, err)
 	}
 }

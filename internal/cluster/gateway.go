@@ -596,6 +596,19 @@ func (g *Gateway) failover(j *gwJob, dead *member) {
 	j.wake()
 }
 
+// readyTargetsLocked lists the assembly targets that hold the full
+// factor, primary first and then the replicas in order: the nodes a solve
+// tries, in turn. Caller holds j.mu.
+func (j *gwJob) readyTargetsLocked() []*member {
+	var ts []*member
+	for _, i := range append([]int{j.primary}, j.replicas...) {
+		if j.ready[i] {
+			ts = append(ts, j.members[i])
+		}
+	}
+	return ts
+}
+
 func (j *gwJob) allDoneLocked() bool {
 	for i, m := range j.members {
 		if m.isAlive() && !j.doneOK[i] {
@@ -891,10 +904,13 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 			g.abort(j, runID, fail.Err)
 			return resp, errors.New(fail.Err)
 		}
-		if j.allDoneLocked() && len(j.ready) > 0 {
+		if ready := j.readyTargetsLocked(); j.allDoneLocked() && len(ready) > 0 {
 			j.solvable = true
 			resp.Epochs = j.epoch
-			resp.Primary = j.members[j.primary].id
+			// The first ready target, which the next solve goes to: the
+			// planned primary may still be missing blocks when a replica's
+			// FactorReady ends the wait.
+			resp.Primary = ready[0].id
 			resp.Nodes = len(j.members)
 			j.mu.Unlock()
 			g.saveSnapshot(j, m)
@@ -999,10 +1015,9 @@ func (g *Gateway) Solve(ctx context.Context, req *server.SolveRequest) (server.S
 	if j := g.jobByID(req.ID); j != nil {
 		j.mu.Lock()
 		if j.solvable {
-			order := append([]int{j.primary}, j.replicas...)
-			for _, i := range order {
-				if j.ready[i] && j.members[i].isAlive() {
-					targets = append(targets, j.members[i])
+			for _, m := range j.readyTargetsLocked() {
+				if m.isAlive() {
+					targets = append(targets, m)
 				}
 			}
 		}

@@ -859,13 +859,11 @@ func (n *Node) solve(req *wire.SolveReq) wire.SolveResp {
 		resp.Err = fmt.Sprintf("cluster: node %s holds %d/%d blocks of job %s", n.cfg.ID, job.nHave, job.pr.NBlocks, req.JobID)
 		return resp
 	}
-	if len(req.B) != job.plan.A.N {
-		resp.Err = fmt.Sprintf("cluster: rhs has %d entries, matrix is %d", len(req.B), job.plan.A.N)
+	if err := core.CheckRHS(job.plan.A.N, req.B); err != nil {
+		resp.Err = fmt.Sprintf("cluster: node %s: %v", n.cfg.ID, err)
 		return resp
 	}
-	pb := job.plan.Perm.Apply(req.B)
-	px := job.nf.Solve(pb)
-	resp.X = job.plan.Perm.ApplyInverse(px)
+	resp.X = job.plan.Perm.ApplyInverse(job.nf.Solve(job.plan.Perm.Apply(req.B)))
 	resp.OK = true
 	return resp
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"blockfanout/internal/refchol"
 	"blockfanout/internal/sparse"
 	"blockfanout/internal/symbolic"
 )
@@ -72,40 +73,6 @@ func (s *Symbolic) Struct(j int) []int32 { return s.Rows[s.Ptr[j]:s.Ptr[j+1]] }
 // NNZ returns the below-diagonal entry count.
 func (s *Symbolic) NNZ() int64 { return int64(len(s.Rows)) }
 
-// Factor is the computed column-compressed factor (values parallel to the
-// symbolic structure).
-type Factor struct {
-	Sym  *Symbolic
-	Diag []float64
-	Val  []float64
-}
-
-// Solve solves L·Lᵀ·x = b with the computed factor (sequentially; the
-// method's interest is the factorization's communication pattern).
-func (f *Factor) Solve(b []float64) []float64 {
-	x := append([]float64(nil), b...)
-	n := f.Sym.N
-	for j := 0; j < n; j++ {
-		x[j] /= f.Diag[j]
-		xj := x[j]
-		st := f.Sym.Struct(j)
-		vals := f.Val[f.Sym.Ptr[j]:f.Sym.Ptr[j+1]]
-		for t, r := range st {
-			x[r] -= vals[t] * xj
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		st := f.Sym.Struct(j)
-		vals := f.Val[f.Sym.Ptr[j]:f.Sym.Ptr[j+1]]
-		s := x[j]
-		for t, r := range st {
-			s -= vals[t] * x[r]
-		}
-		x[j] = s / f.Diag[j]
-	}
-	return x
-}
-
 // Stats reports the parallel run's communication.
 type Stats struct {
 	Procs    int
@@ -115,29 +82,32 @@ type Stats struct {
 
 // Run factors a (already permuted/postordered) with the column fan-out
 // method on p goroutine-processors under the cyclic column mapping
-// owner(j) = j mod p.
-func Run(a *sparse.Matrix, sym *Symbolic, p int) (*Factor, Stats, error) {
+// owner(j) = j mod p. The factor's per-column rows are sym's own slices.
+func Run(a *sparse.Matrix, sym *Symbolic, p int) (*refchol.Factor, Stats, error) {
 	if a.N != sym.N {
 		return nil, Stats{}, fmt.Errorf("colfan: matrix n=%d vs symbolic n=%d", a.N, sym.N)
 	}
 	n := a.N
-	f := &Factor{
-		Sym:  sym,
+	f := &refchol.Factor{
+		N:    n,
 		Diag: make([]float64, n),
-		Val:  make([]float64, len(sym.Rows)),
+		Rows: make([][]int32, n),
+		Vals: make([][]float64, n),
 	}
+	val := make([]float64, len(sym.Rows))
 	// Scatter A into the factor skeleton.
 	for j := 0; j < n; j++ {
+		lo, hi := sym.Ptr[j], sym.Ptr[j+1]
+		f.Rows[j], f.Vals[j] = sym.Rows[lo:hi:hi], val[lo:hi:hi]
 		f.Diag[j] = a.Val[a.ColPtr[j]]
-		st := sym.Struct(j)
-		base := sym.Ptr[j]
+		st := f.Rows[j]
 		for q := a.ColPtr[j] + 1; q < a.ColPtr[j+1]; q++ {
 			r := int32(a.RowInd[q])
 			k := sort.Search(len(st), func(t int) bool { return st[t] >= r })
 			if k >= len(st) || st[k] != r {
 				return nil, Stats{}, fmt.Errorf("colfan: A(%d,%d) outside structure", r, j)
 			}
-			f.Val[base+int64(k)] = a.Val[q]
+			f.Vals[j][k] = a.Val[q]
 		}
 	}
 
@@ -208,11 +178,10 @@ func Run(a *sparse.Matrix, sym *Symbolic, p int) (*Factor, Stats, error) {
 // runProc executes one processor of the column fan-out method. Column
 // values of owned columns are touched only by their owner; completed
 // columns are read-only (happens-before via channel delivery).
-func runProc(me, p int32, f *Factor, nmods []int32, consumers [][]int32,
+func runProc(me, p int32, f *refchol.Factor, nmods []int32, consumers [][]int32,
 	inboxes []chan int32, abort chan struct{}, fail func(error)) {
 
-	sym := f.Sym
-	n := int32(sym.N)
+	n := int32(f.N)
 	remaining := 0
 	for j := me; j < n; j += p {
 		remaining++
@@ -231,7 +200,7 @@ func runProc(me, p int32, f *Factor, nmods []int32, consumers [][]int32,
 		}
 		d = math.Sqrt(d)
 		f.Diag[j] = d
-		vals := f.Val[sym.Ptr[j]:sym.Ptr[j+1]]
+		vals := f.Vals[j]
 		for t := range vals {
 			vals[t] /= d
 		}
@@ -249,16 +218,14 @@ func runProc(me, p int32, f *Factor, nmods []int32, consumers [][]int32,
 	// rows of struct(k) beyond j are located in struct(j) by a single
 	// merge scan (fill containment guarantees they are all present).
 	handle := func(k int32) bool {
-		st := sym.Struct(int(k))
-		vals := f.Val[sym.Ptr[k]:sym.Ptr[k+1]]
+		st, vals := f.Rows[k], f.Vals[k]
 		for s, j := range st {
 			if j%p != me {
 				continue
 			}
 			ljk := vals[s]
 			f.Diag[j] -= ljk * ljk
-			tj := sym.Struct(int(j))
-			vj := f.Val[sym.Ptr[j]:sym.Ptr[j+1]]
+			tj, vj := f.Rows[j], f.Vals[j]
 			ti := 0
 			for u := s + 1; u < len(st); u++ {
 				r := st[u]

@@ -75,12 +75,10 @@ func TestRunMatchesReference(t *testing.T) {
 			if math.Abs(f.Diag[j]-ref.Diag[j]) > 1e-9*(1+ref.Diag[j]) {
 				t.Fatalf("P=%d: diag %d: %g vs %g", p, j, f.Diag[j], ref.Diag[j])
 			}
-			stj := sym.Struct(j)
-			vals := f.Val[sym.Ptr[j]:sym.Ptr[j+1]]
-			for q, r := range stj {
+			for q, r := range f.Rows[j] {
 				want := ref.At(int(r), j)
-				if math.Abs(vals[q]-want) > 1e-9*(1+math.Abs(want)) {
-					t.Fatalf("P=%d: L(%d,%d)=%g, want %g", p, r, j, vals[q], want)
+				if math.Abs(f.Vals[j][q]-want) > 1e-9*(1+math.Abs(want)) {
+					t.Fatalf("P=%d: L(%d,%d)=%g, want %g", p, r, j, f.Vals[j][q], want)
 				}
 			}
 		}

@@ -302,9 +302,8 @@ type FactorOpts struct {
 // Factor runs the real parallel block fan-out factorization under the
 // assignment and returns the numeric factor; it aborts early (returning
 // ctx.Err()) if the context is cancelled. The factor keeps the
-// assignment's schedule and executor, so SolveParallel reuses the data
-// distribution and RefactorContext re-runs the factorization without any
-// setup work.
+// assignment's schedule and executor, so RefactorContext re-runs the
+// factorization without any setup work.
 func (p *Plan) Factor(ctx context.Context, a sched.Assignment, o FactorOpts) (*Factor, error) {
 	f, err := p.newFactor(&a)
 	if err != nil {
@@ -590,49 +589,6 @@ func (p Perturbation) withDefaults() Perturbation {
 		p.MaxAttempts = 8
 	}
 	return p
-}
-
-// checkRHS validates one right-hand side: exact length and finite entries.
-// The solve entry points call it so they are total functions — malformed
-// service input yields an error, never a panic or silent NaN propagation.
-func checkRHS(n int, b []float64) error {
-	if len(b) != n {
-		return fmt.Errorf("core: rhs length %d, want %d", len(b), n)
-	}
-	for i, v := range b {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: rhs entry %d is not finite (%g)", i, v)
-		}
-	}
-	return nil
-}
-
-// Solve solves A·x = b for the original matrix A.
-func (f *Factor) Solve(b []float64) ([]float64, error) {
-	if err := checkRHS(f.plan.A.N, b); err != nil {
-		return nil, err
-	}
-	pb := f.plan.Perm.Apply(b)
-	px := f.nf.Solve(pb)
-	return f.plan.Perm.ApplyInverse(px), nil
-}
-
-// SolveParallel solves A·x = b using the distributed triangular solves
-// over the factorization's block ownership. The factor must have been
-// computed with Plan.Factor (a parallel assignment).
-func (f *Factor) SolveParallel(b []float64) ([]float64, error) {
-	if f.pr == nil {
-		return nil, fmt.Errorf("core: factor was computed sequentially; use Solve")
-	}
-	if err := checkRHS(f.plan.A.N, b); err != nil {
-		return nil, err
-	}
-	pb := f.plan.Perm.Apply(b)
-	px, err := fanout.Solve(f.nf, f.pr, pb)
-	if err != nil {
-		return nil, err
-	}
-	return f.plan.Perm.ApplyInverse(px), nil
 }
 
 // Residual returns ‖A·x − b‖∞ for a solution produced by Solve, measured

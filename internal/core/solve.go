@@ -1,6 +1,42 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// CheckRHS validates one right-hand side against a factor of dimension n:
+// exact length and finite entries. Every solve entry point (Solve,
+// SolveMany, the service's request check, the cluster node) runs it, so
+// malformed input yields an error, never a panic or silent NaN
+// propagation. Its messages carry no package prefix because the service
+// returns them verbatim in 400 bodies.
+func CheckRHS(n int, b []float64) error {
+	if len(b) != n {
+		return fmt.Errorf("rhs length %d, want %d", len(b), n)
+	}
+	for i, v := range b {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("rhs entry %d is not finite (%g)", i, v)
+		}
+	}
+	return nil
+}
+
+// Solve solves A·x = b for the original matrix A. It is SolveMany with one
+// right-hand side.
+func (f *Factor) Solve(b []float64) ([]float64, error) {
+	xs, err := f.SolveMany([][]float64{b})
+	if err != nil {
+		return nil, err
+	}
+	return xs[0], nil
+}
+
+// SolveParallel solves A·x = b.
+//
+// Deprecated: it is Solve; every solve runs the one numeric.SolveN sweep.
+func (f *Factor) SolveParallel(b []float64) ([]float64, error) { return f.Solve(b) }
 
 // SolveMany solves A·x = b for several right-hand sides in one batched
 // sweep over the factor (see numeric.SolveN), returning one solution per
@@ -9,8 +45,8 @@ import "fmt"
 // cleanly instead of corrupting its neighbours' shared sweep.
 func (f *Factor) SolveMany(bs [][]float64) ([][]float64, error) {
 	for i, b := range bs {
-		if err := checkRHS(f.plan.A.N, b); err != nil {
-			return nil, fmt.Errorf("rhs %d: %w", i, err)
+		if err := CheckRHS(f.plan.A.N, b); err != nil {
+			return nil, fmt.Errorf("core: rhs %d: %w", i, err)
 		}
 	}
 	pbs := make([][]float64, len(bs))
@@ -18,11 +54,10 @@ func (f *Factor) SolveMany(bs [][]float64) ([][]float64, error) {
 		pbs[i] = f.plan.Perm.Apply(b)
 	}
 	pxs := f.nf.SolveN(pbs)
-	xs := make([][]float64, len(bs))
 	for i := range pxs {
-		xs[i] = f.plan.Perm.ApplyInverse(pxs[i])
+		pxs[i] = f.plan.Perm.ApplyInverse(pxs[i])
 	}
-	return xs, nil
+	return pxs, nil
 }
 
 // SolveRefined solves A·x = b and then applies iterative refinement

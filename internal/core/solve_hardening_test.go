@@ -70,8 +70,6 @@ func TestSolveRejectsBadRHS(t *testing.T) {
 
 			_, err := f.Solve(tc.b)
 			check("Solve", err)
-			_, err = f.SolveParallel(tc.b)
-			check("SolveParallel", err)
 			_, err = f.SolveMany([][]float64{tc.b})
 			check("SolveMany", err)
 			_, _, _, err = f.SolveRefined(tc.b, 2, 1e-12)

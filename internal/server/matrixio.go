@@ -24,6 +24,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"blockfanout/internal/core"
 	"blockfanout/internal/mmio"
 	"blockfanout/internal/sparse"
 )
@@ -148,29 +149,16 @@ func decodeSolve(b []byte) (*SolveRequest, error) {
 }
 
 // Check validates the request's right-hand sides against the factor's
-// dimension n, so one malformed vector can never reach a solve.
+// dimension n (core.CheckRHS), so one malformed vector can never reach —
+// and fail — the coalesced SolveMany call it would otherwise share with
+// innocent requests.
 func (q *SolveRequest) Check(n int) error {
 	if q.B != nil {
-		return validRHS(n, q.B)
+		return core.CheckRHS(n, q.B)
 	}
 	for i, b := range q.BS {
-		if err := validRHS(n, b); err != nil {
+		if err := core.CheckRHS(n, b); err != nil {
 			return fmt.Errorf("rhs %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// validRHS checks one right-hand side before it is allowed into a batch,
-// so one malformed vector can never fail the coalesced SolveMany call it
-// would otherwise share with innocent requests.
-func validRHS(n int, b []float64) error {
-	if len(b) != n {
-		return fmt.Errorf("rhs length %d, want %d", len(b), n)
-	}
-	for i, v := range b {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("rhs entry %d is not finite (%g)", i, v)
 		}
 	}
 	return nil

@@ -158,6 +158,10 @@ func TestServiceEndToEnd(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	fe, ok := s.local.lookup(fr.ID)
+	if !ok {
+		t.Fatal("factor entry vanished")
+	}
 	maxBatch := 0
 	for i := range results {
 		if errs[i] != nil {
@@ -165,6 +169,20 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 		if r := a2.ResidualNorm(results[i].X, bs[i]); r > 1e-8 {
 			t.Fatalf("solve %d residual %g", i, r)
+		}
+		// Batching never changes an answer: a coalesced x is bit for bit
+		// the factor's own single-RHS solve of the same b.
+		fe.mu.RLock()
+		want, err := fe.f.Solve(bs[i])
+		fe.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if math.Float64bits(results[i].X[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("solve %d (batch %d): x[%d] = %v, Factor.Solve gives %v",
+					i, results[i].Batch, k, results[i].X[k], want[k])
+			}
 		}
 		if results[i].Batch > maxBatch {
 			maxBatch = results[i].Batch
@@ -289,8 +307,8 @@ func TestServiceRequestValidation(t *testing.T) {
 	// (it protects the batcher from poisoned coalesced sweeps).
 	nan := make([]float64, a.N)
 	nan[4] = math.NaN()
-	if err := validRHS(a.N, nan); err == nil || !strings.Contains(err.Error(), "not finite") {
-		t.Fatalf("validRHS(NaN) = %v; want not-finite error", err)
+	if err := (&SolveRequest{B: nan}).Check(a.N); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("Check(NaN) = %v; want not-finite error", err)
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID})
