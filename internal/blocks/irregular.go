@@ -64,9 +64,9 @@ type IrregularConfig struct {
 	// single panel; only wider ones are split. 0 picks 48 (the paper's B).
 	MaxPanel int
 	// Quantum aligns the widths of split panels: interior split widths are
-	// rounded to multiples of it, keeping panels sized to the register-
-	// tiled kernels (which sweep 4×2 tiles, so multiples of 8 keep every
-	// tile full in both dimensions). 0 picks 8.
+	// rounded to multiples of it, keeping panels sized to the packed
+	// kernels (4×8 tiles of C and 8-column BDIV chunks, so multiples of 8
+	// keep every chunk whole). 0 picks 8.
 	Quantum int
 	// RootDepth marks the sequential tail of the elimination forest:
 	// oversized supernodes at forest depth < RootDepth split at half

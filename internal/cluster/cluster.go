@@ -132,9 +132,13 @@ func procLoads(pr *sched.Program) []int64 {
 	for id := 0; id < pr.NBlocks; id++ {
 		load[pr.Owner[id]] += pr.OwnOpFlops[id]
 	}
-	pt := pr.Pairs()
-	for p := range pt.Col {
-		load[pr.Owner[pt.Dest[p]]] += pr.ModFlops(int(pt.Col[p]), int(pt.A[p]), int(pt.B[p]))
+	for k := range pr.BS.Cols {
+		m := len(pr.BS.Cols[k].Blocks) - 1
+		for ia := 1; ia <= m; ia++ {
+			for jb := 1; jb <= ia; jb++ {
+				load[pr.Owner[pr.ModDestID(k, ia, jb)]] += pr.ModFlops(k, ia, jb)
+			}
+		}
 	}
 	return load
 }

@@ -356,19 +356,16 @@ func (w *wsWorker) slotAt(i int32) int32 {
 	}
 }
 
-// execPair performs one BMOD and hands the destination off if this was its
-// last prerequisite.
+// execPair performs one BMOD, with the pairing's precomputed destination
+// and row map, and hands the destination off if this was its last
+// prerequisite.
 func (w *wsWorker) execPair(p int32) {
 	ex := w.ex
 	pt := ex.pairs
 	k, ia, jb := int(pt.Col[p]), int(pt.A[p]), int(pt.B[p])
-	t0 := ex.rec.Start()
-	if err := ex.f.BMOD(k, ia, jb, &w.ws); err != nil {
-		ex.fail(err)
-		w.failed = true
-		return
-	}
 	dest := pt.Dest[p]
+	t0 := ex.rec.Start()
+	ex.f.BMODMapped(k, ia, jb, int(ex.pr.IdxOf[dest]), pt.RowMap(p), &w.ws)
 	ex.rec.Record(w.me, obs.OpBMOD, dest, ex.pr.BlockID(k, ia), t0)
 	w.pace(ex.pr.ModFlops(k, ia, jb))
 	if atomic.AddInt32(&ex.finLeft[dest], -1) == 0 {
@@ -391,7 +388,7 @@ func (w *wsWorker) finish(id int32) {
 		}
 		ex.rec.Record(w.me, obs.OpBFAC, id, -1, t0)
 	} else {
-		if err := ex.f.BDIV(k, idx); err != nil {
+		if err := ex.f.BDIV(k, idx, &w.ws); err != nil {
 			ex.fail(err)
 			w.failed = true
 			return

@@ -46,9 +46,16 @@ func BenchmarkKernelMulSub(b *testing.B) {
 }
 
 func BenchmarkKernelMulSubScattered(b *testing.B) {
+	var ws Workspace
 	for _, w := range benchWidths {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			benchMulSub(b, w, MulSubScattered)
+			var rr, rc []int32
+			benchMulSub(b, w, func(c []float64, ldc int, a []float64, ra int, bb []float64, rb, w int, relRow, relCol []int) {
+				if rr == nil {
+					rr, rc = int32s(relRow), int32s(relCol)
+				}
+				ws.MulSubScattered(c, ldc, a, ra, bb, rb, w, rr, rc)
+			})
 		})
 	}
 }
@@ -117,8 +124,9 @@ func benchSolveRight(b *testing.B, w int, fn func(x []float64, r int, l []float6
 }
 
 func BenchmarkKernelSolveRight(b *testing.B) {
+	var ws Workspace
 	for _, w := range benchWidths {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchSolveRight(b, w, SolveRight) })
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchSolveRight(b, w, ws.SolveRight) })
 	}
 }
 
@@ -151,8 +159,8 @@ func benchBlocks(w, r int) (l, x, a, b, c []float64, relRow, relCol []int) {
 	return
 }
 
-// BenchmarkKernelMulSubPortable times the register-tiled Go code with the
-// FMA micro-kernel disabled — the throughput non-amd64 builds get.
+// BenchmarkKernelMulSubPortable times the pure-Go twin of the strip kernel
+// with the assembly disabled — the throughput non-amd64 builds get.
 func BenchmarkKernelMulSubPortable(b *testing.B) {
 	if !useFMA {
 		b.Skip("portable path already measured by BenchmarkKernelMulSub")
@@ -165,5 +173,61 @@ func BenchmarkKernelMulSubPortable(b *testing.B) {
 				MulSub(c, ldc, a, ra, bb, rb, w, relRow, relCol, false, nil, nil)
 			})
 		})
+	}
+}
+
+// BenchmarkKernelShapes is the table behind usePacked: the small-op
+// dot-product code against the packed kernel on one contiguous BMOD, and
+// the four-row substitution against the blocked TRSM on one BDIV, across
+// the widths and row counts factorizations produce. The packed path must
+// win wherever usePacked selects it.
+func BenchmarkKernelShapes(b *testing.B) {
+	var ws Workspace
+	for _, w := range []int{4, 6, 8, 12, 16, 24, 32, 48} {
+		for _, rr := range [][2]int{{1, 1}, {2, 2}, {1, 16}, {16, 1}, {47, 2}, {4, 4}, {16, 4}, {47, 4}, {2, 8}, {8, 8}, {16, 16}, {47, 47}} {
+			ra, rb := rr[0], rr[1]
+			a, bm := make([]float64, ra*w), make([]float64, rb*w)
+			c := make([]float64, ra*rb)
+			for i := range a {
+				a[i] = float64(i%7) - 3
+			}
+			for i := range bm {
+				bm[i] = float64(i%5) - 2
+			}
+			for _, path := range []struct {
+				name string
+				f    func()
+			}{
+				{"small", func() { mulSubContigSmall(c, rb, a, ra, bm, rb, w) }},
+				{"packed", func() { ws.mulSubContigPacked(c, rb, a, ra, bm, rb, w) }},
+			} {
+				b.Run(fmt.Sprintf("bmod/w=%d/%dx%d/%s", w, ra, rb, path.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						path.f()
+					}
+					reportGFlops(b, int64(2*ra*rb*w))
+				})
+			}
+		}
+		if w <= tileCols {
+			continue
+		}
+		for _, r := range []int{1, 2, 4, 8, 16, 47} {
+			l, x, _, _, _, _, _ := benchBlocks(w, r)
+			for _, path := range []struct {
+				name string
+				f    func()
+			}{
+				{"small", func() { solveRightLD(x, r, w, l, w, w) }},
+				{"packed", func() { ws.solveRightBlocked(x, r, l, w) }},
+			} {
+				b.Run(fmt.Sprintf("bdiv/w=%d/r=%d/%s", w, r, path.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						path.f()
+					}
+					reportGFlops(b, int64(r)*int64(w)*int64(w))
+				})
+			}
+		}
 	}
 }

@@ -2,13 +2,15 @@
 
 package kernels
 
-// The 4-row panels of MulSubContig and MulSubScattered dispatch to a
-// hand-written AVX2+FMA micro-kernel when the CPU and OS support it,
-// mirroring the paper's use of hand-optimized Level-3 BLAS for the block
-// operations. Detection follows the standard sequence: CPUID leaf 1 must
-// advertise FMA, AVX and OSXSAVE, and XGETBV must confirm the OS saves the
-// XMM/YMM state. Everything else (remainders, the lower-triangular masked
-// kernel, non-amd64 builds) runs the portable register-tiled Go code.
+// The packed outer-product micro-kernel (mulSubStrip) runs as hand-written
+// AVX2+FMA assembly when the CPU and OS support it, mirroring the paper's
+// use of hand-optimized Level-3 BLAS for the block operations: one call
+// per strip of up to tileRows rows of A sweeps every packed tileCols-wide
+// panel of B, holding each 4×8 block of C in eight YMM accumulators for
+// the whole k loop. Detection follows the standard sequence: CPUID leaf 1
+// must advertise FMA, AVX and OSXSAVE, and XGETBV must confirm the OS
+// saves the XMM/YMM state. Without it (and on non-amd64 builds) the same
+// strips run mulSubStripGo, the kernel's pure-Go twin.
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -16,11 +18,18 @@ func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0.
 func xgetbv0() (eax, edx uint32)
 
-// dot4x2fma computes the eight inner products of four A rows against two
-// B rows over n shared elements: out[2i+j] = Σₖ aᵢ[k]·bⱼ[k].
+// mulSubStripFMA is the assembly form of the strip kernel; see
+// mulSubStripGo for the contract. The caller (mulSubStrip) has checked
+// every operand's extent.
 //
 //go:noescape
-func dot4x2fma(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
+func mulSubStripFMA(c *float64, rows *[tileRows]int, a *float64, lda, mr int, bp *float64, w, ncols int)
+
+// packPanelAVX is the assembly form of packPanelGo; the caller (packB)
+// has checked both operands' extent.
+//
+//go:noescape
+func packPanelAVX(dst *float64, src *float64, ldb, w int)
 
 // hasFMA is the single hardware-capability gate, computed once at init;
 // setFMA can never turn the micro-kernel on without it.

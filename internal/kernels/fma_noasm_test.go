@@ -4,8 +4,8 @@ package kernels
 
 import "testing"
 
-// On non-amd64 builds the dispatch gate is constant-false and dot4x2fma is
-// the pure-Go fallback; calling it must never panic.
+// On non-amd64 builds the dispatch gate is constant-false and
+// mulSubStripFMA runs the pure-Go twin; calling it must never panic.
 func TestNoAsmFallbackNeverPanics(t *testing.T) {
 	if hasFMA {
 		t.Fatal("hasFMA must be false on non-amd64 builds")
@@ -13,11 +13,13 @@ func TestNoAsmFallbackNeverPanics(t *testing.T) {
 	if setFMA(true) {
 		t.Fatal("setFMA(true) must stay off without assembly support")
 	}
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	b := []float64{1, 1, 2, 2}
-	var out [8]float64
-	dot4x2fma(&a[0], &a[2], &a[4], &a[6], &b[0], &b[2], 2, &out)
-	if out[0] != 3 { // a0·b0 = 1+2
-		t.Fatalf("out[0] = %g, want 3", out[0])
+	a := []float64{1, 2}
+	var ws Workspace
+	bp := ws.packB([]float64{1, 1}, 1, 2, 2)
+	c := []float64{0}
+	rows := [tileRows]int{}
+	mulSubStripFMA(&c[0], &rows, &a[0], 2, 1, &bp[0], 2, 1)
+	if c[0] != -3 { // c − a·b = 0 − (1+2)
+		t.Fatalf("c[0] = %g, want -3", c[0])
 	}
 }

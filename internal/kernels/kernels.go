@@ -6,16 +6,18 @@
 //	BMOD: indexed outer-product update  L_IJ ← L_IJ − L_IK · L_JKᵀ
 //
 // The paper uses hand-optimized Level-3 BLAS for BDIV (triangular solve
-// with multiple right-hand sides) and BMOD (matrix multiplication). These
-// pure-Go kernels perform the identical arithmetic with register tiling in
-// the same spirit: BMOD sweeps 4×2 register tiles over the panel (w)
-// dimension so eight accumulators stay in registers and every loaded
-// source element feeds multiple products, BDIV solves four
-// right-hand-side rows per pass so every loaded L entry is used four
-// times, and BFAC is a blocked right-looking factorization whose trailing
-// update reuses the tiled multiply. The naive triple-loop
-// reference variants the property tests and benchmarks compare against
-// live in naive_test.go.
+// with multiple right-hand sides) and BMOD (matrix multiplication). Here
+// both run through one packed outer-product micro-kernel (gemm.go): B is
+// packed per operation into k-major 8-wide micro-panels in the caller's
+// Workspace, and each strip of four A rows keeps a 4×8 block of C in
+// registers for the whole panel-width loop — AVX2+FMA assembly where the
+// CPU has it, a pure-Go twin elsewhere. Contiguous destinations, scattered
+// ones, diagonal (lower-masked) ones and the blocked BDIV's trailing
+// updates all take that kernel at panels 8 or more wide; smaller ops keep
+// 4×2 dot-product register tiles with no packing. BFAC is a blocked
+// right-looking factorization with a four-row panel solve. The naive
+// triple-loop reference variants the property tests and benchmarks
+// compare against live in naive_test.go.
 //
 // Storage conventions: a diagonal block of panel width w is a full w×w
 // row-major matrix of which only the lower triangle is meaningful; an
@@ -27,12 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"unsafe"
 )
-
-// unsafeSlice adapts the pointer-based dot4x2fma calling convention (shared
-// with the assembly kernel) back to a bounds-checked slice.
-func unsafeSlice(p *float64, n int) []float64 { return unsafe.Slice(p, n) }
 
 // ErrNotPositiveDefinite is returned by Cholesky when a pivot is not
 // strictly positive.
@@ -214,24 +211,11 @@ func checkSolvePivots(l []float64, n, ldl int) error {
 	return nil
 }
 
-// SolveRight performs the BDIV operation: X ← X · L⁻ᵀ where X is r×w
-// row-major and L is the w×w lower-triangular factor of the diagonal block.
-// Each row x of X is replaced by the solution y of y·Lᵀ = x. Four rows are
-// solved per pass so each L entry loaded from memory feeds four
-// substitutions. A non-positive, NaN, or infinite diagonal in l — the
-// signature of a diagonal block whose factorization broke down — yields a
-// PivotError before any substitution runs.
-func SolveRight(x []float64, r int, l []float64, w int) error {
-	if err := checkSolvePivots(l, w, w); err != nil {
-		return err
-	}
-	solveRightLD(x, r, w, l, w, w)
-	return nil
-}
-
 // solveRightLD solves X ← X·L⁻ᵀ for an r×n block X with leading dimension
 // ldx against the leading n×n lower triangle of l (leading dimension ldl),
-// processing four right-hand-side rows at a time.
+// processing four right-hand-side rows at a time: each loaded L entry
+// feeds four substitutions, and one reciprocal per pivot serves all four
+// rows.
 func solveRightLD(x []float64, r, ldx int, l []float64, n, ldl int) {
 	s := 0
 	for ; s+4 <= r; s += 4 {
@@ -249,11 +233,11 @@ func solveRightLD(x []float64, r, ldx int, l []float64, n, ldl int) {
 				v2 -= x2[t] * lt
 				v3 -= x3[t] * lt
 			}
-			d := lj[j]
-			x0[j] = v0 / d
-			x1[j] = v1 / d
-			x2[j] = v2 / d
-			x3[j] = v3 / d
+			inv := 1 / lj[j]
+			x0[j] = v0 * inv
+			x1[j] = v1 * inv
+			x2[j] = v2 * inv
+			x3[j] = v3 * inv
 		}
 	}
 	for ; s < r; s++ {
@@ -269,53 +253,13 @@ func solveRightLD(x []float64, r, ldx int, l []float64, n, ldl int) {
 	}
 }
 
-// MulSub performs the BMOD update C ← C − A·Bᵀ with index indirection:
-// A is ra×w, B is rb×w, C is the destination block with leading dimension
-// ldc, and entry (s,t) of the product lands at C[relRow[s]*ldc + relCol[t]].
-//
-// When the destination is a diagonal block the caller must pass lower=true
-// together with the global row/column index lists (ascending, as block row
-// lists always are) so only the lower triangle is updated.
-//
-// The destination indirection is classified once per call, not per
-// element: when relRow and relCol are both consecutive runs the update is
-// dispatched to the dense contiguous kernel, otherwise to the scattered
-// kernel. Callers that already know the classification (package numeric
-// fuses it into index construction) can invoke MulSubContig or
-// MulSubScattered directly.
-func MulSub(c []float64, ldc int, a []float64, ra int, b []float64, rb int, w int,
-	relRow, relCol []int, lower bool, rowsA, rowsB []int) {
-	if ra == 0 || rb == 0 {
-		return
-	}
-	if lower {
-		MulSubLower(c, ldc, a, ra, b, rb, w, relRow, relCol, rowsA, rowsB)
-		return
-	}
-	if consecutive(relRow, ra) && consecutive(relCol, rb) {
-		MulSubContig(c[relRow[0]*ldc+relCol[0]:], ldc, a, ra, b, rb, w)
-		return
-	}
-	MulSubScattered(c, ldc, a, ra, b, rb, w, relRow, relCol)
-}
+// The small-op BMOD code: the ops usePacked turns away (panels under 8
+// wide, which carry most of the service's ops, and tiny products) are
+// dominated by per-call costs, so they skip the packing and sweep 4×2
+// dot-product register tiles straight over the row-major operands.
 
-// consecutive reports whether rel[:n] is the run rel[0], rel[0]+1, … .
-func consecutive(rel []int, n int) bool {
-	r0 := rel[0]
-	for s := 1; s < n; s++ {
-		if rel[s] != r0+s {
-			return false
-		}
-	}
-	return true
-}
-
-// MulSubContig performs C ← C − A·Bᵀ for a dense consecutive destination:
-// product entry (s,t) lands at c[s*ldc+t] (the caller applies the
-// destination origin by slicing c). This is the no-indirection fast path
-// of the BMOD kernel: 4×2 register tiles accumulate eight inner products
-// per sweep over the panel dimension w.
-func MulSubContig(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int) {
+// mulSubContigSmall is the small-op form of Workspace.MulSubContig.
+func mulSubContigSmall(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int) {
 	s := 0
 	for ; s+4 <= ra; s += 4 {
 		a0 := a[s*w : s*w+w]
@@ -327,41 +271,8 @@ func MulSubContig(c []float64, ldc int, a []float64, ra int, b []float64, rb, w 
 		c2 := c[(s+2)*ldc:]
 		c3 := c[(s+3)*ldc:]
 		t := 0
-		if useFMA {
-			var acc [8]float64
-			for ; t+2 <= rb; t += 2 {
-				b0 := b[t*w : t*w+w]
-				b1 := b[(t+1)*w : (t+1)*w+w]
-				dot4x2fma(&a0[0], &a1[0], &a2[0], &a3[0], &b0[0], &b1[0], w, &acc)
-				c0[t] -= acc[0]
-				c0[t+1] -= acc[1]
-				c1[t] -= acc[2]
-				c1[t+1] -= acc[3]
-				c2[t] -= acc[4]
-				c2[t+1] -= acc[5]
-				c3[t] -= acc[6]
-				c3[t+1] -= acc[7]
-			}
-		}
 		for ; t+2 <= rb; t += 2 {
-			b0 := b[t*w : t*w+w]
-			b1 := b[(t+1)*w : (t+1)*w+w]
-			// The 4×2 micro-kernel is written out in place: the call to
-			// dot4x2 costs ~8% here, and this loop is the single hottest
-			// in the library.
-			var s00, s01, s10, s11, s20, s21, s30, s31 float64
-			for k := 0; k < w; k++ {
-				av0, av1, av2, av3 := a0[k], a1[k], a2[k], a3[k]
-				bv0, bv1 := b0[k], b1[k]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s20 += av2 * bv0
-				s21 += av2 * bv1
-				s30 += av3 * bv0
-				s31 += av3 * bv1
-			}
+			s00, s01, s10, s11, s20, s21, s30, s31 := dot4x2(a0, a1, a2, a3, b[t*w:t*w+w], b[(t+1)*w:(t+1)*w+w])
 			c0[t] -= s00
 			c0[t+1] -= s01
 			c1[t] -= s10
@@ -396,56 +307,22 @@ func MulSubContig(c []float64, ldc int, a []float64, ra int, b []float64, rb, w 
 	}
 }
 
-// MulSubScattered performs the indexed BMOD update for destinations whose
-// rows or columns are not consecutive: the same 4×2 register tiles as the
-// contiguous path, with the results scattered through relRow/relCol.
-func MulSubScattered(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int,
-	relRow, relCol []int) {
+// mulSubScatteredSmall is the small-op form of Workspace.MulSubScattered.
+func mulSubScatteredSmall(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int,
+	relRow, relCol []int32) {
 	s := 0
 	for ; s+4 <= ra; s += 4 {
 		a0 := a[s*w : s*w+w]
 		a1 := a[(s+1)*w : (s+1)*w+w]
 		a2 := a[(s+2)*w : (s+2)*w+w]
 		a3 := a[(s+3)*w : (s+3)*w+w]
-		c0 := c[relRow[s]*ldc:]
-		c1 := c[relRow[s+1]*ldc:]
-		c2 := c[relRow[s+2]*ldc:]
-		c3 := c[relRow[s+3]*ldc:]
+		c0 := c[int(relRow[s])*ldc:]
+		c1 := c[int(relRow[s+1])*ldc:]
+		c2 := c[int(relRow[s+2])*ldc:]
+		c3 := c[int(relRow[s+3])*ldc:]
 		t := 0
-		if useFMA {
-			var acc [8]float64
-			for ; t+2 <= rb; t += 2 {
-				b0 := b[t*w : t*w+w]
-				b1 := b[(t+1)*w : (t+1)*w+w]
-				dot4x2fma(&a0[0], &a1[0], &a2[0], &a3[0], &b0[0], &b1[0], w, &acc)
-				j0, j1 := relCol[t], relCol[t+1]
-				c0[j0] -= acc[0]
-				c0[j1] -= acc[1]
-				c1[j0] -= acc[2]
-				c1[j1] -= acc[3]
-				c2[j0] -= acc[4]
-				c2[j1] -= acc[5]
-				c3[j0] -= acc[6]
-				c3[j1] -= acc[7]
-			}
-		}
 		for ; t+2 <= rb; t += 2 {
-			b0 := b[t*w : t*w+w]
-			b1 := b[(t+1)*w : (t+1)*w+w]
-			// Micro-kernel written out in place, as in MulSubContig.
-			var s00, s01, s10, s11, s20, s21, s30, s31 float64
-			for k := 0; k < w; k++ {
-				av0, av1, av2, av3 := a0[k], a1[k], a2[k], a3[k]
-				bv0, bv1 := b0[k], b1[k]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s20 += av2 * bv0
-				s21 += av2 * bv1
-				s30 += av3 * bv0
-				s31 += av3 * bv1
-			}
+			s00, s01, s10, s11, s20, s21, s30, s31 := dot4x2(a0, a1, a2, a3, b[t*w:t*w+w], b[(t+1)*w:(t+1)*w+w])
 			j0, j1 := relCol[t], relCol[t+1]
 			c0[j0] -= s00
 			c0[j1] -= s01
@@ -467,7 +344,7 @@ func MulSubScattered(c []float64, ldc int, a []float64, ra int, b []float64, rb,
 	}
 	for ; s < ra; s++ {
 		as := a[s*w : s*w+w]
-		cs := c[relRow[s]*ldc:]
+		cs := c[int(relRow[s])*ldc:]
 		t := 0
 		for ; t+4 <= rb; t += 4 {
 			s0, s1, s2, s3 := dot1x4(as, b[t*w:t*w+w], b[(t+1)*w:(t+1)*w+w], b[(t+2)*w:(t+2)*w+w], b[(t+3)*w:(t+3)*w+w])
@@ -482,20 +359,16 @@ func MulSubScattered(c []float64, ldc int, a []float64, ra int, b []float64, rb,
 	}
 }
 
-// MulSubLower performs the BMOD update onto a diagonal destination block:
-// only product entries with rowsA[s] ≥ rowsB[t] (the lower triangle in
-// global coordinates) are applied. Both row lists must be ascending — true
-// of every block row list — which turns the triangular mask into a
-// monotone per-row cutoff so the inner loop runs unmasked and 4-wide.
-func MulSubLower(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int,
-	relRow, relCol []int, rowsA, rowsB []int) {
+// mulSubLowerSmall is the small-op form of Workspace.MulSubLower: the
+// ascending row lists turn the triangular mask into a monotone per-row
+// cutoff, so the inner loop runs unmasked and 4-wide.
+func mulSubLowerSmall(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int,
+	relRow, relCol []int32, rowsA, rowsB []int) {
 	cut := 0
 	for s := 0; s < ra; s++ {
-		for cut < rb && rowsB[cut] <= rowsA[s] {
-			cut++
-		}
+		cut = cutAt(rowsB[:rb], rowsA[s], cut)
 		as := a[s*w : s*w+w]
-		crow := c[relRow[s]*ldc:]
+		crow := c[int(relRow[s])*ldc:]
 		t := 0
 		for ; t+4 <= cut; t += 4 {
 			s0, s1, s2, s3 := dot1x4(as, b[t*w:t*w+w], b[(t+1)*w:(t+1)*w+w], b[(t+2)*w:(t+2)*w+w], b[(t+3)*w:(t+3)*w+w])
@@ -655,23 +528,6 @@ func choleskyUncheckedLD(a []float64, n, lda int) {
 			a[i*lda+k] = s * inv
 		}
 	}
-}
-
-// dot4x2fmaGeneric is the portable implementation of the dot4x2fma
-// contract: out[2i+j] = Σₖ aᵢ[k]·bⱼ[k] over n shared elements. It backs
-// dot4x2fma on platforms without the assembly micro-kernel and is exercised
-// directly by tests on every platform, so the non-amd64 dispatch path can
-// never reach an unimplemented kernel.
-func dot4x2fmaGeneric(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64) {
-	s0 := unsafeSlice(a0, n)
-	s1 := unsafeSlice(a1, n)
-	s2 := unsafeSlice(a2, n)
-	s3 := unsafeSlice(a3, n)
-	t0 := unsafeSlice(b0, n)
-	t1 := unsafeSlice(b1, n)
-	v00, v01, v10, v11, v20, v21, v30, v31 := dot4x2(s0, s1, s2, s3, t0, t1)
-	out[0], out[1], out[2], out[3] = v00, v01, v10, v11
-	out[4], out[5], out[6], out[7] = v20, v21, v30, v31
 }
 
 // HasFMA reports whether the AVX2+FMA micro-kernel is active.

@@ -109,7 +109,7 @@ func TestSolveRight(t *testing.T) {
 			b[s*w+j] = sum
 		}
 	}
-	if err := SolveRight(b, r, l, w); err != nil {
+	if err := solveRight(b, r, l, w); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -207,7 +207,7 @@ func TestQuickSolveRightInverse(t *testing.T) {
 		for i := 0; i < w; i++ {
 			x[i*w+i] = 1
 		}
-		if err := SolveRight(x, w, l, w); err != nil {
+		if err := solveRight(x, w, l, w); err != nil {
 			return false
 		}
 		for i := 0; i < w; i++ {

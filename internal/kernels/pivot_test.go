@@ -69,7 +69,7 @@ func TestSolveRightBrokenDiagonal(t *testing.T) {
 	for _, sv := range []struct {
 		name string
 		f    func([]float64, int, []float64, int) error
-	}{{"tiled", SolveRight}, {"naive", solveRightNaive}} {
+	}{{"tiled", solveRight}, {"naive", solveRightNaive}} {
 		xs := append([]float64(nil), x...)
 		err := sv.f(xs, r, l, w)
 		var pe *PivotError
@@ -179,47 +179,8 @@ func TestPivotCheckOverhead(t *testing.T) {
 	}
 }
 
-// FMA dispatch hardening: the portable fallback must agree with the
-// register-tiled reference, and setFMA can never switch the micro-kernel on
+// FMA dispatch hardening: setFMA can never switch the micro-kernel on
 // without hardware support.
-
-func TestDot4x2FMAGenericMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 15, 64} {
-		a := make([]float64, 4*n)
-		b := make([]float64, 2*n)
-		for i := range a {
-			a[i] = float64(i%11) - 5
-		}
-		for i := range b {
-			b[i] = float64(i%7) - 3
-		}
-		var want [8]float64
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 2; j++ {
-				var s float64
-				for k := 0; k < n; k++ {
-					s += a[i*n+k] * b[j*n+k]
-				}
-				want[2*i+j] = s
-			}
-		}
-		var got [8]float64
-		dot4x2fmaGeneric(&a[0], &a[n], &a[2*n], &a[3*n], &b[0], &b[n], n, &got)
-		for i := range got {
-			if !closeEnough(got[i], want[i]) {
-				t.Fatalf("n=%d out[%d]=%g, want %g", n, i, got[i], want[i])
-			}
-		}
-		// The dispatcher-level symbol must match too, on every platform.
-		var via [8]float64
-		dot4x2fma(&a[0], &a[n], &a[2*n], &a[3*n], &b[0], &b[n], n, &via)
-		for i := range via {
-			if math.Abs(via[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("dot4x2fma n=%d out[%d]=%g, want %g", n, i, via[i], want[i])
-			}
-		}
-	}
-}
 
 func TestSetFMAGatedOnHardware(t *testing.T) {
 	prev := useFMA

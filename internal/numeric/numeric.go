@@ -187,32 +187,34 @@ func (f *Factor) BFAC(k int) error {
 // BDIV applies the factored diagonal block of panel k to off-diagonal
 // block bi of column k: L_IK ← L_IK · L_KK⁻ᵀ. A broken-down diagonal
 // (non-positive, NaN, or Inf pivot) yields a *kernels.PivotError instead of
-// silently dividing NaN into the factor.
-func (f *Factor) BDIV(k, bi int) error {
+// silently dividing NaN into the factor. ws supplies the kernel scratch.
+func (f *Factor) BDIV(k, bi int, ws *Workspace) error {
 	w := f.BS.Part.Width(k)
 	r := len(f.BS.Cols[k].Blocks[bi].Rows)
-	if err := kernels.SolveRight(f.Data[k][bi], r, f.Data[k][0], w); err != nil {
+	if err := ws.kw.SolveRight(f.Data[k][bi], r, f.Data[k][0], w); err != nil {
 		return pivotAt(err, k, f.BS.Part.Start[k], fmt.Sprintf("BDIV(%d,%d)", k, bi))
 	}
 	return nil
 }
 
-// Workspace holds the per-executor scratch of BMOD: the destination index
-// maps relRow/relCol. Each parallel processor (and the sequential driver)
-// owns one Workspace, replacing the ad-hoc threading of the two slices
-// through every call; Reserve lets executors preallocate once so the
-// factorization hot path never allocates.
+// Workspace is the per-executor scratch of BDIV and BMOD: the kernels'
+// packing and write-back buffers and BMOD's destination index maps. Each
+// parallel processor (and the sequential driver) owns one; Reserve lets
+// executors preallocate the index maps, and the kernel buffers reach
+// their high-water mark within the first factorization, so refactors
+// never allocate.
 type Workspace struct {
-	relRow, relCol []int
+	kw             kernels.Workspace
+	relRow, relCol []int32
 }
 
 // Reserve grows the index scratch to hold destinations of up to r rows.
 func (ws *Workspace) Reserve(r int) {
 	if cap(ws.relRow) < r {
-		ws.relRow = make([]int, r)
+		ws.relRow = make([]int32, r)
 	}
 	if cap(ws.relCol) < r {
-		ws.relCol = make([]int, r)
+		ws.relCol = make([]int32, r)
 	}
 }
 
@@ -232,14 +234,10 @@ func (f *Factor) MaxBlockRows() int {
 
 // BMOD applies the update L_IJ ← L_IJ − L_IK·L_JKᵀ, where the sources are
 // blocks ia (the I side) and jb (the J side) of column k, with
-// Blocks[ia].I ≥ Blocks[jb].I. ws supplies the index scratch, reused
-// across calls.
-//
-// While building the index maps BMOD classifies the destination once per
-// (k, ia, jb) pairing: when the source rows land in consecutive
-// destination rows and columns the update dispatches to the
-// no-indirection contiguous kernel, otherwise to the scattered (or, for
-// diagonal destinations, lower-masked) kernel.
+// Blocks[ia].I ≥ Blocks[jb].I. It finds the destination block and builds
+// the row index map by a sorted merge, then runs BMODMapped; executors
+// that precompute both per pairing (sched.PairTable) call BMODMapped
+// directly.
 func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 	colK := &f.BS.Cols[k]
 	srcA, srcB := &colK.Blocks[ia], &colK.Blocks[jb]
@@ -247,25 +245,14 @@ func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 	if destI < destJ {
 		return fmt.Errorf("numeric: BMOD sources out of order (I=%d < J=%d)", destI, destJ)
 	}
-	part := f.BS.Part
 	destCol := &f.BS.Cols[destJ]
 	dbi := findBlock(destCol, destI)
 	if dbi < 0 {
 		return fmt.Errorf("numeric: BMOD dest (%d,%d) missing", destI, destJ)
 	}
 	dest := &destCol.Blocks[dbi]
-	wK := part.Width(k)
-	wJ := part.Width(destJ)
-	ra, rb := len(srcA.Rows), len(srcB.Rows)
-
-	// relRow[s]: position of srcA.Rows[s] in dest.Rows (merge of two
-	// sorted lists). relCol[t]: srcB.Rows[t] − Start[destJ]. Contiguity of
-	// each map is detected here, fused into the same pass that builds it.
-	ws.Reserve(ra)
-	ws.Reserve(rb)
-	relRow := ws.relRow[:ra]
-	relCol := ws.relCol[:rb]
-	rowContig := true
+	ws.Reserve(len(srcA.Rows))
+	relRow := ws.relRow[:len(srcA.Rows)]
 	d := 0
 	for s, g := range srcA.Rows {
 		for d < len(dest.Rows) && dest.Rows[d] < g {
@@ -274,28 +261,57 @@ func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 		if d >= len(dest.Rows) || dest.Rows[d] != g {
 			return fmt.Errorf("numeric: BMOD row %d of source (%d,%d) missing from dest (%d,%d)", g, destI, k, destI, destJ)
 		}
-		relRow[s] = d
-		rowContig = rowContig && d == relRow[0]+s
+		relRow[s] = int32(d)
 	}
-	start := part.Start[destJ]
-	colContig := true
-	for t, g := range srcB.Rows {
-		relCol[t] = g - start
-		colContig = colContig && g-start == relCol[0]+t
-	}
-	cd := f.Data[destJ][dbi]
-	switch {
-	case destI == destJ:
-		kernels.MulSubLower(cd, wJ, f.Data[k][ia], ra, f.Data[k][jb], rb, wK,
-			relRow, relCol, srcA.Rows, srcB.Rows)
-	case rowContig && colContig:
-		kernels.MulSubContig(cd[relRow[0]*wJ+relCol[0]:], wJ,
-			f.Data[k][ia], ra, f.Data[k][jb], rb, wK)
-	default:
-		kernels.MulSubScattered(cd, wJ, f.Data[k][ia], ra, f.Data[k][jb], rb, wK,
-			relRow, relCol)
-	}
+	f.BMODMapped(k, ia, jb, dbi, relRow, ws)
 	return nil
+}
+
+// BMODMapped is BMOD with the destination's index dbi within column
+// Blocks[jb].I and the row map relRow (the position of each row of
+// Blocks[ia] in the destination's row list) supplied by the caller; a
+// relRow shorter than the source (sched.PairTable's compressed form)
+// stands for the consecutive run from relRow[0]. The column map is the
+// source rows' offsets within panel Blocks[jb].I.
+//
+// The destination is classified here: a diagonal block takes the
+// lower-masked kernel; a destination whose rows and columns are both
+// consecutive runs takes the contiguous kernel; anything else the
+// scattered one. Row maps are strictly increasing, so a map is
+// consecutive exactly when its endpoints are len−1 apart.
+func (f *Factor) BMODMapped(k, ia, jb, dbi int, relRow []int32, ws *Workspace) {
+	colK := &f.BS.Cols[k]
+	srcA, srcB := &colK.Blocks[ia], &colK.Blocks[jb]
+	destI, destJ := srcA.I, srcB.I
+	part := f.BS.Part
+	wK, wJ := part.Width(k), part.Width(destJ)
+	ra, rb := len(srcA.Rows), len(srcB.Rows)
+	start := part.Start[destJ]
+	a, b := f.Data[k][ia], f.Data[k][jb]
+	cd := f.Data[destJ][dbi]
+	rowContig := len(relRow) < ra || int(relRow[ra-1]-relRow[0]) == ra-1
+	colContig := srcB.Rows[rb-1]-srcB.Rows[0] == rb-1
+	if destI != destJ && rowContig && colContig {
+		ws.kw.MulSubContig(cd[int(relRow[0])*wJ+srcB.Rows[0]-start:], wJ, a, ra, b, rb, wK)
+		return
+	}
+	ws.Reserve(max(ra, rb))
+	if len(relRow) < ra {
+		run := ws.relRow[:ra]
+		for s := range run {
+			run[s] = relRow[0] + int32(s)
+		}
+		relRow = run
+	}
+	relCol := ws.relCol[:rb]
+	for t, g := range srcB.Rows {
+		relCol[t] = int32(g - start)
+	}
+	if destI == destJ {
+		ws.kw.MulSubLower(cd, wJ, a, ra, b, rb, wK, relRow, relCol, srcA.Rows, srcB.Rows)
+		return
+	}
+	ws.kw.MulSubScattered(cd, wJ, a, ra, b, rb, wK, relRow, relCol)
 }
 
 func findBlock(col *blocks.BlockCol, i int) int {
@@ -326,7 +342,7 @@ func (f *Factor) FactorSequential() error {
 		}
 		col := &f.BS.Cols[k]
 		for bi := 1; bi < len(col.Blocks); bi++ {
-			if err := f.BDIV(k, bi); err != nil {
+			if err := f.BDIV(k, bi, &ws); err != nil {
 				return err
 			}
 		}

@@ -8,6 +8,7 @@
 package sched
 
 import (
+	"sort"
 	"sync"
 
 	"blockfanout/internal/blocks"
@@ -97,14 +98,23 @@ type Program struct {
 
 // PairTable is the inverse view of the BMOD destination table: one entry
 // per source pairing, flat-indexed in the same order as ModDest, plus a
-// grouping of pairings by destination block. The fan-out executor drives
-// its ready counters and per-destination operation queues with it; the
-// simulator never needs it, so it is built lazily and memoized.
+// grouping of pairings by destination block and each pairing's row index
+// map. The fan-out executor drives its ready counters, per-destination
+// operation queues and BMODs with it; the simulator never needs it, so it
+// is built lazily and memoized.
 type PairTable struct {
 	Col  []int32 // pairing → column k of the sources
 	A    []int32 // pairing → source block index ia (≥ jb) within column k
 	B    []int32 // pairing → source block index jb ≥ 1
 	Dest []int32 // pairing → destination block id (== ModDest)
+
+	// RelRow[RelBase[p] : RelBase[p+1]] is pairing p's row map: entry s is
+	// the position of row s of source block A[p] in its destination
+	// block's row list. A map that is a consecutive run — most of them —
+	// is stored as its first entry alone. Building the maps once per
+	// program takes the sorted merge out of every BMOD of every refactor.
+	RelBase []int
+	RelRow  []int32
 
 	// DestBase[id] .. DestBase[id+1] delimits block id's segment in a
 	// shared per-destination slot array of length len(ModDest); segment
@@ -138,9 +148,54 @@ func (pr *Program) Pairs() *PairTable {
 		for id := 0; id < pr.NBlocks; id++ {
 			pt.DestBase[id+1] = pt.DestBase[id] + pr.NMods[id]
 		}
+		pt.buildRowMaps(pr)
 		pr.pairs = pt
 	})
 	return pr.pairs
+}
+
+// buildRowMaps merges every pairing's source rows into its destination's
+// row list. Block row lists are ascending, and the block structure
+// guarantees each source row is present in the destination, so a map is
+// a consecutive run exactly when its first and last source rows lie
+// len−1 apart in the destination; the first pass finds those by binary
+// search to size the compressed table.
+func (pt *PairTable) buildRowMaps(pr *Program) {
+	cols := pr.BS.Cols
+	rows := func(p int) (src, dest []int) {
+		d := pt.Dest[p]
+		return cols[pt.Col[p]].Blocks[pt.A[p]].Rows, cols[pr.ColOf[d]].Blocks[pr.IdxOf[d]].Rows
+	}
+	pt.RelBase = make([]int, len(pt.Col)+1)
+	for p := range pt.Col {
+		src, dest := rows(p)
+		n := len(src)
+		if sort.SearchInts(dest, src[n-1])-sort.SearchInts(dest, src[0]) == n-1 {
+			n = 1
+		}
+		pt.RelBase[p+1] = pt.RelBase[p] + n
+	}
+	pt.RelRow = make([]int32, pt.RelBase[len(pt.Col)])
+	for p := range pt.Col {
+		src, dest := rows(p)
+		rel := pt.RelRow[pt.RelBase[p]:pt.RelBase[p+1]]
+		pos := 0
+		for s, g := range src[:len(rel)] {
+			for pos < len(dest) && dest[pos] < g {
+				pos++
+			}
+			if pos == len(dest) || dest[pos] != g {
+				panic("sched: BMOD source row missing from its destination")
+			}
+			rel[s] = int32(pos)
+		}
+	}
+}
+
+// RowMap returns pairing p's row index map (see RelRow): the full map, or
+// its first entry alone when the map is the consecutive run from there.
+func (pt *PairTable) RowMap(p int32) []int32 {
+	return pt.RelRow[pt.RelBase[p]:pt.RelBase[p+1]:pt.RelBase[p+1]]
 }
 
 // BlockID returns the block id of column j, index idx.

@@ -276,3 +276,89 @@ func TestModDestTableMatchesFindID(t *testing.T) {
 		t.Fatalf("ModDest has %d entries, want %d", len(pr.ModDest), want)
 	}
 }
+
+// Every pairing's precomputed row map must equal the merge BMOD would
+// otherwise do, under uniform and irregular blocking of each generator
+// the suite uses, with a one-entry map standing for the consecutive run
+// from its entry. The reference here looks each source row up in a map of
+// the destination's rows rather than merging.
+func TestPairRowMapsMatchMerge(t *testing.T) {
+	cases := []struct {
+		name    string
+		m       *sparse.Matrix
+		method  ord.Method
+		gridDim int
+	}{
+		{"cube", gen.Cube3D(7), ord.NDCube3D, 7},
+		{"grid", gen.Grid2D(18), ord.NDGrid2D, 18},
+		{"mesh", gen.IrregularMesh(400, 6, 3, 5), ord.MinDegree, 0},
+	}
+	for _, tc := range cases {
+		for _, irregular := range []bool{false, true} {
+			_, bs := setup(t, tc.m, tc.method, tc.gridDim, 8)
+			if irregular {
+				bs = irregularBlocks(t, tc.m, tc.method, tc.gridDim, 8)
+			}
+			pr := Build(bs, Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 2}, bs.N())})
+			pt := pr.Pairs()
+			if len(pt.RelBase) != len(pt.Col)+1 {
+				t.Fatalf("%s irregular=%v: %d map offsets for %d pairings", tc.name, irregular, len(pt.RelBase), len(pt.Col))
+			}
+			for p := range pt.Col {
+				src := bs.Cols[pt.Col[p]].Blocks[pt.A[p]].Rows
+				d := pt.Dest[p]
+				pos := map[int]int32{}
+				for i, g := range bs.Cols[pr.ColOf[d]].Blocks[pr.IdxOf[d]].Rows {
+					pos[g] = int32(i)
+				}
+				got := append([]int32(nil), pt.RowMap(int32(p))...)
+				if len(got) == 1 {
+					for s := 1; s < len(src); s++ {
+						got = append(got, got[0]+int32(s))
+					}
+				}
+				if len(got) != len(src) {
+					t.Fatalf("%s irregular=%v pairing %d: map length %d, source rows %d", tc.name, irregular, p, len(got), len(src))
+				}
+				for s, g := range src {
+					want, ok := pos[g]
+					if !ok || got[s] != want {
+						t.Fatalf("%s irregular=%v pairing %d row %d: map %d, want %d (present %v)", tc.name, irregular, p, s, got[s], want, ok)
+					}
+				}
+			}
+		}
+	}
+}
+
+// irregularBlocks is setup's ordering and analysis under the irregular
+// strategy: relative-fill amalgamation, then supernode-aligned panels of
+// at most b columns.
+func irregularBlocks(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b int) *blocks.Structure {
+	t.Helper()
+	p, err := ord.Compute(method, m, gridDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err := m.Permute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := m1.Permute(etree.Build(m1).Postorder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := symbolic.Analyze(m2, symbolic.RelativeAmalgamation(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := blocks.NewPartitionIrregular(st, blocks.IrregularConfig{MaxPanel: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := blocks.Build(st, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
