@@ -2,7 +2,9 @@ package blockfanout
 
 import (
 	"encoding/json"
+	"math"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -23,8 +25,9 @@ type blockingDelta struct {
 	Procs        int     `json:"procs"`
 	UniformSec   float64 `json:"uniform_seconds"`
 	IrregularSec float64 `json:"irregular_seconds"`
-	// Ratio is irregular/uniform wall time: <1 means the irregular
-	// blocking is faster end-to-end.
+	// Ratio is the median over paired slices of irregular/uniform wall
+	// time: <1 means the irregular blocking is faster end-to-end. The two
+	// Sec fields are each variant's median per-cycle time.
 	Ratio float64 `json:"ratio"`
 }
 
@@ -38,9 +41,11 @@ type blockingDelta struct {
 //
 //	BENCH_BLOCKING_CHECK=1 go test -run BlockingRegressionGate -count=1 .
 //
-// Measurement is interleaved best-of: alternating short measurements of the
-// two variants with per-variant minima cancels slow clock/load drift that
-// back-to-back blocks cannot.
+// Measurement is the paired median of the other overhead gates: many pairs
+// of adjacent ~10 ms slices, one per variant in alternating order, gated
+// on the median of the per-pair ratios. A slow stretch of a shared host
+// longer than a pair lands on both halves and cancels in its ratio, and
+// the median ignores the pairs a preemption split.
 func TestBlockingRegressionGate(t *testing.T) {
 	if os.Getenv("BENCH_BLOCKING_CHECK") == "" {
 		t.Skip("set BENCH_BLOCKING_CHECK=1 to run the blocking regression gate")
@@ -59,18 +64,38 @@ func TestBlockingRegressionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	makeCycle := func(pr *sched.Program, f *numeric.Factor, vals []float64) func() float64 {
+	// makeSlice returns a timer of one slice of the variant's refactor
+	// cycles, sized from its fastest of a few cycles to about 10 ms.
+	makeSlice := func(pr *sched.Program, f *numeric.Factor, vals []float64) func() float64 {
 		ex := fanout.NewExecutor(f, pr)
-		return func() float64 {
+		cycle := func() {
 			if err := f.Reload(vals); err != nil {
 				t.Fatal(err)
 			}
-			start := time.Now()
 			if _, err := ex.Run(); err != nil {
 				t.Fatal(err)
 			}
-			return time.Since(start).Seconds()
 		}
+		cycle()
+		per := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			cycle()
+			per = min(per, time.Since(t0))
+		}
+		n := int(10*time.Millisecond/per) + 1
+		return func() float64 {
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				cycle()
+			}
+			return time.Since(start).Seconds() / float64(n)
+		}
+	}
+	median := func(v []float64) float64 {
+		s := append([]float64(nil), v...)
+		sort.Float64s(s)
+		return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 	}
 
 	var deltas []blockingDelta
@@ -83,27 +108,25 @@ func TestBlockingRegressionGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runners := []func() float64{
-			makeCycle(sched.Build(uni.BS, uni.Assign(uni.Map(g, mapping.ID, mapping.CY), 2)), uniF, uni.PA.Val),
-			makeCycle(sched.Build(irr.BS, irr.Assign(irr.Map(g, mapping.ID, mapping.CY), 2)), irrF, irr.PA.Val),
-		}
-
-		best := []float64{0, 0}
-		const rounds = 12
-		for round := 0; round < rounds; round++ {
-			for i, run := range runners {
-				sec := run()
-				if best[i] == 0 || sec < best[i] {
-					best[i] = sec
-				}
+		uniSlice := makeSlice(sched.Build(uni.BS, uni.Assign(uni.Map(g, mapping.ID, mapping.CY), 2)), uniF, uni.PA.Val)
+		irrSlice := makeSlice(sched.Build(irr.BS, irr.Assign(irr.Map(g, mapping.ID, mapping.CY), 2)), irrF, irr.PA.Val)
+		const pairs = 60
+		var uniSec, irrSec, ratios []float64
+		for pair := 0; pair < pairs; pair++ {
+			var u, i float64
+			if pair%2 == 0 {
+				u, i = uniSlice(), irrSlice()
+			} else {
+				i, u = irrSlice(), uniSlice()
 			}
+			uniSec, irrSec, ratios = append(uniSec, u), append(irrSec, i), append(ratios, i/u)
 		}
 		deltas = append(deltas, blockingDelta{
 			Problem:      problem,
 			Procs:        g.P(),
-			UniformSec:   best[0],
-			IrregularSec: best[1],
-			Ratio:        best[1] / best[0],
+			UniformSec:   median(uniSec),
+			IrregularSec: median(irrSec),
+			Ratio:        median(ratios),
 		})
 	}
 
@@ -115,7 +138,7 @@ func TestBlockingRegressionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range deltas {
-		t.Logf("P=%d: uniform %.4fs, irregular %.4fs, ratio %.3f", d.Procs, d.UniformSec, d.IrregularSec, d.Ratio)
+		t.Logf("P=%d: uniform %.4fs, irregular %.4fs, median paired ratio %.3f", d.Procs, d.UniformSec, d.IrregularSec, d.Ratio)
 		if d.Ratio > 1.05 {
 			t.Fatalf("irregular blocking regresses %.1f%% vs uniform at P=%d (budget 5%%)", (d.Ratio-1)*100, d.Procs)
 		}

@@ -863,7 +863,7 @@ func (n *Node) solve(req *wire.SolveReq) wire.SolveResp {
 		resp.Err = fmt.Sprintf("cluster: node %s: %v", n.cfg.ID, err)
 		return resp
 	}
-	resp.X = job.plan.Perm.ApplyInverse(job.nf.Solve(job.plan.Perm.Apply(req.B)))
+	resp.X = job.plan.Perm.ApplyInverse(job.nf.Solve(job.plan.Perm.Apply(req.B), job.pr.Split))
 	resp.OK = true
 	return resp
 }

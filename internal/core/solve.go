@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"blockfanout/internal/numeric"
 )
 
 // CheckRHS validates one right-hand side against a factor of dimension n:
@@ -40,9 +42,12 @@ func (f *Factor) SolveParallel(b []float64) ([]float64, error) { return f.Solve(
 
 // SolveMany solves A·x = b for several right-hand sides in one batched
 // sweep over the factor (see numeric.SolveN), returning one solution per
-// input. Every right-hand side is validated (length, finiteness) before
-// any work runs, so a malformed vector in a batch fails the whole call
-// cleanly instead of corrupting its neighbours' shared sweep.
+// input. A factor computed under domains sweeps its program's split, one
+// lane per domain owner; a sequential factor, or one whose assignment has
+// no domains, sweeps on the calling goroutine. Every right-hand side is
+// validated (length, finiteness) before any work runs, so a malformed
+// vector in a batch fails the whole call cleanly instead of corrupting
+// its neighbours' shared sweep.
 func (f *Factor) SolveMany(bs [][]float64) ([][]float64, error) {
 	for i, b := range bs {
 		if err := CheckRHS(f.plan.A.N, b); err != nil {
@@ -53,7 +58,11 @@ func (f *Factor) SolveMany(bs [][]float64) ([][]float64, error) {
 	for i, b := range bs {
 		pbs[i] = f.plan.Perm.Apply(b)
 	}
-	pxs := f.nf.SolveN(pbs)
+	var sp *numeric.Split
+	if f.pr != nil {
+		sp = f.pr.Split
+	}
+	pxs := f.nf.SolveN(pbs, sp)
 	for i := range pxs {
 		pxs[i] = f.plan.Perm.ApplyInverse(pxs[i])
 	}

@@ -168,7 +168,7 @@ func TestRepeatedRunsDeterministicResidual(t *testing.T) {
 		if _, err := Run(f, sched.Build(bs, a)); err != nil {
 			t.Fatal(err)
 		}
-		x := f.Solve(b)
+		x := f.Solve(b, nil)
 		if r := pm.ResidualNorm(x, b); r > 1e-8 {
 			t.Fatalf("trial %d residual %g", trial, r)
 		}
@@ -204,7 +204,7 @@ func TestTinyMatrices(t *testing.T) {
 			for i := range b {
 				b[i] = 1
 			}
-			x := f.Solve(b)
+			x := f.Solve(b, nil)
 			if r := m.ResidualNorm(x, b); r > 1e-10 {
 				t.Fatalf("n=%d residual %g", m.N, r)
 			}

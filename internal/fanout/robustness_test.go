@@ -101,7 +101,7 @@ func TestRefactorAfterBreakdown(t *testing.T) {
 				for i := range b {
 					b[i] = 1
 				}
-				x := f.Solve(b)
+				x := f.Solve(b, nil)
 				if r := pm.ResidualNorm(x, b); r > 1e-8 {
 					t.Fatalf("cycle %d: residual %g after recovery", cycle, r)
 				}

@@ -154,7 +154,7 @@ func TestWorkStealingCancelMidRun(t *testing.T) {
 			for i := range b {
 				b[i] = 1
 			}
-			x := f.Solve(b)
+			x := f.Solve(b, nil)
 			if r := pm.ResidualNorm(x, b); r > 1e-8 {
 				t.Fatalf("residual %g after cancellation stress", r)
 			}

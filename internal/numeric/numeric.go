@@ -357,70 +357,6 @@ func (f *Factor) FactorSequential() error {
 	return nil
 }
 
-// Solve solves L·Lᵀ·x = b in the permuted index space, returning x (b is
-// not modified). It is SolveN with one right-hand side.
-func (f *Factor) Solve(b []float64) []float64 {
-	return f.SolveN([][]float64{b})[0]
-}
-
-// SolveN solves L·Lᵀ·X = B for several right-hand sides in one pair of
-// sweeps over the factor — the package's one block triangular solve. Each
-// block is loaded once and applied to every vector, which is substantially
-// more cache-friendly than one sweep per vector when nrhs is large, and
-// costs nothing extra when nrhs is 1. B is not modified.
-func (f *Factor) SolveN(bs [][]float64) [][]float64 {
-	part := f.BS.Part
-	n := f.BS.N()
-	xs := make([][]float64, len(bs))
-	for r := range bs {
-		xs[r] = append([]float64(nil), bs[r]...)
-	}
-	for k := 0; k < n; k++ {
-		w := part.Width(k)
-		start := part.Start[k]
-		diag := f.Data[k][0]
-		col := &f.BS.Cols[k]
-		for _, x := range xs {
-			seg := x[start : start+w]
-			kernels.ForwardSolveDiag(diag, w, seg)
-			for bi := 1; bi < len(col.Blocks); bi++ {
-				blk := &col.Blocks[bi]
-				data := f.Data[k][bi]
-				for s, g := range blk.Rows {
-					row := data[s*w : s*w+w]
-					var sum float64
-					for t := 0; t < w; t++ {
-						sum += row[t] * seg[t]
-					}
-					x[g] -= sum
-				}
-			}
-		}
-	}
-	for k := n - 1; k >= 0; k-- {
-		w := part.Width(k)
-		start := part.Start[k]
-		diag := f.Data[k][0]
-		col := &f.BS.Cols[k]
-		for _, x := range xs {
-			seg := x[start : start+w]
-			for bi := 1; bi < len(col.Blocks); bi++ {
-				blk := &col.Blocks[bi]
-				data := f.Data[k][bi]
-				for s, g := range blk.Rows {
-					row := data[s*w : s*w+w]
-					xg := x[g]
-					for t := 0; t < w; t++ {
-						seg[t] -= row[t] * xg
-					}
-				}
-			}
-			kernels.BackSolveDiag(diag, w, seg)
-		}
-	}
-	return xs
-}
-
 // NNZ returns the number of explicitly stored factor entries excluding the
 // diagonal (matching the paper's "NZ in L" convention applied to the
 // relaxed block structure).

@@ -16,6 +16,14 @@ import (
 // block structure and the permuted matrix.
 func setup(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b int) (*blocks.Structure, *sparse.Matrix) {
 	t.Helper()
+	_, bs, pm := setupSym(t, m, method, gridDim, b)
+	return bs, pm
+}
+
+// setupSym is setup that also returns the symbolic structure, which domain
+// selection needs.
+func setupSym(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b int) (*symbolic.Structure, *blocks.Structure, *sparse.Matrix) {
+	t.Helper()
 	p, err := ord.Compute(method, m, gridDim)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +45,7 @@ func setup(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bs, m2
+	return st, bs, m2
 }
 
 // denseCholesky is the reference factorization of a full matrix.
@@ -158,7 +166,7 @@ func TestSolveResidual(t *testing.T) {
 			for i := range b {
 				b[i] = math.Sin(float64(i))
 			}
-			x := f.Solve(b)
+			x := f.Solve(b, nil)
 			if r := pm.ResidualNorm(x, b); r > 1e-8 {
 				t.Fatalf("residual %g", r)
 			}
@@ -246,9 +254,9 @@ func TestSolveNMatchesSolve(t *testing.T) {
 			rhs[r][i] = math.Sin(float64(i*(r+1)) * 0.31)
 		}
 	}
-	batch := f.SolveN(rhs)
+	batch := f.SolveN(rhs, nil)
 	for r := range rhs {
-		single := f.Solve(rhs[r])
+		single := f.Solve(rhs[r], nil)
 		for i := range single {
 			if batch[r][i] != single[i] {
 				t.Fatalf("rhs %d differs at %d: %g vs %g", r, i, batch[r][i], single[i])

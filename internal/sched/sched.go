@@ -14,6 +14,7 @@ import (
 	"blockfanout/internal/blocks"
 	"blockfanout/internal/domains"
 	"blockfanout/internal/mapping"
+	"blockfanout/internal/numeric"
 )
 
 // BlockOwner is any full block-to-processor map (e.g. mapping.Arbitrary,
@@ -61,6 +62,11 @@ const MsgHeaderBytes = 64
 type Program struct {
 	BS    *blocks.Structure
 	NProc int
+	// Dom is the assignment's §2.3 domain selection (nil without domains),
+	// and Split the triangular sweep's lane schedule derived from it: one
+	// lane per domain owner, nil for a program without domains.
+	Dom   *domains.Domains
+	Split *numeric.Split
 
 	NBlocks int
 	ColBase []int32 // block id of Cols[j].Blocks[0]
@@ -208,6 +214,8 @@ func Build(bs *blocks.Structure, a Assignment) *Program {
 	pr := &Program{
 		BS:      bs,
 		NProc:   a.P(),
+		Dom:     a.Dom,
+		Split:   numeric.NewSplit(bs, a.Dom),
 		ColBase: make([]int32, ncols+1),
 	}
 	for j := 0; j < ncols; j++ {
