@@ -1,12 +1,15 @@
 // Command spchol is the command-line driver for the block fan-out sparse
 // Cholesky library: it generates (or names) a benchmark problem, analyzes
 // it, and then factors it for real, simulates it on the Paragon machine
-// model, or reports load-balance and communication statistics.
+// model, or reports load-balance and communication statistics. -trace
+// FILE writes the simulated or executed per-processor timeline as Chrome
+// trace-event JSON; -save DIR files the factor as a snapshot in the store
+// at DIR, which core.Plan.RestoreSnapshot reloads without refactoring.
 //
 // Usage:
 //
 //	spchol -problem GRID150 -action simulate -procs 64 -row ID -col CY
-//	spchol -grid 128 -action factor -procs 16 -domains
+//	spchol -grid 128 -action factor -procs 16 -domains -save snapdir
 //	spchol -mesh 5000 -action balance -procs 100
 //	spchol -cube 20 -action stats
 //
@@ -29,7 +32,6 @@ import (
 	"time"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/bundle"
 	"blockfanout/internal/commvol"
 	"blockfanout/internal/core"
 	"blockfanout/internal/dot"
@@ -44,7 +46,7 @@ import (
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
 	"blockfanout/internal/stats"
-	"blockfanout/internal/trace"
+	"blockfanout/internal/store"
 )
 
 // writeTraceFile writes a Chrome trace-event JSON document to path via
@@ -75,13 +77,13 @@ func main() {
 func run() error {
 	var (
 		problem   = flag.String("problem", "", "paper benchmark name (e.g. GRID150, BCSSTK31)")
-		scale     = flag.String("scale", "ci", "benchmark scale for -problem: ci or paper")
+		scale     = flag.String("scale", "ci", "benchmark scale for -problem and -exp runners: ci or paper")
 		gridK     = flag.Int("grid", 0, "generate a K×K grid problem")
 		cubeK     = flag.Int("cube", 0, "generate a K×K×K cube problem")
 		meshN     = flag.Int("mesh", 0, "generate a random 3-D mesh with N vertices")
 		denseN    = flag.Int("dense", 0, "generate a dense N×N problem")
 		file      = flag.String("file", "", "read a Matrix Market file")
-		action    = flag.String("action", "stats", "stats | balance | simulate | trace | factor | dot")
+		action    = flag.String("action", "stats", "stats | balance | simulate | factor | dot")
 		blockSize = flag.Int("block", core.DefaultBlockSize, "block size B (panel-width cap for -blocking irregular)")
 		blocking  = flag.String("blocking", "uniform", "partitioning strategy: uniform | staged | cycled | irregular")
 		amalg     = flag.Float64("amalg", 0, "relative-fill amalgamation threshold for -blocking irregular (0 = default)")
@@ -91,16 +93,26 @@ func run() error {
 		colH      = flag.String("col", "CY", "column mapping heuristic: CY DW IN DN ID")
 		domains   = flag.Bool("domains", true, "use the domain/root split")
 		seed      = flag.Uint64("seed", 7, "generator seed for -mesh")
-		save      = flag.String("save", "", "with -action factor: write the factor bundle here")
+		save      = flag.String("save", "", "with -action factor: file the factor as a snapshot in the store directory `dir`")
 		execMode  = flag.String("exec", "steal", "parallel execution engine for -action factor: steal | spmd")
 		exp       = flag.String("exp", "", "action alias or internal/experiments runner name; picks a default problem if none is selected")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON timeline (about:tracing / Perfetto) to this file")
 	)
 	flag.Parse()
 
+	var sc gen.Scale
+	switch *scale {
+	case "ci":
+		sc = gen.ScaleCI
+	case "paper":
+		sc = gen.ScalePaper
+	default:
+		return fmt.Errorf("unknown scale %q (want ci or paper)", *scale)
+	}
+
 	if *exp != "" {
 		switch *exp {
-		case "stats", "balance", "simulate", "trace", "factor", "dot":
+		case "stats", "balance", "simulate", "factor", "dot":
 			*action = *exp
 			// An experiment run should work standalone: default to the §5
 			// representative problem when no problem flag was given.
@@ -111,10 +123,6 @@ func run() error {
 			r, ok := experiments.ByName(*exp)
 			if !ok {
 				return fmt.Errorf("unknown experiment %q (an action name or one of the cmd/tables runners)", *exp)
-			}
-			sc := gen.ScaleCI
-			if *scale == "paper" {
-				sc = gen.ScalePaper
 			}
 			cfg := experiments.Default(sc)
 			fmt.Printf("== %s — %s\n", r.Name, r.Desc)
@@ -138,12 +146,6 @@ func run() error {
 	)
 	switch {
 	case *problem != "":
-		sc := gen.ScaleCI
-		if *scale == "paper" {
-			sc = gen.ScalePaper
-		} else if *scale != "ci" {
-			return fmt.Errorf("unknown scale %q", *scale)
-		}
 		suite := append(gen.Table1Suite(sc), gen.Table6Suite(sc)...)
 		p, ok := gen.ByName(suite, *problem)
 		if !ok {
@@ -293,25 +295,10 @@ func run() error {
 		fmt.Printf("  performance     %.0f Mflops\n", res.Mflops(plan.Exact.Flops))
 		fmt.Printf("  communication   %d messages, %d bytes, ≤%.1f%% of runtime\n",
 			res.Messages, res.Bytes, res.CommFraction()*100)
+		comp, comm, idle := res.Breakdown()
+		fmt.Printf("  machine-wide    compute %.0f%%  comm %.0f%%  idle %.0f%%\n", comp*100, comm*100, idle*100)
 		if *traceOut != "" {
 			return simTrace()
-		}
-
-	case "trace":
-		cfg := machine.Paragon()
-		cfg.CollectTrace = true
-		res := plan.Simulate(assign, cfg)
-		if err := trace.Gantt(os.Stdout, &res, 100); err != nil {
-			return err
-		}
-		if err := trace.Utilization(os.Stdout, &res); err != nil {
-			return err
-		}
-		if *traceOut != "" {
-			label := fmt.Sprintf("%s %v/%v P=%d (simulated)", name, rh, ch, g.P())
-			return writeTraceFile(*traceOut, func(w io.Writer) error {
-				return obs.WriteMachineTrace(w, &res, label)
-			})
 		}
 
 	case "factor":
@@ -333,10 +320,15 @@ func run() error {
 			g.P(), el.Round(time.Microsecond), float64(plan.Exact.Flops)/el.Seconds()/1e6)
 		fmt.Printf("solve residual ‖A·x−b‖∞ = %.3g\n", f.Residual(x, b))
 		if *save != "" {
-			if err := bundle.SaveFile(*save, bundle.FromFactor(f)); err != nil {
+			st, err := store.Open(*save)
+			if err != nil {
 				return err
 			}
-			fmt.Printf("factor bundle saved to %s\n", *save)
+			snap := f.Snapshot()
+			if err := st.PutFactor(snap); err != nil {
+				return err
+			}
+			fmt.Printf("factor snapshot %016x/%016x saved to store %s\n", snap.PatternHash, snap.ConfigKey, *save)
 		}
 		if rec := f.Recorder(); rec != nil {
 			label := fmt.Sprintf("%s %v/%v P=%d (executed)", name, rh, ch, g.P())

@@ -29,6 +29,7 @@ import (
 	"blockfanout/internal/order"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
+	"blockfanout/internal/store"
 	"blockfanout/internal/symbolic"
 )
 
@@ -375,6 +376,16 @@ func (p *Plan) RestoreFactor(a sched.Assignment, values []float64, blocks [][]fl
 	return f, nil
 }
 
+// RestoreSnapshot is RestoreFactor from a store snapshot, refusing one
+// written under another configuration key: its blocks were laid out by a
+// different ordering, partition or mapping than this plan's.
+func (p *Plan) RestoreSnapshot(a sched.Assignment, fs *store.FactorSnapshot) (*Factor, error) {
+	if k := p.Opts.ConfigKey(); fs.ConfigKey != k {
+		return nil, fmt.Errorf("core: snapshot configuration key %016x, plan's is %016x", fs.ConfigKey, k)
+	}
+	return p.RestoreFactor(a, fs.Val, fs.Blocks)
+}
+
 // FactorSequential factors on one processor (the paper's t_seq baseline).
 func (p *Plan) FactorSequential() (*Factor, error) {
 	f, err := p.newFactor(nil)
@@ -446,6 +457,22 @@ func (f *Factor) Shift() float64 { return f.shift }
 // matrix, or a same-pattern matrix carrying the values of the most recent
 // refactor.
 func (f *Factor) Matrix() *sparse.Matrix { return f.a }
+
+// Snapshot exports the factor for the durable store: the matrix it
+// represents, its plan's configuration key, and a copy of every block.
+// The values are copied too, so a later refactor cannot change a
+// snapshot that is still waiting to be written.
+func (f *Factor) Snapshot() *store.FactorSnapshot {
+	return &store.FactorSnapshot{
+		PatternHash: f.a.PatternHash(),
+		ConfigKey:   f.plan.Opts.ConfigKey(),
+		N:           f.a.N,
+		ColPtr:      f.a.ColPtr,
+		RowInd:      f.a.RowInd,
+		Val:         append([]float64(nil), f.a.Val...),
+		Blocks:      f.nf.ExportBlocks(),
+	}
+}
 
 // Refactor is RefactorContext without cancellation or perturbation.
 //

@@ -116,6 +116,31 @@ func TestMessagesMatchProgram(t *testing.T) {
 	}
 }
 
+// TestSpanAccountingMatchesTotals holds the collected trace to the
+// result's totals: every span lies within [0, makespan], and each
+// processor's spans sum to its CompTime+CommTime.
+func TestSpanAccountingMatchesTotals(t *testing.T) {
+	pr, _ := program(t, mapping.Grid{Pr: 2, Pc: 2}, true)
+	cfg := Paragon()
+	cfg.CollectTrace = true
+	res := MustSimulate(pr, cfg)
+	if len(res.Spans) == 0 {
+		t.Fatal("no spans collected")
+	}
+	sum := make([]float64, len(res.CompTime))
+	for _, s := range res.Spans {
+		if s.Start < 0 || s.End < s.Start || s.End > res.Time+1e-12 {
+			t.Fatalf("span %+v outside [0, %g] or backwards", s, res.Time)
+		}
+		sum[s.Proc] += s.End - s.Start
+	}
+	for p := range sum {
+		if want := res.CompTime[p] + res.CommTime[p]; math.Abs(sum[p]-want) > 1e-9 {
+			t.Fatalf("proc %d span total %g != busy %g", p, sum[p], want)
+		}
+	}
+}
+
 func TestDomainsImproveRuntimeOnGrid(t *testing.T) {
 	st, bs := setup(t, gen.Grid2D(24), ord.NDGrid2D, 24, 4)
 	g := mapping.Grid{Pr: 4, Pc: 4}
@@ -160,6 +185,21 @@ func TestZeroCommConfigBeatsExpensiveComm(t *testing.T) {
 		if c != 0 {
 			t.Fatalf("proc %d charged %g comm time under free model", p, c)
 		}
+	}
+}
+
+// TestBreakdown pins the machine-wide split on a hand-built two-processor
+// result (P0 busy 0.5 + 0.1 comm, P1 0.8 of a 1 s makespan), and the
+// all-zero split of an empty one.
+func TestBreakdown(t *testing.T) {
+	res := Result{Time: 1, CompTime: []float64{0.5, 0.8}, CommTime: []float64{0.1, 0}}
+	comp, comm, idle := res.Breakdown()
+	if math.Abs(comp-0.65) > 1e-12 || math.Abs(comm-0.05) > 1e-12 || math.Abs(idle-0.30) > 1e-12 {
+		t.Fatalf("breakdown %g/%g/%g, want 0.65/0.05/0.30", comp, comm, idle)
+	}
+	empty := Result{CompTime: make([]float64, 2), CommTime: make([]float64, 2)}
+	if comp, comm, idle := empty.Breakdown(); comp != 0 || comm != 0 || idle != 0 {
+		t.Fatalf("empty result breakdown %g/%g/%g", comp, comm, idle)
 	}
 }
 

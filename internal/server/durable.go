@@ -111,7 +111,7 @@ func (s *Server) WarmStart() (int, error) {
 	}
 	for _, we := range warm {
 		if len(we.Snap.Blocks) > 0 {
-			f, err := we.Entry.Plan.RestoreFactor(we.Entry.Assign, we.Snap.Val, we.Snap.Blocks)
+			f, err := we.Entry.Plan.RestoreSnapshot(we.Entry.Assign, we.Snap)
 			if err != nil {
 				// Blocks inconsistent with the rebuilt plan (e.g. snapshot from
 				// a different build): drop it and let the next request build

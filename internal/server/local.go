@@ -11,8 +11,6 @@ import (
 
 	"blockfanout/internal/core"
 	"blockfanout/internal/faultinject"
-	"blockfanout/internal/sparse"
-	"blockfanout/internal/store"
 )
 
 // Local is the in-process backend: a registry of live factors, each
@@ -114,7 +112,7 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 					fe.f, fe.plan = tf, tp
 				}
 			}
-			l.saveSnapshot(fe, m)
+			l.saveSnapshot(fe)
 			l.markReady(fe)
 			fe.mu.Unlock()
 			return resp, nil
@@ -156,7 +154,7 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 			fe.mu.Unlock()
 			return resp, rerr
 		}
-		l.saveSnapshot(fe, m)
+		l.saveSnapshot(fe)
 		resp.Shift = fe.f.Shift()
 		fe.mu.Unlock()
 		resp.Refactored = true
@@ -378,18 +376,8 @@ func (l *Local) lookup(id string) (*factorEntry, bool) {
 // coherent copy. The snapshot is filed under the configuration key of the
 // plan the factor runs — the tuned key for a measured remap — so tuned and
 // static snapshots of the same pattern never alias on disk.
-func (l *Local) saveSnapshot(fe *factorEntry, m *sparse.Matrix) {
-	l.s.SaveSnapshot(&fe.lastSnap, func() *store.FactorSnapshot {
-		return &store.FactorSnapshot{
-			PatternHash: m.PatternHash(),
-			ConfigKey:   fe.plan.Opts.ConfigKey(),
-			N:           m.N,
-			ColPtr:      m.ColPtr,
-			RowInd:      m.RowInd,
-			Val:         m.Val,
-			Blocks:      fe.f.Numeric().ExportBlocks(),
-		}
-	})
+func (l *Local) saveSnapshot(fe *factorEntry) {
+	l.s.SaveSnapshot(&fe.lastSnap, fe.f.Snapshot)
 }
 
 // restore registers a factor rebuilt from a snapshot under id, unless the

@@ -158,7 +158,7 @@ func (l *Local) restoreTuned() int {
 		if !liveTuned {
 			return true
 		}
-		f, err := te.Plan.RestoreFactor(te.Assign, fs.Val, fs.Blocks)
+		f, err := te.Plan.RestoreSnapshot(te.Assign, fs)
 		if err != nil {
 			s.st.DeleteFactor(hash, tunedKey)
 			return true

@@ -201,6 +201,25 @@ func TestCorruptBadVersion(t *testing.T) {
 	})
 }
 
+// TestCorruptHeader: an empty file and one under a foreign magic are
+// corrupt too.
+func TestCorruptHeader(t *testing.T) {
+	for _, corrupt := range []func(b []byte) []byte{
+		func(b []byte) []byte { return nil },
+		func(b []byte) []byte { b[0] ^= 0xff; return b },
+	} {
+		corruptThenGet(t, func(t *testing.T, path string) {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, corrupt(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestMidWriteCrash simulates a crash between temp-file write and rename:
 // the live name must be unaffected (previous snapshot or absent) and Open
 // must sweep the leftover temp file.
