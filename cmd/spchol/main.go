@@ -29,10 +29,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/commvol"
 	"blockfanout/internal/core"
 	"blockfanout/internal/dot"
 	"blockfanout/internal/experiments"
@@ -67,6 +68,9 @@ func writeTraceFile(path string, write func(io.Writer) error) error {
 	return nil
 }
 
+// actions are the -action values; -exp accepts each as an alias.
+var actions = []string{"stats", "balance", "simulate", "factor", "dot"}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "spchol:", err)
@@ -83,7 +87,7 @@ func run() error {
 		meshN     = flag.Int("mesh", 0, "generate a random 3-D mesh with N vertices")
 		denseN    = flag.Int("dense", 0, "generate a dense N×N problem")
 		file      = flag.String("file", "", "read a Matrix Market file")
-		action    = flag.String("action", "stats", "stats | balance | simulate | factor | dot")
+		action    = flag.String("action", "stats", strings.Join(actions, " | "))
 		blockSize = flag.Int("block", core.DefaultBlockSize, "block size B (panel-width cap for -blocking irregular)")
 		blocking  = flag.String("blocking", "uniform", "partitioning strategy: uniform | staged | cycled | irregular")
 		amalg     = flag.Float64("amalg", 0, "relative-fill amalgamation threshold for -blocking irregular (0 = default)")
@@ -109,10 +113,13 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown scale %q (want ci or paper)", *scale)
 	}
+	if !slices.Contains(actions, *action) {
+		return fmt.Errorf("unknown action %q (want %s)", *action, strings.Join(actions, " | "))
+	}
 
 	if *exp != "" {
-		switch *exp {
-		case "stats", "balance", "simulate", "factor", "dot":
+		switch {
+		case slices.Contains(actions, *exp):
 			*action = *exp
 			// An experiment run should work standalone: default to the §5
 			// representative problem when no problem flag was given.
@@ -277,11 +284,11 @@ func run() error {
 	switch *action {
 	case "balance":
 		bal := plan.Balances(mp)
-		vol := commvol.Of(plan.BS, sched.Assignment{Map: mp})
+		vol := sched.Build(plan.BS, sched.Assignment{Map: mp})
 		fmt.Printf("grid %d×%d, %v rows / %v cols:\n", g.Pr, g.Pc, rh, ch)
 		fmt.Printf("  row balance     %.3f\n  column balance  %.3f\n  diagonal bal.   %.3f\n  overall balance %.3f\n",
 			bal.Row, bal.Col, bal.Diag, bal.Overall)
-		fmt.Printf("  comm volume     %d messages, %d bytes\n", vol.Messages, vol.Bytes)
+		fmt.Printf("  comm volume     %d messages, %d bytes\n", vol.TotalMessages, vol.TotalBytes)
 		if *traceOut != "" {
 			return simTrace()
 		}
@@ -336,9 +343,6 @@ func run() error {
 				return rec.WriteTrace(w, label)
 			})
 		}
-
-	default:
-		return fmt.Errorf("unknown action %q", *action)
 	}
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"blockfanout/internal/commvol"
 	"blockfanout/internal/core"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/machine"
@@ -47,7 +46,7 @@ func main() {
 	for _, h := range mapping.AllHeuristics() {
 		m := plan.Map(g, h, h)
 		bal := plan.Balances(m)
-		vol := commvol.Of(plan.BS, sched.Assignment{Map: m})
+		vol := sched.Build(plan.BS, sched.Assignment{Map: m}).TotalBytes
 		res := plan.Simulate(plan.Assign(m, 2), cfg)
 		name := h.String() + "/" + h.String()
 		if h == mapping.CY {
@@ -56,7 +55,7 @@ func main() {
 		}
 		fmt.Printf("%-8s %6.2f %6.2f %6.2f %8.2f %12d %9.3fs %10.0f\n",
 			name, bal.Row, bal.Col, bal.Diag, bal.Overall,
-			vol.Bytes, res.Time, res.Mflops(plan.Exact.Flops))
+			vol, res.Time, res.Mflops(plan.Exact.Flops))
 	}
 
 	best := plan.Map(g, mapping.ID, mapping.CY)

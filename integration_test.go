@@ -15,8 +15,8 @@ import (
 	"blockfanout/internal/gen"
 	"blockfanout/internal/machine"
 	"blockfanout/internal/mapping"
+	"blockfanout/internal/oracle"
 	"blockfanout/internal/order"
-	"blockfanout/internal/refchol"
 )
 
 // planFor builds a plan for a generated problem with sensible options.
@@ -192,7 +192,7 @@ func TestStatsReasonable(t *testing.T) {
 
 // TestBlockedAgainstReference cross-validates the blocked supernodal
 // factorization against the independent up-looking implementation
-// (internal/refchol) entry by entry on the same permuted matrix.
+// (internal/oracle) entry by entry on the same permuted matrix.
 func TestBlockedAgainstReference(t *testing.T) {
 	suite := gen.Table1Suite(gen.ScaleCI)
 	p, _ := gen.ByName(suite, "BCSSTK15")
@@ -201,7 +201,7 @@ func TestBlockedAgainstReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refchol.Compute(plan.PA)
+	ref, err := oracle.UpLooking(plan.PA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 	"blockfanout/internal/kernels"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/obs"
+	"blockfanout/internal/oracle"
 	ord "blockfanout/internal/order"
-	"blockfanout/internal/refchol"
 	"blockfanout/internal/sparse"
 )
 
@@ -36,14 +36,14 @@ func scaledValues(m *sparse.Matrix, off, diag float64) []float64 {
 }
 
 // reference factors values (laid out like plan.A.Val) with the
-// column-by-column oracle on the plan's permuted pattern.
-func reference(t *testing.T, plan *Plan, values []float64) *refchol.Factor {
+// up-looking oracle on the plan's permuted pattern.
+func reference(t *testing.T, plan *Plan, values []float64) *oracle.Factor {
 	t.Helper()
 	pav := make([]float64, len(values))
 	for q, src := range plan.ValMap {
 		pav[q] = values[src]
 	}
-	ref, err := refchol.Compute(&sparse.Matrix{N: plan.PA.N, ColPtr: plan.PA.ColPtr, RowInd: plan.PA.RowInd, Val: pav})
+	ref, err := oracle.UpLooking(&sparse.Matrix{N: plan.PA.N, ColPtr: plan.PA.ColPtr, RowInd: plan.PA.RowInd, Val: pav})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func reference(t *testing.T, plan *Plan, values []float64) *refchol.Factor {
 
 // agrees reports the first block entry of f that differs from ref by more
 // than 1e-12 relative, or nil.
-func agrees(f *Factor, ref *refchol.Factor) error {
+func agrees(f *Factor, ref *oracle.Factor) error {
 	part := f.plan.BS.Part
 	for j, col := range f.plan.BS.Cols {
 		w := part.Width(j)
@@ -116,7 +116,7 @@ func TestRecordCoversOneFactorization(t *testing.T) {
 // TestFactorEntryMatrix is the configuration-matrix differential test of
 // the one factor entry point: every blocking × placement × FactorOpts cell
 // factors, refactors with fresh values and round-trips through
-// RestoreFactor, agreeing with the refchol oracle to 1e-12 throughout; and
+// RestoreFactor, agreeing with the up-looking oracle to 1e-12 throughout; and
 // on one indefinite input every cell reports the same breakdown — the same
 // global row, in the panel of its own blocking that holds that row (the
 // same (block, row) wherever the partitions coincide) — except under

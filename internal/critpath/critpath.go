@@ -12,8 +12,20 @@ import "blockfanout/internal/blocks"
 // Length returns the critical-path execution time in seconds, charging each
 // block operation flops/flopRate + opOverhead.
 func Length(bs *blocks.Structure, flopRate, opOverhead float64) float64 {
-	cost := func(flops int64) float64 {
-		return float64(flops)/flopRate + opOverhead
+	return asap(bs, flopRate, opOverhead, nil)
+}
+
+// asap runs the block-operation DAG under an ASAP schedule (unlimited
+// processors, free communication), charging each operation
+// flops/flopRate + opOverhead, and returns the critical path. When op is
+// non-nil it is called with each operation's start and end time.
+func asap(bs *blocks.Structure, flopRate, opOverhead float64, op func(start, end float64)) float64 {
+	run := func(start float64, flops int64) float64 {
+		end := start + (float64(flops)/flopRate + opOverhead)
+		if op != nil {
+			op(start, end)
+		}
+		return end
 	}
 
 	nb := 0
@@ -48,8 +60,7 @@ func Length(bs *blocks.Structure, flopRate, opOverhead float64) float64 {
 		// Finalize column k: all of its modifications come from earlier
 		// columns, already processed.
 		diagID := colBase[k]
-		facFlops := wk * (wk + 1) * (2*wk + 1) / 6
-		ready[diagID] = lastMod[diagID] + cost(facFlops)
+		ready[diagID] = run(lastMod[diagID], wk*(wk+1)*(2*wk+1)/6)
 		if ready[diagID] > cp {
 			cp = ready[diagID]
 		}
@@ -60,7 +71,7 @@ func Length(bs *blocks.Structure, flopRate, opOverhead float64) float64 {
 			if ready[diagID] > start {
 				start = ready[diagID]
 			}
-			ready[id] = start + cost(r*wk*wk)
+			ready[id] = run(start, r*wk*wk)
 			if ready[id] > cp {
 				cp = ready[id]
 			}
@@ -79,7 +90,7 @@ func Length(bs *blocks.Structure, flopRate, opOverhead float64) float64 {
 				if srcB > start {
 					start = srcB
 				}
-				fin := start + cost(flops)
+				fin := run(start, flops)
 				dest := idOf(col.Blocks[ia].I, col.Blocks[jb].I)
 				if fin > lastMod[dest] {
 					lastMod[dest] = fin

@@ -135,7 +135,7 @@ func TestNestedDissectionShortensCriticalPath(t *testing.T) {
 func TestProfileBasics(t *testing.T) {
 	bs := structureFor(t, gen.Grid2D(16), ord.NDGrid2D, 16, 4)
 	p := ComputeProfile(bs, rate, ovh, 32)
-	if math.Abs(p.CriticalPath-Length(bs, rate, ovh)) > 1e-12 {
+	if p.CriticalPath != Length(bs, rate, ovh) {
 		t.Fatalf("profile CP %g != Length %g", p.CriticalPath, Length(bs, rate, ovh))
 	}
 	if p.MaxWidth < 1 || p.AvgWidth <= 0 || p.AvgWidth > float64(p.MaxWidth) {

@@ -27,98 +27,21 @@ func ComputeProfile(bs *blocks.Structure, flopRate, opOverhead float64, buckets 
 	if buckets < 1 {
 		buckets = 1
 	}
-	cost := func(flops int64) float64 {
-		return float64(flops)/flopRate + opOverhead
+	// Each operation is +1 width at its start and −1 at its end.
+	type event struct {
+		t     float64
+		delta int
 	}
-
-	nb := 0
-	colBase := make([]int, bs.N()+1)
-	for j := 0; j < bs.N(); j++ {
-		colBase[j] = nb
-		nb += len(bs.Cols[j].Blocks)
-	}
-	colBase[bs.N()] = nb
-	idOf := func(i, j int) int {
-		col := &bs.Cols[j]
-		lo, hi := 0, len(col.Blocks)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if col.Blocks[mid].I < i {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return colBase[j] + lo
-	}
-
-	ready := make([]float64, nb)
-	lastMod := make([]float64, nb)
-
-	type interval struct{ start, end float64 }
-	var ops []interval
-	addOp := func(start, dur float64) float64 {
-		ops = append(ops, interval{start, start + dur})
-		return start + dur
-	}
-
-	var cp float64
-	for k := 0; k < bs.N(); k++ {
-		col := &bs.Cols[k]
-		wk := int64(bs.Part.Width(k))
-		diagID := colBase[k]
-		facFlops := wk * (wk + 1) * (2*wk + 1) / 6
-		ready[diagID] = addOp(lastMod[diagID], cost(facFlops))
-		if ready[diagID] > cp {
-			cp = ready[diagID]
-		}
-		for idx := 1; idx < len(col.Blocks); idx++ {
-			id := colBase[k] + idx
-			r := int64(len(col.Blocks[idx].Rows))
-			start := lastMod[id]
-			if ready[diagID] > start {
-				start = ready[diagID]
-			}
-			ready[id] = addOp(start, cost(r*wk*wk))
-			if ready[id] > cp {
-				cp = ready[id]
-			}
-		}
-		for jb := 1; jb < len(col.Blocks); jb++ {
-			cj := int64(len(col.Blocks[jb].Rows))
-			srcB := ready[colBase[k]+jb]
-			for ia := jb; ia < len(col.Blocks); ia++ {
-				ri := int64(len(col.Blocks[ia].Rows))
-				flops := 2 * ri * cj * wk
-				if ia == jb {
-					flops = ri * (ri + 1) * wk
-				}
-				start := ready[colBase[k]+ia]
-				if srcB > start {
-					start = srcB
-				}
-				fin := addOp(start, cost(flops))
-				dest := idOf(col.Blocks[ia].I, col.Blocks[jb].I)
-				if fin > lastMod[dest] {
-					lastMod[dest] = fin
-				}
-			}
-		}
-	}
+	var evs []event
+	cp := asap(bs, flopRate, opOverhead, func(start, end float64) {
+		evs = append(evs, event{start, 1}, event{end, -1})
+	})
 
 	p := Profile{CriticalPath: cp, Curve: make([]float64, buckets)}
 	if cp <= 0 {
 		return p
 	}
-	// Sweep: +1 at starts, −1 at ends, integrating width over time.
-	type event struct {
-		t     float64
-		delta int
-	}
-	evs := make([]event, 0, 2*len(ops))
-	for _, iv := range ops {
-		evs = append(evs, event{iv.start, 1}, event{iv.end, -1})
-	}
+	// Sweep the events in time order, integrating width over time.
 	sort.Slice(evs, func(a, b int) bool {
 		if evs[a].t != evs[b].t {
 			return evs[a].t < evs[b].t

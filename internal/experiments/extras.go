@@ -5,12 +5,12 @@ import (
 	"io"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/commvol"
 	"blockfanout/internal/critpath"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/loadbal"
 	"blockfanout/internal/machine"
 	"blockfanout/internal/mapping"
+	"blockfanout/internal/oracle"
 	"blockfanout/internal/sched"
 )
 
@@ -164,14 +164,14 @@ func Subcube(w io.Writer, cfg Config) error {
 		}
 		heur := plan.Map(g, mapping.ID, mapping.CY)
 		sub := mapping.Compose(g, mapping.ID, mapping.SubcubeColumns(plan.Sym, plan.BS, g.Pc), plan.BS, plan.PanelDepth)
-		volH := commvol.Of(plan.BS, sched.Assignment{Map: heur})
-		volS := commvol.Of(plan.BS, sched.Assignment{Map: sub})
+		volH := sched.Build(plan.BS, sched.Assignment{Map: heur}).TotalBytes
+		volS := sched.Build(plan.BS, sched.Assignment{Map: sub}).TotalBytes
 		balH := loadbal.Compute(plan.BS, heur).Overall
 		balS := loadbal.Compute(plan.BS, sub).Overall
 		mfH := mflops(plan, plan.Simulate(plan.Assign(heur, cfg.DomainBeta), cfg.Machine))
 		mfS := mflops(plan, plan.Simulate(plan.Assign(sub, cfg.DomainBeta), cfg.Machine))
 		fmt.Fprintf(w, "%-12s %11d %11d %7.0f%% %10.2f %10.2f %11.0f %11.0f\n",
-			p.Name, volH.Bytes, volS.Bytes, pct(float64(volS.Bytes), float64(volH.Bytes)),
+			p.Name, volH, volS, pct(float64(volS), float64(volH)),
 			balH, balS, mfH, mfS)
 	}
 	return nil
@@ -363,13 +363,13 @@ func CommScaling(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintf(w, "%s: remote bytes by mapping\n%6s %14s %14s %10s\n", name, "P", "1-D column", "2-D cyclic", "ratio")
 	for _, procs := range []int{4, 16, 64, 256} {
-		v1 := commvol.Column1D(plan.Sym, procs)
-		v2 := commvol.Cyclic2D(plan.BS, procs)
+		v1 := oracle.Column1D(plan.Sym, procs).Bytes
+		v2 := sched.Build(plan.BS, sched.Assignment{Map: mapping.Cyclic(mapping.BestGrid(procs), plan.BS.N())}).TotalBytes
 		ratio := 0.0
-		if v2.Bytes > 0 {
-			ratio = float64(v1.Bytes) / float64(v2.Bytes)
+		if v2 > 0 {
+			ratio = float64(v1) / float64(v2)
 		}
-		fmt.Fprintf(w, "%6d %14d %14d %9.1fx\n", procs, v1.Bytes, v2.Bytes, ratio)
+		fmt.Fprintf(w, "%6d %14d %14d %9.1fx\n", procs, v1, v2, ratio)
 	}
 	return nil
 }
@@ -417,12 +417,12 @@ func Arbitrary(w io.Writer, cfg Config) error {
 		balAR := loadbal.OverallOf(plan.BS, g.P(), arb.Owner)
 		aCP := sched.Assignment{Map: cp}
 		aAR := sched.Assignment{Map: cp, Override: arb}
-		volCP := commvol.Of(plan.BS, aCP)
-		volAR := commvol.Of(plan.BS, aAR)
+		volCP := sched.Build(plan.BS, aCP).TotalBytes
+		volAR := sched.Build(plan.BS, aAR).TotalBytes
 		mfCP := mflops(plan, plan.Simulate(aCP, cfg.Machine))
 		mfAR := mflops(plan, plan.Simulate(aAR, cfg.Machine))
 		fmt.Fprintf(w, "%-12s %10.2f %10.2f %12d %12d %10.0f %10.0f\n",
-			p.Name, balCP, balAR, volCP.Bytes, volAR.Bytes, mfCP, mfAR)
+			p.Name, balCP, balAR, volCP, volAR, mfCP, mfAR)
 	}
 	return nil
 }

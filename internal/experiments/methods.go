@@ -5,12 +5,9 @@ import (
 	"io"
 	"time"
 
-	"blockfanout/internal/colfan"
 	"blockfanout/internal/gen"
-	"blockfanout/internal/leftlooking"
 	"blockfanout/internal/mapping"
-	"blockfanout/internal/multifrontal"
-	"blockfanout/internal/refchol"
+	"blockfanout/internal/oracle"
 	"blockfanout/internal/sched"
 )
 
@@ -40,21 +37,21 @@ func Organizations(w io.Writer, cfg Config) error {
 			return time.Since(start), err
 		}
 		tUp, err := timeIt(func() error {
-			_, err := refchol.Compute(plan.PA)
+			_, err := oracle.UpLooking(plan.PA)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tLL, err := timeIt(func() error {
-			_, err := leftlooking.Compute(plan.PA, plan.Sym)
+			_, err := oracle.LeftLooking(plan.PA, plan.Sym)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tMF, err := timeIt(func() error {
-			_, _, err := multifrontal.Compute(plan.PA, plan.Sym)
+			_, err := oracle.Multifrontal(plan.PA, plan.Sym)
 			return err
 		})
 		if err != nil {
@@ -88,18 +85,17 @@ func ColfanMessages(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	colSym := colfan.Expand(plan.Sym)
 	fmt.Fprintf(w, "%s: executed remote messages/bytes by method\n", name)
 	fmt.Fprintf(w, "%6s %12s %14s %12s %14s\n", "P", "1-D msgs", "1-D bytes", "2-D msgs", "2-D bytes")
 	for _, procs := range []int{4, 16, 64} {
-		_, cfStats, err := colfan.Run(plan.PA, colSym, procs)
+		_, vol, err := oracle.ColumnFanOut(plan.PA, plan.Sym, procs)
 		if err != nil {
 			return err
 		}
 		g := mapping.BestGrid(procs)
 		pr := sched.Build(plan.BS, sched.Assignment{Map: mapping.Cyclic(g, plan.BS.N())})
 		fmt.Fprintf(w, "%6d %12d %14d %12d %14d\n",
-			procs, cfStats.Messages, cfStats.Bytes, pr.TotalMessages, pr.TotalBytes)
+			procs, vol.Messages, vol.Bytes, pr.TotalMessages, pr.TotalBytes)
 	}
 	return nil
 }
