@@ -105,17 +105,19 @@ func TestFourWayAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, meth := range methods {
-					f, err := meth.run(m, st)
-					if err != nil {
-						t.Fatalf("%s: %v", meth.name, err)
-					}
-					if err := agree(f, up); err != nil {
-						t.Fatalf("%s: %v", meth.name, err)
-					}
-					// Exact structure stores exactly the fill.
-					if sc.name == "exact" && f.NNZ() != up.NNZ() {
-						t.Fatalf("%s: nnz %d, up-looking %d", meth.name, f.NNZ(), up.NNZ())
-					}
+					t.Run(meth.name, func(t *testing.T) {
+						f, err := meth.run(m, st)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := agree(f, up); err != nil {
+							t.Fatal(err)
+						}
+						// Exact structure stores exactly the fill.
+						if sc.name == "exact" && f.NNZ() != up.NNZ() {
+							t.Fatalf("nnz %d, up-looking %d", f.NNZ(), up.NNZ())
+						}
+					})
 				}
 			})
 		}
@@ -133,18 +135,22 @@ func TestFourWayAgreement(t *testing.T) {
 		t.Run(bad.name, func(t *testing.T) {
 			m, st := prep(t, gen.Grid2D(6), ord.NDGrid2D, 6, symbolic.NoAmalgamation())
 			m.Val[m.ColPtr[bad.col]] = bad.val
-			check := func(name string, err error) {
+			check := func(t *testing.T, err error) {
 				t.Helper()
 				var pe *kernels.PivotError
 				if !errors.Is(err, ErrNotPositiveDefinite) || !errors.As(err, &pe) || pe.Row != bad.col {
-					t.Fatalf("%s: err %v, want a breakdown at row %d", name, err, bad.col)
+					t.Fatalf("err %v, want a breakdown at row %d", err, bad.col)
 				}
 			}
-			_, err := UpLooking(m)
-			check("up-looking", err)
+			t.Run("up-looking", func(t *testing.T) {
+				_, err := UpLooking(m)
+				check(t, err)
+			})
 			for _, meth := range methods {
-				_, err := meth.run(m, st)
-				check(meth.name, err)
+				t.Run(meth.name, func(t *testing.T) {
+					_, err := meth.run(m, st)
+					check(t, err)
+				})
 			}
 		})
 	}
@@ -152,9 +158,11 @@ func TestFourWayAgreement(t *testing.T) {
 	t.Run("dimension_mismatch", func(t *testing.T) {
 		_, st := prep(t, gen.Grid2D(6), ord.NDGrid2D, 6, symbolic.NoAmalgamation())
 		for _, meth := range methods {
-			if _, err := meth.run(gen.Grid2D(7), st); err == nil || errors.Is(err, ErrNotPositiveDefinite) {
-				t.Fatalf("%s: mismatched dimensions gave err %v", meth.name, err)
-			}
+			t.Run(meth.name, func(t *testing.T) {
+				if _, err := meth.run(gen.Grid2D(7), st); err == nil || errors.Is(err, ErrNotPositiveDefinite) {
+					t.Fatalf("mismatched dimensions gave err %v", err)
+				}
+			})
 		}
 	})
 }
