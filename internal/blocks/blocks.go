@@ -16,6 +16,7 @@ package blocks
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"blockfanout/internal/symbolic"
 )
@@ -91,7 +92,11 @@ type BlockCol struct {
 	Blocks []Block // ascending I; Blocks[0].I == J (the diagonal block)
 }
 
-// Structure is the full block decomposition plus the work model.
+// Structure is the full block decomposition, the work model, and the
+// block-operation DAG over it (dag.go). Build fills all of it in one pass
+// over the operations; every schedule built over the structure, and the
+// executors and simulator running one, read these tables instead of
+// deriving their own.
 type Structure struct {
 	Part *Partition
 	Cols []BlockCol
@@ -99,6 +104,34 @@ type Structure struct {
 	TotalWork  int64
 	TotalFlops int64
 	TotalOps   int64
+
+	// NBlocks counts the nonzero blocks. Block ids number them column by
+	// column: Cols[j].Blocks[idx] has id ColBase[j]+idx (BlockID).
+	NBlocks int
+	ColBase []int32 // block id of Cols[j].Blocks[0]; len N+1
+	ColOf   []int32 // block id → column (panel J)
+	IdxOf   []int32 // block id → index within the column
+
+	NMods []int32 // block id → number of BMOD operations targeting it
+	// OwnOpFlops is the flop count of the block's completing operation:
+	// BFAC for diagonal blocks, BDIV otherwise.
+	OwnOpFlops []int64
+
+	// ModBase/ModDest form the BMOD destination table: the pairing of
+	// source block indices ia ≥ jb ≥ 1 in column k has index
+	// PairIndex(k, ia, jb) = ModBase[k] + (ia−1)·ia/2 + (jb−1), and
+	// ModDest at that index is its destination block id. Executors read
+	// it through ModDestID, so their inner loops never search the
+	// structure.
+	ModBase []int
+	ModDest []int32
+
+	// Seeds lists, in column order, the diagonal blocks no BMOD updates:
+	// the BFACs that are ready before anything has run.
+	Seeds []int32
+
+	pairsOnce sync.Once
+	pairs     *PairTable
 }
 
 // N returns the number of panels (block rows = block columns).
@@ -106,17 +139,35 @@ func (bs *Structure) N() int { return len(bs.Cols) }
 
 // Find returns a pointer to block (I,J) or nil if that block is zero.
 func (bs *Structure) Find(i, j int) *Block {
-	col := &bs.Cols[j]
-	k := sort.Search(len(col.Blocks), func(t int) bool { return col.Blocks[t].I >= i })
-	if k < len(col.Blocks) && col.Blocks[k].I == i {
-		return &col.Blocks[k]
+	if k := bs.index(i, j); k >= 0 {
+		return &bs.Cols[j].Blocks[k]
 	}
 	return nil
 }
 
-// Build forms the block structure over the given partition and accumulates
-// the work model. It verifies that every BMOD destination block exists in
-// the structure (the containment property of §2.1).
+// index returns the position of block row i within column j, or -1 if
+// block (i,j) is zero.
+func (bs *Structure) index(i, j int) int {
+	blks := bs.Cols[j].Blocks
+	lo, hi := 0, len(blks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if blks[mid].I < i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(blks) && blks[lo].I == i {
+		return lo
+	}
+	return -1
+}
+
+// Build forms the block structure over the given partition, accumulates
+// the work model and derives the operation DAG. It verifies that every
+// BMOD destination block exists in the structure (the containment property
+// of §2.1).
 func Build(st *symbolic.Structure, part *Partition) (*Structure, error) {
 	n := part.N()
 	bs := &Structure{Part: part, Cols: make([]BlockCol, n)}
@@ -176,7 +227,7 @@ func Build(st *symbolic.Structure, part *Partition) (*Structure, error) {
 		}
 	}
 
-	if err := bs.accumulateWork(); err != nil {
+	if err := bs.buildDAG(); err != nil {
 		return nil, err
 	}
 	return bs, nil
@@ -214,61 +265,36 @@ type Op struct {
 
 // ForEachOp enumerates every block operation of the factorization in
 // column-major (K) order, computing its flop count. The enumeration is
-// deterministic: BFAC(K), then BDIVs by increasing I, then BMODs by (J,I).
+// deterministic: BFAC(K), then BDIVs by increasing I, then BMODs by (I,J),
+// which is the pairing order of the BMOD destination table.
 func (bs *Structure) ForEachOp(fn func(Op)) {
 	for k := range bs.Cols {
-		col := &bs.Cols[k]
+		blks := bs.Cols[k].Blocks
 		wk := int64(bs.Part.Width(k))
 		fn(Op{Kind: BFAC, I: k, J: k, K: k, Flops: wk * (wk + 1) * (2*wk + 1) / 6})
-		off := col.Blocks[1:]
-		for bi := range off {
-			r := int64(len(off[bi].Rows))
-			fn(Op{Kind: BDIV, I: off[bi].I, J: k, K: k, Flops: r * wk * wk})
+		for ia := 1; ia < len(blks); ia++ {
+			fn(Op{Kind: BDIV, I: blks[ia].I, J: k, K: k, Flops: int64(len(blks[ia].Rows)) * wk * wk})
 		}
-		for bj := range off {
-			cj := int64(len(off[bj].Rows))
-			for bi := bj; bi < len(off); bi++ {
-				ri := int64(len(off[bi].Rows))
-				flops := 2 * ri * cj * wk
-				if bi == bj {
-					// Destination is a diagonal block: only the lower
-					// triangle of the symmetric update is computed.
-					flops = ri * (ri + 1) * wk
-				}
-				fn(Op{Kind: BMOD, I: off[bi].I, J: off[bj].I, K: k, Flops: flops})
+		for ia := 1; ia < len(blks); ia++ {
+			for jb := 1; jb <= ia; jb++ {
+				fn(Op{Kind: BMOD, I: blks[ia].I, J: blks[jb].I, K: k, Flops: bs.ModFlops(k, ia, jb)})
 			}
 		}
 	}
 }
 
-// accumulateWork applies the paper's work measure to every destination
-// block and fills the per-block and total tallies.
-func (bs *Structure) accumulateWork() error {
-	var missing error
-	bs.ForEachOp(func(op Op) {
-		var dst *Block
-		switch op.Kind {
-		case BFAC:
-			dst = &bs.Cols[op.K].Blocks[0]
-		case BDIV:
-			dst = bs.Find(op.I, op.K)
-		case BMOD:
-			dst = bs.Find(op.I, op.J)
-		}
-		if dst == nil {
-			if missing == nil {
-				missing = fmt.Errorf("blocks: destination (%d,%d) of %v op missing", op.I, op.J, op.Kind)
-			}
-			return
-		}
-		dst.Flops += op.Flops
-		dst.Work += op.Flops + FixedOpCost
-		dst.NOps++
-		bs.TotalFlops += op.Flops
-		bs.TotalWork += op.Flops + FixedOpCost
-		bs.TotalOps++
-	})
-	return missing
+// ModFlops returns the flop count of the BMOD with sources ia and jb
+// (block indices within column k, either order).
+func (bs *Structure) ModFlops(k, ia, jb int) int64 {
+	blks := bs.Cols[k].Blocks
+	wk := int64(bs.Part.Width(k))
+	ri := int64(len(blks[ia].Rows))
+	if ia == jb {
+		// Destination is a diagonal block: only the lower triangle of
+		// the symmetric update is computed.
+		return ri * (ri + 1) * wk
+	}
+	return 2 * ri * int64(len(blks[jb].Rows)) * wk
 }
 
 // WorkI returns the aggregate work of every block row: workI[I] = Σ_J

@@ -100,15 +100,8 @@ func mapSignature(sj *wire.StartJob) uint64 {
 	if len(sj.MapI) == 0 && len(sj.MapJ) == 0 {
 		return 0
 	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
+	h := uint64(sparse.FNVOffset)
+	mix := func(v uint64) { h = sparse.FNVMix(h, v) }
 	mix(uint64(sj.MapPr)<<16 | uint64(sj.MapPc))
 	for _, v := range sj.MapI {
 		mix(uint64(v))
@@ -123,22 +116,15 @@ func mapSignature(sj *wire.StartJob) uint64 {
 }
 
 // procLoads returns each virtual processor's flop load under the
-// owner-computes model: a block's completing operation (BFAC/BDIV) plus
-// every BMOD targeting a block it owns. This is the weight vector the
-// gateway feeds mapping.GreedyWeighted to split processors across nodes of
-// unequal speed.
+// owner-computes model: the flops of every operation whose destination
+// block it owns (Block.Flops: the completing BFAC/BDIV plus every BMOD
+// into the block). This is the weight vector the gateway feeds
+// mapping.GreedyWeighted to split processors across nodes of unequal
+// speed.
 func procLoads(pr *sched.Program) []int64 {
 	load := make([]int64, pr.NProc)
-	for id := 0; id < pr.NBlocks; id++ {
-		load[pr.Owner[id]] += pr.OwnOpFlops[id]
-	}
-	for k := range pr.BS.Cols {
-		m := len(pr.BS.Cols[k].Blocks) - 1
-		for ia := 1; ia <= m; ia++ {
-			for jb := 1; jb <= ia; jb++ {
-				load[pr.Owner[pr.ModDestID(k, ia, jb)]] += pr.ModFlops(k, ia, jb)
-			}
-		}
+	for id, o := range pr.Owner {
+		load[o] += pr.Cols[pr.ColOf[id]].Blocks[pr.IdxOf[id]].Flops
 	}
 	return load
 }

@@ -230,10 +230,7 @@ func (tc *testCluster) verifyAssembled(t *testing.T, jobID, primary string, m *s
 }
 
 func testOpts(g GatewayConfig) core.Options {
-	o := core.Options{
-		BlockSize: g.BlockSize, Ordering: g.Ordering, Blocking: g.Blocking,
-		AmalgThreshold: g.AmalgThreshold, Exec: g.Exec,
-	}
+	o := core.Options{BlockSize: g.BlockSize, Exec: g.Exec}
 	if o.BlockSize == 0 {
 		o.BlockSize = core.DefaultBlockSize
 	}

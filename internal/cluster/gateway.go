@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"blockfanout/internal/admission"
-	"blockfanout/internal/blocks"
 	"blockfanout/internal/cluster/wire"
 	"blockfanout/internal/core"
 	"blockfanout/internal/fanout"
@@ -21,7 +20,6 @@ import (
 	"blockfanout/internal/kernels"
 	"blockfanout/internal/machine"
 	"blockfanout/internal/mapping"
-	"blockfanout/internal/order"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/server"
 )
@@ -31,14 +29,11 @@ type GatewayConfig struct {
 	// Procs is the virtual processor count of every job's block mapping
 	// (default 8); the speed-aware partition spreads these over the nodes.
 	Procs int
-	// Plan-construction options, shared with every node (default: uniform
-	// blocking, work-stealing engine, and the zero Ordering, which
-	// order.Compute resolves to MinDegree).
-	BlockSize      int
-	Blocking       blocks.Strategy
-	Ordering       order.Method
-	Exec           fanout.Mode
-	AmalgThreshold float64
+	// Plan-construction options, shared with every node. Jobs are planned
+	// with uniform blocking and the default ordering (minimum degree);
+	// Exec defaults to the work-stealing engine.
+	BlockSize int
+	Exec      fanout.Mode
 	// Replicas is how many assembly targets hold the factor beyond the
 	// primary (default 1), for solve failover.
 	Replicas int
@@ -325,13 +320,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // tuned-map propagation, not the server's measured first factorization.
 func NewGatewayFront(cfg GatewayConfig, front server.Config) *Gateway {
 	cfg.fillDefaults()
-	opts := core.Options{
-		BlockSize:      cfg.BlockSize,
-		Ordering:       cfg.Ordering,
-		Blocking:       cfg.Blocking,
-		AmalgThreshold: cfg.AmalgThreshold,
-		Exec:           cfg.Exec,
-	}
+	opts := core.Options{BlockSize: cfg.BlockSize, Exec: cfg.Exec}
 	g := &Gateway{
 		cfg:     cfg,
 		planKey: opts.ConfigKey(),
@@ -635,9 +624,7 @@ func (g *Gateway) broadcastStartLocked(j *gwJob) {
 	sj := &wire.StartJob{
 		JobID: j.id, RunID: j.runID, Epoch: j.epoch,
 		N: uint32(j.plan.A.N), ColPtr: colptr, RowInd: rowind, Val: j.val,
-		BlockSize: uint32(g.cfg.BlockSize),
-		Blocking:  uint8(g.cfg.Blocking), Ordering: uint8(g.cfg.Ordering),
-		Exec: uint8(g.cfg.Exec), AmalgThr: g.cfg.AmalgThreshold,
+		BlockSize: uint32(g.cfg.BlockSize), Exec: uint8(g.cfg.Exec),
 		Procs: uint32(g.cfg.Procs), NodeOf: append([]uint16(nil), j.nodeOf...),
 		Participants: parts, Primary: uint16(j.primary), Replicas: reps,
 		Frontier: j.frontier,

@@ -823,8 +823,8 @@ func (j *nodeJob) watermarkLocked() uint32 {
 		return 0
 	}
 	var w uint32
-	for col := 0; col < j.pr.BS.N(); col++ {
-		for bi := range j.pr.BS.Cols[col].Blocks {
+	for col := 0; col < j.pr.N(); col++ {
+		for bi := range j.pr.Cols[col].Blocks {
 			if !j.haveData[j.pr.BlockID(col, bi)] {
 				return w
 			}

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"hash/fnv"
 	"sort"
+
+	"blockfanout/internal/sparse"
 )
 
 // ring is a consistent-hash ring over participant indices. The gateway
@@ -29,7 +32,7 @@ func buildRing(ids []string) *ring {
 	for i, id := range ids {
 		h := fnv1a(id)
 		for v := 0; v < ringVnodes; v++ {
-			h = fnvMix(h, uint64(v)+1)
+			h = sparse.FNVMix(h, uint64(v)+1)
 			r.hs = append(r.hs, h)
 			r.idx = append(r.idx, i)
 		}
@@ -75,27 +78,9 @@ func (r *ring) pick(key uint64, n int, alive func(int) bool) []int {
 	return out
 }
 
-// FNV-1a over a string, plus the integer fold shared with the sparse
-// pattern hash (duplicated to avoid exporting it from internal/sparse).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
+// fnv1a is FNV-1a over the bytes of s.
 func fnv1a(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }

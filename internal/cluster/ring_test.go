@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"blockfanout/internal/sparse"
 )
 
 func TestRingDeterministicAndDistinct(t *testing.T) {
@@ -66,7 +68,7 @@ func TestRingBalance(t *testing.T) {
 	r := buildRing(ids)
 	counts := make([]int, 8)
 	for k := 0; k < 4000; k++ {
-		counts[r.pick(fnvMix(fnvOffset64, uint64(k)), 1, func(int) bool { return true })[0]]++
+		counts[r.pick(sparse.FNVMix(sparse.FNVOffset, uint64(k)), 1, func(int) bool { return true })[0]]++
 	}
 	for i, c := range counts {
 		if c == 0 {

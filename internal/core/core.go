@@ -98,18 +98,8 @@ const (
 // with different blocking strategies, block sizes, orderings, or
 // amalgamation settings never collide on the same matrix pattern.
 func (o Options) ConfigKey() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
+	h := uint64(sparse.FNVOffset)
+	mix := func(v uint64) { h = sparse.FNVMix(h, v) }
 	mix(uint64(o.BlockSize))
 	// The resolved method, so Default and MinDegree share a key.
 	mix(uint64(o.Ordering.Resolve()))

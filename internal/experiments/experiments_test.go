@@ -1,12 +1,22 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"blockfanout/internal/gen"
 )
 
+// wallClockRunners print measured times, so their output differs from run
+// to run and has no golden file.
+var wallClockRunners = map[string]bool{"organizations": true, "remap": true}
+
+// TestAllRunnersProduceOutput runs every experiment at CI scale. Every
+// runner except the wall-clock ones must reproduce its testdata/NAME.txt
+// byte for byte: the tables are deterministic functions of the analysis,
+// the mapping and the simulator.
 func TestAllRunnersProduceOutput(t *testing.T) {
 	cfg := Default(gen.ScaleCI)
 	for _, r := range All() {
@@ -27,6 +37,16 @@ func TestAllRunnersProduceOutput(t *testing.T) {
 				!strings.Contains(out, "P=") && !strings.Contains(out, "P ") &&
 				!strings.Contains(out, "Cyclic") {
 				t.Fatalf("%s output lacks benchmark rows:\n%s", r.Name, out)
+			}
+			if wallClockRunners[r.Name] {
+				return
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", r.Name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Fatalf("%s output differs from testdata/%s.txt:\n%s", r.Name, r.Name, out)
 			}
 		})
 	}

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blockfanout/internal/blocks"
 	"blockfanout/internal/kernels"
 	"blockfanout/internal/numeric"
 	"blockfanout/internal/obs"
@@ -112,7 +113,7 @@ type Executor struct {
 	pinned bool
 
 	// Engine state; see steal.go.
-	pairs      *sched.PairTable
+	pairs      *blocks.PairTable
 	srcInit    []int32 // pairing → initial source count (2, or 1 when A==B)
 	srcLeft    []int32 // pairing → remaining sources (atomic)
 	finInit    []int32 // block → initial NMods (+1 diag arrival if off-diag)

@@ -148,11 +148,7 @@ func (ex *Executor) initEngine() {
 	// workers have no ownership identity).
 	ex.seeds = make([][]int32, np)
 	rr := 0
-	for j := range pr.BS.Cols {
-		id := pr.BlockID(j, 0)
-		if pr.NMods[id] != 0 {
-			continue
-		}
+	for _, id := range pr.Seeds {
 		if ex.restrict != nil {
 			if ex.execMask[id] {
 				ex.seeds[rr%np] = append(ex.seeds[rr%np], id)
@@ -423,7 +419,7 @@ func (w *wsWorker) propagate(id int32) {
 	ex := w.ex
 	pr := ex.pr
 	k, idx := int(pr.ColOf[id]), int(pr.IdxOf[id])
-	nb := len(pr.BS.Cols[k].Blocks)
+	nb := len(pr.Cols[k].Blocks)
 	if idx == 0 {
 		for j := 1; j < nb; j++ {
 			bid := pr.BlockID(k, j)
@@ -446,13 +442,8 @@ func (w *wsWorker) propagate(id int32) {
 			}
 		}
 	} else {
-		base := pr.ModBase[k]
 		for jb := 1; jb < nb; jb++ {
-			hi, lo := idx, jb
-			if hi < lo {
-				hi, lo = lo, hi
-			}
-			p := int32(base + (hi-1)*hi/2 + lo - 1)
+			p := int32(pr.PairIndex(k, idx, jb))
 			if atomic.AddInt32(&ex.srcLeft[p], -1) == 0 {
 				w.ready(p)
 			}

@@ -388,7 +388,7 @@ func Simulate(pr *sched.Program, cfg Config) (Result, error) {
 		pending:   make([][]pend, np),
 		idle:      make([]bool, np),
 	}
-	s.res.SeqTime = float64(pr.BS.TotalFlops)/cfg.FlopRate + float64(pr.BS.TotalOps)*cfg.OpOverhead
+	s.res.SeqTime = float64(pr.TotalFlops)/cfg.FlopRate + float64(pr.TotalOps)*cfg.OpOverhead
 	for p := 0; p < np; p++ {
 		s.arrivedAt[p] = make(map[int32]bool)
 		s.alive[p] = true
@@ -406,11 +406,8 @@ func Simulate(pr *sched.Program, cfg Config) (Result, error) {
 	}
 
 	// Seed events: leaf diagonal blocks are factorable at t=0.
-	for j := range pr.BS.Cols {
-		id := pr.BlockID(j, 0)
-		if pr.NMods[id] == 0 {
-			s.push(0, pr.Owner[id], id, false, true)
-		}
+	for _, id := range pr.Seeds {
+		s.push(0, pr.Owner[id], id, false, true)
 	}
 
 	if err := s.run(); err != nil {
@@ -519,7 +516,7 @@ func (s *simulator) handle(id int32) {
 	pr := s.pr
 	k := int(pr.ColOf[id])
 	idx := int(pr.IdxOf[id])
-	colK := &pr.BS.Cols[k]
+	colK := &pr.Cols[k]
 	if idx == 0 {
 		for j := 1; j < len(colK.Blocks); j++ {
 			bid := pr.BlockID(k, j)

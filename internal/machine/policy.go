@@ -29,14 +29,13 @@ func (p Policy) String() string {
 // being available. Blocks of column K feed destinations in strictly later
 // columns, so a single reverse sweep suffices.
 func Priorities(pr *sched.Program, cfg Config) []float64 {
-	bs := pr.BS
 	cost := func(flops int64) float64 {
 		return float64(flops)/cfg.FlopRate + cfg.OpOverhead
 	}
 	level := make([]float64, pr.NBlocks)
 
-	for k := bs.N() - 1; k >= 0; k-- {
-		col := &bs.Cols[k]
+	for k := pr.N() - 1; k >= 0; k-- {
+		col := &pr.Cols[k]
 		// Off-diagonal blocks: their completion feeds BMODs into later
 		// columns; a mod finishing feeds the destination's own op and
 		// everything after it.

@@ -234,10 +234,10 @@ func (f *Factor) MaxBlockRows() int {
 
 // BMOD applies the update L_IJ ← L_IJ − L_IK·L_JKᵀ, where the sources are
 // blocks ia (the I side) and jb (the J side) of column k, with
-// Blocks[ia].I ≥ Blocks[jb].I. It finds the destination block and builds
-// the row index map by a sorted merge, then runs BMODMapped; executors
-// that precompute both per pairing (sched.PairTable) call BMODMapped
-// directly.
+// Blocks[ia].I ≥ Blocks[jb].I. It reads the destination from the block
+// structure's ModDest table and builds the row index map by a sorted
+// merge, then runs BMODMapped; executors that precompute the map per
+// pairing (blocks.PairTable) call BMODMapped directly.
 func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 	colK := &f.BS.Cols[k]
 	srcA, srcB := &colK.Blocks[ia], &colK.Blocks[jb]
@@ -245,12 +245,8 @@ func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 	if destI < destJ {
 		return fmt.Errorf("numeric: BMOD sources out of order (I=%d < J=%d)", destI, destJ)
 	}
-	destCol := &f.BS.Cols[destJ]
-	dbi := findBlock(destCol, destI)
-	if dbi < 0 {
-		return fmt.Errorf("numeric: BMOD dest (%d,%d) missing", destI, destJ)
-	}
-	dest := &destCol.Blocks[dbi]
+	dbi := int(f.BS.IdxOf[f.BS.ModDestID(k, ia, jb)])
+	dest := &f.BS.Cols[destJ].Blocks[dbi]
 	ws.Reserve(len(srcA.Rows))
 	relRow := ws.relRow[:len(srcA.Rows)]
 	d := 0
@@ -270,7 +266,7 @@ func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 // BMODMapped is BMOD with the destination's index dbi within column
 // Blocks[jb].I and the row map relRow (the position of each row of
 // Blocks[ia] in the destination's row list) supplied by the caller; a
-// relRow shorter than the source (sched.PairTable's compressed form)
+// relRow shorter than the source (blocks.PairTable's compressed form)
 // stands for the consecutive run from relRow[0]. The column map is the
 // source rows' offsets within panel Blocks[jb].I.
 //
@@ -312,22 +308,6 @@ func (f *Factor) BMODMapped(k, ia, jb, dbi int, relRow []int32, ws *Workspace) {
 		return
 	}
 	ws.kw.MulSubScattered(cd, wJ, a, ra, b, rb, wK, relRow, relCol)
-}
-
-func findBlock(col *blocks.BlockCol, i int) int {
-	lo, hi := 0, len(col.Blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if col.Blocks[mid].I < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(col.Blocks) && col.Blocks[lo].I == i {
-		return lo
-	}
-	return -1
 }
 
 // FactorSequential runs the right-looking block factorization on a single

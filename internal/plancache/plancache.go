@@ -69,16 +69,7 @@ type Entry struct {
 // combineKey folds the configuration digest into the pattern hash with an
 // extra FNV-1a round so (pattern, config) pairs spread over the full key
 // space instead of XOR-cancelling.
-func combineKey(pattern, cfg uint64) uint64 {
-	const prime64 = 1099511628211
-	h := pattern
-	for i := 0; i < 8; i++ {
-		h ^= cfg & 0xff
-		h *= prime64
-		cfg >>= 8
-	}
-	return h
-}
+func combineKey(pattern, cfg uint64) uint64 { return sparse.FNVMix(pattern, cfg) }
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {

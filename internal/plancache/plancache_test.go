@@ -254,3 +254,18 @@ func TestBuildErrorNotCached(t *testing.T) {
 		t.Fatalf("rebuild after failure: hit=%v err=%v", hit, err)
 	}
 }
+
+// TestCombineKeyGolden pins the cache key fold on fixed inputs: warm-start
+// restores look entries up under it, so a drift would miss every entry a
+// previous build filed.
+func TestCombineKeyGolden(t *testing.T) {
+	for _, tc := range []struct{ pattern, cfg, want uint64 }{
+		{0, 0, 0},
+		{0xc8d90bbad380606d, 0x262d7130518e6c61, 0x39c6ad57b5c9c7dd},
+		{0xcbf29ce484222325, 0x429d456e6e57027f, 0xf183c39f6806cae3},
+	} {
+		if got := combineKey(tc.pattern, tc.cfg); got != tc.want {
+			t.Errorf("combineKey(%#x, %#x) = %#x, want %#x", tc.pattern, tc.cfg, got, tc.want)
+		}
+	}
+}

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"blockfanout/internal/admission"
-	"blockfanout/internal/blocks"
 	"blockfanout/internal/core"
 	"blockfanout/internal/fanout"
 	"blockfanout/internal/kernels"
@@ -88,18 +87,10 @@ type Config struct {
 	// BlockSize is the panel width B of new plans (default
 	// core.DefaultBlockSize).
 	BlockSize int
-	// Blocking selects the partitioning strategy for new plans (default
-	// blocks.StrategyUniform); AmalgThreshold is the relative-fill
-	// amalgamation threshold for the irregular strategy (0 = default).
-	// Both are part of the plan-cache key, so servers configured
-	// differently never share cached analyses even across restarts of the
-	// same process.
-	Blocking       blocks.Strategy
-	AmalgThreshold float64
 	// Exec selects the parallel execution engine for factorizations
-	// (default fanout.ModeWorkStealing, "steal"); like Blocking it is part
-	// of the plan-cache key, since each cached plan's factors embed an
-	// executor of the configured mode.
+	// (default fanout.ModeWorkStealing, "steal"); like BlockSize it is
+	// part of the plan-cache key, since each cached plan's factors embed
+	// an executor of the configured mode.
 	Exec fanout.Mode
 	// Tune enables feedback-driven mapping: the first factorization of each
 	// pattern runs under a measuring recorder, its per-block span costs are
@@ -299,7 +290,7 @@ type Server struct {
 // New builds a Server whose requests run on the in-process Local backend.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
-	opts := core.Options{BlockSize: cfg.BlockSize, Blocking: cfg.Blocking, AmalgThreshold: cfg.AmalgThreshold, Exec: cfg.Exec}
+	opts := core.Options{BlockSize: cfg.BlockSize, Exec: cfg.Exec}
 	return newServer(cfg, opts, nil)
 }
 

@@ -77,18 +77,21 @@ func (m *Matrix) Validate() error {
 	return nil
 }
 
-// FNV-1a 64-bit constants (hash/fnv duplicated here to keep the hot,
-// allocation-free loop inlined over raw ints instead of byte slices).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// FNVOffset is the FNV-1a 64-bit offset basis: the state an FNVMix chain
+// starts from.
+const FNVOffset = 14695981039346656037
 
-// fnvMix folds one integer (as 8 little-endian bytes) into an FNV-1a state.
-func fnvMix(h, v uint64) uint64 {
+// FNVMix folds one integer, as 8 little-endian bytes, into an FNV-1a
+// state. It is the one fold behind every persisted or routed digest
+// (PatternHash, core's ConfigKey, store's ValChecksum, tune's Fingerprint,
+// the plan cache key, the cluster's ring and map signature); it works on
+// raw integers rather than hash/fnv's byte slices so that it inlines and
+// allocates nothing.
+func FNVMix(h, v uint64) uint64 {
+	const prime = 1099511628211
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
-		h *= fnvPrime64
+		h *= prime
 		v >>= 8
 	}
 	return h
@@ -101,12 +104,12 @@ func fnvMix(h, v uint64) uint64 {
 // (analysis and block partitioning depend only on structure, so a cached
 // Plan can be refactored with new values). The hash allocates nothing.
 func (m *Matrix) PatternHash() uint64 {
-	h := fnvMix(uint64(fnvOffset64), uint64(m.N))
+	h := FNVMix(FNVOffset, uint64(m.N))
 	for _, p := range m.ColPtr {
-		h = fnvMix(h, uint64(p))
+		h = FNVMix(h, uint64(p))
 	}
 	for _, r := range m.RowInd {
-		h = fnvMix(h, uint64(r))
+		h = FNVMix(h, uint64(r))
 	}
 	return h
 }

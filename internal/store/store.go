@@ -111,15 +111,9 @@ type BlockSnapshot struct {
 // ValChecksum is the value fingerprint BlockSnapshots carry: FNV-1a over
 // the IEEE-754 bits of the (permuted) value slice.
 func ValChecksum(vals []float64) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
+	h := uint64(sparse.FNVOffset)
 	for _, v := range vals {
-		b := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= b & 0xff
-			h *= prime64
-			b >>= 8
-		}
+		h = sparse.FNVMix(h, math.Float64bits(v))
 	}
 	return h
 }

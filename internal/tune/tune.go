@@ -25,6 +25,7 @@ import (
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/obs"
 	"blockfanout/internal/sched"
+	"blockfanout/internal/sparse"
 	"blockfanout/internal/store"
 )
 
@@ -55,7 +56,7 @@ func BuildProfile(rec *obs.Recorder, pr *sched.Program, patternHash, cfgKey uint
 	if rec.Dropped() > 0 {
 		return nil, fmt.Errorf("%w (%d dropped)", ErrTruncated, rec.Dropped())
 	}
-	n := pr.BS.N()
+	n := pr.N()
 	cost := make([][]int64, n)
 	for i := range cost {
 		cost[i] = make([]int64, n)
@@ -69,7 +70,7 @@ func BuildProfile(rec *obs.Recorder, pr *sched.Program, patternHash, cfgKey uint
 		}
 		id := s.Block
 		j := pr.ColOf[id]
-		i := pr.BS.Cols[j].Blocks[pr.IdxOf[id]].I
+		i := pr.Cols[j].Blocks[pr.IdxOf[id]].I
 		d := s.End - s.Start
 		if d <= 0 {
 			// Sub-resolution span: charge one tick so the block still
@@ -96,15 +97,8 @@ func BuildProfile(rec *obs.Recorder, pr *sched.Program, patternHash, cfgKey uint
 // so plans tuned from different measurements can never alias in the plan
 // cache or the snapshot store.
 func (p *CostProfile) Fingerprint() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
+	h := uint64(sparse.FNVOffset)
+	mix := func(v uint64) { h = sparse.FNVMix(h, v) }
 	mix(p.PatternHash)
 	mix(p.ConfigKey)
 	mix(uint64(p.Procs))
