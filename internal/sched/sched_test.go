@@ -235,45 +235,52 @@ func TestAssignmentOverride(t *testing.T) {
 }
 
 func TestModDestTableMatchesFindID(t *testing.T) {
-	_, bs := setup(t, gen.IrregularMesh(250, 5, 3, 29), ord.MinDegree, 0, 8)
-	pr := Build(bs, Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 3}, bs.N())})
+	_, mesh := setup(t, gen.IrregularMesh(250, 5, 3, 29), ord.MinDegree, 0, 8)
+	_, grid := setup(t, gen.Grid2D(14), ord.NDGrid2D, 14, 6)
+	for name, bs := range map[string]*blocks.Structure{
+		"mesh":           mesh,
+		"grid":           grid,
+		"cube/irregular": irregularBlocks(t, gen.Cube3D(6), ord.NDCube3D, 6, 8),
+	} {
+		pr := Build(bs, Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 3}, bs.N())})
 
-	// Every (k, ia, jb) pairing, in both argument orders, must resolve to
-	// the same id the binary search finds from coordinates.
-	pairs := 0
-	for k := range bs.Cols {
-		col := &bs.Cols[k]
-		for ia := 1; ia < len(col.Blocks); ia++ {
-			for jb := 1; jb <= ia; jb++ {
-				destI := col.Blocks[ia].I
-				destJ := col.Blocks[jb].I
-				want := pr.FindID(destI, destJ)
-				if want < 0 {
-					t.Fatalf("pairing (%d,%d,%d): destination (%d,%d) not in structure",
-						k, ia, jb, destI, destJ)
+		// Every (k, ia, jb) pairing, in both argument orders, must resolve
+		// to the same id the binary search finds from coordinates.
+		pairs := 0
+		for k := range bs.Cols {
+			col := &bs.Cols[k]
+			for ia := 1; ia < len(col.Blocks); ia++ {
+				for jb := 1; jb <= ia; jb++ {
+					destI := col.Blocks[ia].I
+					destJ := col.Blocks[jb].I
+					want := pr.FindID(destI, destJ)
+					if want < 0 {
+						t.Fatalf("%s pairing (%d,%d,%d): destination (%d,%d) not in structure",
+							name, k, ia, jb, destI, destJ)
+					}
+					if got := pr.ModDestID(k, ia, jb); got != want {
+						t.Fatalf("%s: ModDestID(%d,%d,%d)=%d, FindID(%d,%d)=%d",
+							name, k, ia, jb, got, destI, destJ, want)
+					}
+					if got := pr.ModDestID(k, jb, ia); got != want {
+						t.Fatalf("%s: ModDestID(%d,%d,%d) (swapped)=%d, want %d", name, k, jb, ia, got, want)
+					}
+					pairs++
 				}
-				if got := pr.ModDestID(k, ia, jb); got != want {
-					t.Fatalf("ModDestID(%d,%d,%d)=%d, FindID(%d,%d)=%d",
-						k, ia, jb, got, destI, destJ, want)
-				}
-				if got := pr.ModDestID(k, jb, ia); got != want {
-					t.Fatalf("ModDestID(%d,%d,%d) (swapped)=%d, want %d", k, jb, ia, got, want)
-				}
-				pairs++
 			}
 		}
-	}
-	if pairs == 0 {
-		t.Fatal("no pairings exercised")
-	}
-	// Table sized exactly: sum over columns of m(m+1)/2 entries.
-	want := 0
-	for k := range bs.Cols {
-		m := len(bs.Cols[k].Blocks) - 1
-		want += m * (m + 1) / 2
-	}
-	if len(pr.ModDest) != want {
-		t.Fatalf("ModDest has %d entries, want %d", len(pr.ModDest), want)
+		if pairs == 0 {
+			t.Fatalf("%s: no pairings exercised", name)
+		}
+		// Table sized exactly: sum over columns of m(m+1)/2 entries.
+		want := 0
+		for k := range bs.Cols {
+			m := len(bs.Cols[k].Blocks) - 1
+			want += m * (m + 1) / 2
+		}
+		if len(pr.ModDest) != want {
+			t.Fatalf("%s: ModDest has %d entries, want %d", name, len(pr.ModDest), want)
+		}
 	}
 }
 
