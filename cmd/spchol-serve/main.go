@@ -69,7 +69,6 @@ func run() error {
 		drainWait    = flag.Duration("drain-wait", 30*time.Second, "how long shutdown waits for in-flight requests")
 		debugAddr    = flag.String("debug-addr", "", "optional second listener with net/http/pprof and /metrics (keep it off the public network)")
 		storeDir     = flag.String("store-dir", "", "durable snapshot store directory; factors persist across restarts and are warm-started on boot (empty = no durability)")
-		tuneFlag     = flag.Bool("tune", false, "feedback-driven mapping: measure the first factorization of each pattern and remap its blocks from the measured costs when that predicts a better balance (gateway: propagate persisted tuned mappings to nodes)")
 		snapEvery    = flag.Duration("snapshot-interval", 0, "minimum spacing between write-behind snapshots of the same factor (0 = default 1s, negative = snapshot every factorization)")
 
 		tenantsPath    = flag.String("tenants", "", "JSON file of per-tenant admission limits; the \"default\" key meters tenants not listed (empty = unmetered)")
@@ -110,7 +109,6 @@ func run() error {
 		RequestTimeout:   *timeout,
 		BlockSize:        *block,
 		Exec:             mode,
-		Tune:             *tuneFlag,
 		StoreDir:         *storeDir,
 		SnapshotInterval: *snapEvery,
 		TenantDefault:    tenantDefault,
@@ -141,7 +139,6 @@ func run() error {
 			HeartbeatMisses:      *beatMisses,
 			HeartbeatTimeout:     *beatLimit,
 			DisableLocalFallback: !*fallbackFlag,
-			Tune:                 *tuneFlag,
 			Logf:                 log.Printf,
 		}, cfg)
 		srv = gw.Front()

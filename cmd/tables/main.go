@@ -7,7 +7,7 @@
 // Experiments: table1 figure1 table2 table3 table4 table5 table6 table7
 // alt-heuristic relprime commfrac critpath concurrency subcube blocksize
 // irrblocking priosched commscaling onedim arbitrary organizations colfan
-// amalgamation domains faults timeline remap (-exp with an unknown name
+// amalgamation domains faults timeline (-exp with an unknown name
 // lists them with their descriptions).
 // -scale paper uses the paper's matrix sizes (minutes of CPU); the default
 // ci scale uses structurally identical reduced matrices.

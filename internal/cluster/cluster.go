@@ -29,7 +29,6 @@ import (
 	"blockfanout/internal/cluster/wire"
 	"blockfanout/internal/core"
 	"blockfanout/internal/fanout"
-	"blockfanout/internal/mapping"
 	"blockfanout/internal/order"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
@@ -46,73 +45,6 @@ func planOptions(sj *wire.StartJob) core.Options {
 		AmalgThreshold: sj.AmalgThr,
 		Exec:           fanout.Mode(sj.Exec),
 	}
-}
-
-// wireMapping rebuilds a tuned mapping shipped in a StartJob, validating
-// dimensions and ranges so a corrupt or mismatched frame cannot index the
-// schedule out of bounds. Returns nil when the job carries no tuned map.
-func wireMapping(plan *core.Plan, sj *wire.StartJob) (*mapping.Mapping, error) {
-	if len(sj.MapI) == 0 && len(sj.MapJ) == 0 {
-		return nil, nil
-	}
-	n := plan.BS.N()
-	if len(sj.MapI) != n || len(sj.MapJ) != n {
-		return nil, fmt.Errorf("cluster: tuned map sized %d×%d for a %d-panel plan", len(sj.MapI), len(sj.MapJ), n)
-	}
-	g := mapping.Grid{Pr: int(sj.MapPr), Pc: int(sj.MapPc)}
-	if g.P() != int(sj.Procs) {
-		return nil, fmt.Errorf("cluster: tuned map grid %d×%d does not cover %d processors", g.Pr, g.Pc, sj.Procs)
-	}
-	mi := make([]int, n)
-	mj := make([]int, n)
-	for k := 0; k < n; k++ {
-		if int(sj.MapI[k]) >= g.Pr || int(sj.MapJ[k]) >= g.Pc {
-			return nil, fmt.Errorf("cluster: tuned map entry %d = (%d,%d) outside grid %d×%d", k, sj.MapI[k], sj.MapJ[k], g.Pr, g.Pc)
-		}
-		mi[k] = int(sj.MapI[k])
-		mj[k] = int(sj.MapJ[k])
-	}
-	return &mapping.Mapping{Grid: g, MapI: mi, MapJ: mj}, nil
-}
-
-// scheduleFromJob derives one participant's schedule for a StartJob: the
-// serving tier's static schedule (core.Plan.ServingAssignment), or — when
-// the job carries a tuned map — the schedule under that measured-cost
-// mapping with no domain override (the gateway's adoption decision
-// compared loads under exactly this ownership; see internal/tune). Every
-// participant and the gateway derive the same program from the same frame.
-func scheduleFromJob(plan *core.Plan, sj *wire.StartJob) (*sched.Program, error) {
-	tm, err := wireMapping(plan, sj)
-	if err != nil {
-		return nil, err
-	}
-	if tm == nil {
-		return sched.Build(plan.BS, plan.ServingAssignment(int(sj.Procs))), nil
-	}
-	return sched.Build(plan.BS, plan.Assign(tm, 0)), nil
-}
-
-// mapSignature digests a StartJob's tuned-map fields so a node can detect
-// the mapping changing between runs of the same pattern (gateway adopted a
-// remap) and rebuild its cached schedule. FNV-1a; 0 only for the static
-// (empty-map) case by construction.
-func mapSignature(sj *wire.StartJob) uint64 {
-	if len(sj.MapI) == 0 && len(sj.MapJ) == 0 {
-		return 0
-	}
-	h := uint64(sparse.FNVOffset)
-	mix := func(v uint64) { h = sparse.FNVMix(h, v) }
-	mix(uint64(sj.MapPr)<<16 | uint64(sj.MapPc))
-	for _, v := range sj.MapI {
-		mix(uint64(v))
-	}
-	for _, v := range sj.MapJ {
-		mix(uint64(v))
-	}
-	if h == 0 {
-		h = 1 // keep 0 reserved for "static"
-	}
-	return h
 }
 
 // procLoads returns each virtual processor's flop load under the

@@ -5,29 +5,21 @@ import (
 	"testing"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/cluster/wire"
 	"blockfanout/internal/core"
 	"blockfanout/internal/fanout"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/order"
 	"blockfanout/internal/store"
 	"blockfanout/internal/symbolic"
-	"blockfanout/internal/tune"
 )
 
 // TestDigestsGolden pins every FNV-1a digest the system persists or routes
 // by to fixed values on fixed inputs. Snapshot files on disk are keyed by
-// PatternHash and ConfigKey, block snapshots carry ValChecksum, tuned plans
-// fold in the profile Fingerprint, and the assembly ring and a node's
-// cached schedule hang on the ring points and mapSignature: a digest that
-// drifts orphans state written by an earlier build.
+// PatternHash and ConfigKey, block snapshots carry ValChecksum, and the
+// assembly ring hangs on the ring points: a digest that drifts orphans
+// state written by an earlier build.
 func TestDigestsGolden(t *testing.T) {
 	amalg := &symbolic.AmalgamationConfig{MaxZeros: 16, MaxZeroFrac: 0.05}
-	prof := &tune.CostProfile{
-		PatternHash: 0x0123456789abcdef, ConfigKey: 0xfedcba9876543210, Procs: 4, N: 3,
-		Cost: [][]int64{{7, 0, 2}, {0, 3, 0}, {11, 0, 5}},
-	}
-	sj := &wire.StartJob{MapPr: 2, MapPc: 3, MapI: []uint16{0, 1, 1, 0, 2}, MapJ: []uint16{2, 0, 1}}
 	r := buildRing([]string{"node-a", "node-b", "node-c"})
 
 	for _, tc := range []struct {
@@ -41,13 +33,9 @@ func TestDigestsGolden(t *testing.T) {
 		{"ConfigKey/full", core.Options{
 			BlockSize: 16, Ordering: order.NDCube3D, GridDim: 9, Amalgamation: amalg,
 			Blocking: blocks.StrategyIrregular, AmalgThreshold: 0.25, Exec: fanout.ModeSPMD,
-			MapSource: core.MapTuned, MapFingerprint: 0x5eed,
-		}.ConfigKey(), 0x429d456e6e57027f},
+		}.ConfigKey(), 0x64d1eda63c2fbb2d},
 		{"ValChecksum/empty", store.ValChecksum(nil), 0xcbf29ce484222325},
 		{"ValChecksum/vals", store.ValChecksum([]float64{1, -2.5, 0, math.Pi, math.Inf(1)}), 0x7c39da198d5b64db},
-		{"Fingerprint", prof.Fingerprint(), 0xca10d8589c5e0a},
-		{"mapSignature/static", mapSignature(&wire.StartJob{}), 0},
-		{"mapSignature/tuned", mapSignature(sj), 0x228a47c8f8b243f5},
 		{"ring/point0", r.hs[0], 0xe52ac4dbcb267},
 		{"ring/point59", r.hs[59], 0x65d53207ae5011f8},
 		{"ring/point119", r.hs[119], 0xf87defaa753d20c6},

@@ -81,13 +81,6 @@ type GatewayConfig struct {
 	// (and degraded-mode local factors) persist across gateway restarts via
 	// WarmStart.
 	StoreDir string
-	// Tune enables feedback-driven mapping on the cluster path: WarmStart
-	// loads persisted cost profiles (internal/tune) from the store, rebuilds
-	// each pattern's measured-cost mapping, and every StartJob for such a
-	// pattern ships the tuned mapping so all participants derive the same
-	// remapped schedule. Mappings can also be registered directly with
-	// SetTunedMapping.
-	Tune bool
 	// RequestTimeout bounds each HTTP request's work (default 120s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 512 MiB).
@@ -212,10 +205,6 @@ type gwJob struct {
 	plan  *core.Plan
 	pr    *sched.Program
 	loads []int64 // per-virtual-processor flops
-	// tuned is the measured-cost mapping this job's schedule was built from
-	// (nil = static heuristics). Shipped in every StartJob so the nodes
-	// derive the identical program.
-	tuned *mapping.Mapping
 
 	mu       sync.Mutex
 	runID    uint64
@@ -267,10 +256,6 @@ type Gateway struct {
 	members []*member
 	byID    map[string]int
 	jobs    map[string]*gwJob
-	// tuned holds measured-cost mappings by pattern hash (loaded from
-	// persisted profiles at WarmStart or registered via SetTunedMapping);
-	// factor requests for a pattern with an entry ship it in StartJob.
-	tuned map[uint64]*mapping.Mapping
 
 	runSeq   atomic.Uint64
 	solveSeq atomic.Uint64
@@ -280,7 +265,6 @@ type Gateway struct {
 	metEpochRetries atomic.Uint64
 	metLocalFactors atomic.Uint64
 	metLocalSolves  atomic.Uint64
-	metTunedMaps    atomic.Uint64
 }
 
 // NewGateway builds a gateway whose request pipeline takes its settings
@@ -316,8 +300,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // fields (see StoreDir) are not consulted. Three front settings are the
 // cluster's to decide: the plan options and Procs come from cfg, because
 // every node derives its schedule from them; RHS batching is off, because
-// a cluster solve must not wait out a batch window; and Tune is cfg.Tune's
-// tuned-map propagation, not the server's measured first factorization.
+// a cluster solve must not wait out a batch window.
 func NewGatewayFront(cfg GatewayConfig, front server.Config) *Gateway {
 	cfg.fillDefaults()
 	opts := core.Options{BlockSize: cfg.BlockSize, Exec: cfg.Exec}
@@ -326,11 +309,9 @@ func NewGatewayFront(cfg GatewayConfig, front server.Config) *Gateway {
 		planKey: opts.ConfigKey(),
 		byID:    make(map[string]int),
 		jobs:    make(map[string]*gwJob),
-		tuned:   make(map[uint64]*mapping.Mapping),
 	}
 	front.Procs = cfg.Procs
 	front.BatchWindow = -1
-	front.Tune = false
 	g.front = server.NewFront(front, opts, g)
 	g.local = g.front.Local()
 	return g
@@ -339,38 +320,6 @@ func NewGatewayFront(cfg GatewayConfig, front server.Config) *Gateway {
 // Front returns the gateway's request pipeline, for draining, closing and
 // the debug listener.
 func (g *Gateway) Front() *server.Server { return g.front }
-
-// SetTunedMapping registers (or, with m == nil, clears) a measured-cost
-// mapping for a pattern: the next factor request for it ships the mapping
-// in StartJob and every participant schedules under it. The mapping's grid
-// must cover exactly cfg.Procs virtual processors.
-func (g *Gateway) SetTunedMapping(patternHash uint64, m *mapping.Mapping) error {
-	if m != nil && m.Grid.P() != g.cfg.Procs {
-		return fmt.Errorf("cluster: tuned mapping covers %d processors, gateway runs %d", m.Grid.P(), g.cfg.Procs)
-	}
-	g.mu.Lock()
-	if m == nil {
-		delete(g.tuned, patternHash)
-	} else {
-		g.tuned[patternHash] = m
-	}
-	g.metTunedMaps.Store(uint64(len(g.tuned)))
-	g.mu.Unlock()
-	return nil
-}
-
-// tunedFor returns the registered tuned mapping for a pattern if it fits
-// the plan (panel count must match — a profile measured under a different
-// blocking is useless here), nil otherwise.
-func (g *Gateway) tunedFor(patternHash uint64, plan *core.Plan) *mapping.Mapping {
-	g.mu.Lock()
-	tm := g.tuned[patternHash]
-	g.mu.Unlock()
-	if tm == nil || len(tm.MapJ) != plan.BS.N() {
-		return nil
-	}
-	return tm
-}
 
 // Serve accepts node control connections on ln until ctx is cancelled.
 func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
@@ -630,17 +579,6 @@ func (g *Gateway) broadcastStartLocked(j *gwJob) {
 		Frontier: j.frontier,
 		Tenant:   j.tenant, DeadlineUnixMicro: j.deadlineMicro,
 	}
-	if j.tuned != nil {
-		sj.MapPr, sj.MapPc = uint16(j.tuned.Grid.Pr), uint16(j.tuned.Grid.Pc)
-		sj.MapI = make([]uint16, len(j.tuned.MapI))
-		for i, v := range j.tuned.MapI {
-			sj.MapI[i] = uint16(v)
-		}
-		sj.MapJ = make([]uint16, len(j.tuned.MapJ))
-		for i, v := range j.tuned.MapJ {
-			sj.MapJ[i] = uint16(v)
-		}
-	}
 	for i, m := range j.members {
 		if !parts[i].Alive {
 			continue
@@ -749,18 +687,9 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 	if j.plan != nil && !j.plan.A.SamePattern(m) {
 		return resp, server.WithStatus(http.StatusConflict, fmt.Errorf("factor id %s is held by a different sparsity pattern (hash collision)", id))
 	}
-	// (Re)build the schedule when the job is new or its tuned mapping
-	// changed — a measured remap registered between runs must reshape this
-	// run, not the next restart's.
-	if tm := g.tunedFor(m.PatternHash(), entry.Plan); j.plan == nil || j.tuned != tm {
-		j.plan, j.tuned = entry.Plan, tm
-		a := entry.Assign
-		if tm != nil {
-			// No domain override under a tuned map: the remap balanced loads
-			// under exactly this ownership (see internal/tune).
-			a = entry.Plan.Assign(tm, 0)
-		}
-		j.pr = sched.Build(entry.Plan.BS, a)
+	if j.plan == nil {
+		j.plan = entry.Plan
+		j.pr = sched.Build(entry.Plan.BS, entry.Assign)
 		j.loads = procLoads(j.pr)
 	}
 
@@ -1084,7 +1013,6 @@ type clusterDoc struct {
 	EpochRetries uint64    `json:"epoch_retries"` // backoff restarts after infra failures
 	LocalFactors uint64    `json:"local_factors"` // degraded-mode factorizations
 	LocalSolves  uint64    `json:"local_solves"`  // solves served by the Local backend
-	TunedMaps    uint64    `json:"tuned_maps"`    // measured-cost mappings registered for propagation
 	Jobs         int       `json:"jobs"`
 	Nodes        []nodeRow `json:"nodes"`
 }
@@ -1104,7 +1032,6 @@ func (g *Gateway) Status() server.BackendStatus {
 		EpochRetries: g.metEpochRetries.Load(),
 		LocalFactors: g.metLocalFactors.Load(),
 		LocalSolves:  g.metLocalSolves.Load(),
-		TunedMaps:    g.metTunedMaps.Load(),
 		Jobs:         jobs,
 		Nodes:        []nodeRow{},
 	}

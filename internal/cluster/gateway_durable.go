@@ -8,7 +8,6 @@ import (
 	"blockfanout/internal/server"
 	"blockfanout/internal/sparse"
 	"blockfanout/internal/store"
-	"blockfanout/internal/tune"
 )
 
 // jitterBackoff is the attempt-th retry's wait: base·2^(attempt-1) with
@@ -56,23 +55,11 @@ func (g *Gateway) saveSnapshot(j *gwJob, m *sparse.Matrix) {
 }
 
 // WarmStart restores the gateway's working set from the snapshot store:
-// with Tune, persisted cost profiles first become tuned mappings; then
 // every snapshot written under this gateway's configuration returns its
 // plan to the plan cache, and snapshots that carry factor blocks — written
 // by degraded-mode factorizations — also restore a Local-backend factor,
 // so the restarted gateway serves those solves before any node rejoins.
 // Returns the number of snapshots restored.
 func (g *Gateway) WarmStart() (int, error) {
-	if g.cfg.Tune {
-		// Profiles measured at a different parallel width are still usable
-		// — per-block costs do not depend on the virtual processor count —
-		// because the remap search regrids for cfg.Procs.
-		g.front.TunedProfiles(func(hash uint64, prof *tune.CostProfile) bool {
-			if tm, _ := tune.Search(prof, g.cfg.Procs); tm != nil {
-				g.SetTunedMapping(hash, tm)
-			}
-			return true
-		})
-	}
 	return g.front.WarmStart()
 }

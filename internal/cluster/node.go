@@ -125,13 +125,8 @@ type nodeJob struct {
 
 	plan *core.Plan
 	pr   *sched.Program
-	// mapSig identifies which tuned mapping (0 = static) j.pr was built
-	// from, so a run arriving with a different map — the gateway adopted a
-	// measured remap since this pattern's plan was cached — rebuilds the
-	// schedule instead of executing under stale ownership.
-	mapSig uint64
-	nf     *numeric.Factor
-	pav    []float64 // permuted values of the current run
+	nf   *numeric.Factor
+	pav  []float64 // permuted values of the current run
 
 	myIdx    int
 	local    []bool // blocks this node executes under the current epoch
@@ -548,14 +543,10 @@ func (j *nodeJob) startLocked(n *Node, sj *wire.StartJob) error {
 		if err != nil {
 			return err
 		}
+		// The serving tier's schedule: the gateway derives the identical
+		// program from the same plan options and Procs.
 		j.plan, j.nf = plan, nf
-	}
-	if sig := mapSignature(sj); j.pr == nil || sig != j.mapSig {
-		pr, err := scheduleFromJob(j.plan, sj)
-		if err != nil {
-			return err
-		}
-		j.pr, j.mapSig = pr, sig
+		j.pr = sched.Build(plan.BS, plan.ServingAssignment(int(sj.Procs)))
 	}
 	if len(sj.NodeOf) != j.pr.NProc {
 		return fmt.Errorf("cluster: NodeOf has %d entries for %d processors", len(sj.NodeOf), j.pr.NProc)

@@ -48,8 +48,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 			},
 			Primary: 1, Replicas: []uint16{0}, Frontier: 17,
 			Tenant: "team-solvers", DeadlineUnixMicro: 1_700_000_000_123_456,
-			MapPr: 4, MapPc: 2,
-			MapI: []uint16{0, 1, 2, 3}, MapJ: []uint16{0, 1, 0, 1},
 		}},
 		{Type: TAbort, Abort: &Abort{JobID: "ab12cd", RunID: 3, Epoch: 1, Reason: "peer died"}},
 		{Type: TBlockData, BlockData: &BlockData{

@@ -69,29 +69,7 @@ type Options struct {
 	// the serving tier, so plans requested under different engines must
 	// never alias in the plan cache.
 	Exec fanout.Mode
-	// MapSource records the provenance of the block→processor mapping the
-	// plan's factors are built under. The zero value (MapStatic) is the
-	// modeled-flop heuristic mapping and keeps ConfigKey identical to
-	// pre-provenance keys; MapTuned marks a mapping rebuilt from a measured
-	// cost profile (internal/tune). It is part of ConfigKey so a tuned plan
-	// and its static-mapped ancestor — same pattern, same analysis options —
-	// can never alias in the plan cache or serve each other's snapshots.
-	MapSource MapSource
-	// MapFingerprint distinguishes tuned mappings built from different cost
-	// profiles (tune.CostProfile.Fingerprint). Zero — and ignored — under
-	// MapStatic.
-	MapFingerprint uint64
 }
-
-// MapSource is the provenance of a plan's block→processor mapping.
-type MapSource uint8
-
-const (
-	// MapStatic is the default modeled-flop heuristic mapping.
-	MapStatic MapSource = iota
-	// MapTuned is a mapping rebuilt from measured span costs.
-	MapTuned
-)
 
 // ConfigKey returns a 64-bit FNV-1a digest of every option that changes the
 // analyzed plan. The plan cache mixes it into the pattern key so plans built
@@ -111,12 +89,6 @@ func (o Options) ConfigKey() uint64 {
 		mix(1)
 		mix(uint64(o.Amalgamation.MaxZeros))
 		mix(math.Float64bits(o.Amalgamation.MaxZeroFrac))
-	}
-	// Mapping provenance is mixed only when non-static so every pre-existing
-	// static key (and the snapshots filed under it) stays valid.
-	if o.MapSource != MapStatic {
-		mix(uint64(o.MapSource))
-		mix(o.MapFingerprint)
 	}
 	return h
 }
@@ -285,7 +257,7 @@ type FactorOpts struct {
 	// Record attaches a drop-free span recorder
 	// (fanout.Executor.NewMeasureRecorder) for this factorization only and
 	// exposes it as Factor.Recorder: one obs.Span per BFAC/BDIV/BMOD, ready
-	// for a cost profile (internal/tune) or a Chrome trace-event export.
+	// for a Chrome trace-event export or per-layer timing.
 	// Span block ids index into Factor.Program.
 	Record bool
 }

@@ -11,7 +11,7 @@ import (
 
 // wallClockRunners print measured times, so their output differs from run
 // to run and has no golden file.
-var wallClockRunners = map[string]bool{"organizations": true, "remap": true}
+var wallClockRunners = map[string]bool{"organizations": true}
 
 // TestAllRunnersProduceOutput runs every experiment at CI scale. Every
 // runner except the wall-clock ones must reproduce its testdata/NAME.txt
@@ -59,8 +59,8 @@ func TestByNameLookup(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("bogus runner found")
 	}
-	if len(All()) != 27 {
-		t.Fatalf("runner count %d, want 27", len(All()))
+	if len(All()) != 26 {
+		t.Fatalf("runner count %d, want 26", len(All()))
 	}
 }
 

@@ -249,8 +249,8 @@ func (ex *Executor) NewRecorder() *obs.Recorder {
 // every block operation in the schedule (one BFAC/BDIV per block plus one
 // BMOD per modification), because under work stealing any single worker
 // may end up executing an arbitrary share of them. Recorder.Dropped() == 0
-// is therefore guaranteed for the compute spans a cost profile is built
-// from — the measurement mode internal/tune requires. The per-span cost is
+// is therefore guaranteed, so per-layer timings and trace exports see every
+// compute span. The per-span cost is
 // the same two clock reads and one in-place array write as NewRecorder
 // (no allocation once sized), so it is cheap enough to leave on for a
 // whole production factorization; the price is memory, O(lanes × ops)

@@ -142,9 +142,9 @@ func (r *Recorder) recordSlow(proc int32, op Op, block, src int32, start int64) 
 	ln := &r.lanes[proc]
 	if len(ln.spans) == cap(ln.spans) {
 		// Full lane: count the loss instead of growing. Silently dropping
-		// here used to bias any span-derived cost profile toward the blocks
-		// that happened to run early; the counter lets consumers (tune,
-		// /metrics) detect — and refuse — a truncated recording.
+		// here used to bias any span-derived measurement toward the blocks
+		// that happened to run early; the counter lets consumers detect —
+		// and refuse — a truncated recording.
 		ln.dropped.Add(1)
 		return
 	}

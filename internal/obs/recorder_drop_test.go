@@ -15,7 +15,7 @@ func fill(r *Recorder, proc int32, n int) {
 
 // TestRecorderOverflowCountsDrops is the regression test for silent span
 // truncation: a full lane used to discard spans without any trace, so a
-// cost profile built from the recording was biased toward whatever ran
+// per-block timing built from the recording was biased toward whatever ran
 // early. Overflow must be counted, surfaced by Dropped(), and visible in
 // the exported trace events.
 func TestRecorderOverflowCountsDrops(t *testing.T) {

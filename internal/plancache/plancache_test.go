@@ -31,6 +31,15 @@ func buildFor(m *sparse.Matrix) func() (*core.Plan, sched.Assignment, error) {
 	}
 }
 
+// lookup reports the entry cached for (a, cfg) without adding one: on a
+// miss it runs a build that fails, and a failed build is never cached.
+func lookup(c *Cache, a *sparse.Matrix, cfg uint64) (*Entry, bool) {
+	e, hit, err := c.GetOrBuild(a, cfg, func() (*core.Plan, sched.Assignment, error) {
+		return nil, sched.Assignment{}, errors.New("not cached")
+	})
+	return e, hit && err == nil
+}
+
 func TestHitMissAndValueIndependence(t *testing.T) {
 	c := New(Config{})
 	a := gen.IrregularMesh(150, 5, 3, 7)
@@ -92,10 +101,10 @@ func TestEntryBudgetEviction(t *testing.T) {
 		t.Fatalf("stats = %+v; want 2 entries, 1 eviction", st)
 	}
 	// The oldest (ms[0]) was evicted; ms[1] and ms[2] remain.
-	if _, ok := c.Get(ms[0], testKey); ok {
+	if _, ok := lookup(c, ms[0], testKey); ok {
 		t.Fatal("LRU kept the oldest entry")
 	}
-	if _, ok := c.Get(ms[2], testKey); !ok {
+	if _, ok := lookup(c, ms[2], testKey); !ok {
 		t.Fatal("LRU dropped the newest entry")
 	}
 }
@@ -123,7 +132,7 @@ func TestByteBudgetEviction(t *testing.T) {
 		t.Fatalf("retained %d bytes over budget %d", st.Bytes, c.cfg.MaxBytes)
 	}
 	// The newest entry always stays, even if alone over budget.
-	if _, ok := c.Get(m2, testKey); !ok {
+	if _, ok := lookup(c, m2, testKey); !ok {
 		t.Fatal("newest entry was evicted")
 	}
 }
@@ -227,12 +236,12 @@ func TestConfigKeySeparatesEntries(t *testing.T) {
 		t.Fatalf("stats = %+v; want %d separate entries", st, len(variants))
 	}
 	for i, opt := range variants {
-		e, ok := c.Get(a, opt.ConfigKey())
+		e, ok := lookup(c, a, opt.ConfigKey())
 		if !ok || e.Plan != plans[i] {
-			t.Fatalf("variant %d did not round-trip through Get", i)
+			t.Fatalf("variant %d did not round-trip through the cache", i)
 		}
 	}
-	if _, ok := c.Get(a, core.Options{Ordering: order.MinDegree, BlockSize: 48}.ConfigKey()); ok {
+	if _, ok := lookup(c, a, core.Options{Ordering: order.MinDegree, BlockSize: 48}.ConfigKey()); ok {
 		t.Fatal("unbuilt configuration reported a hit")
 	}
 }

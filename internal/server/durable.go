@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"blockfanout/internal/store"
-	"blockfanout/internal/tune"
 )
 
 // SaveSnapshot enqueues a write-behind snapshot built by snap; the durable
@@ -100,15 +99,11 @@ func (s *Server) WarmStart() (int, error) {
 	if s.st == nil {
 		return 0, s.storeErr
 	}
-	// Tuned factors first: a pattern with a persisted cost profile and a
-	// tuned-key snapshot claims its id under the measured mapping before
-	// the static pass below can (claims are first-wins), so a restart
-	// keeps serving the tuned mapping instead of regressing to static.
-	restored := s.local.restoreTuned()
 	warm, err := s.cache.WarmStart(s.st, s.planKey, s.buildPlan)
 	if err != nil {
-		return restored, err
+		return 0, err
 	}
+	restored := 0
 	for _, we := range warm {
 		if len(we.Snap.Blocks) > 0 {
 			f, err := we.Entry.Plan.RestoreSnapshot(we.Entry.Assign, we.Snap)
@@ -127,29 +122,4 @@ func (s *Server) WarmStart() (int, error) {
 	}
 	s.met.warmRestored.Store(int64(restored))
 	return restored, nil
-}
-
-// TunedProfiles visits every cost profile persisted under this server's
-// plan configuration. keep reports whether a profile is still valid; an
-// invalid one, like one that no longer decodes, is deleted from the store.
-func (s *Server) TunedProfiles(keep func(patternHash uint64, prof *tune.CostProfile) bool) {
-	if s.st == nil {
-		return
-	}
-	keys, err := s.st.ScanProfiles()
-	if err != nil {
-		return
-	}
-	for _, k := range keys {
-		if k.ConfigKey != s.planKey {
-			continue // measured under a different plan configuration
-		}
-		ps, err := s.st.GetProfile(k.PatternHash, k.ConfigKey)
-		if err != nil {
-			continue // missing, or corrupt and already quarantined
-		}
-		if prof, err := tune.FromSnapshot(ps); err != nil || !keep(k.PatternHash, prof) {
-			s.st.DeleteProfile(k.PatternHash, k.ConfigKey)
-		}
-	}
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
@@ -13,6 +15,7 @@ import (
 
 	"blockfanout/internal/gen"
 	"blockfanout/internal/sparse"
+	"blockfanout/internal/store"
 )
 
 // solveVec posts one RHS and returns x.
@@ -151,6 +154,93 @@ func TestWarmStartCorruptSnapshot(t *testing.T) {
 	x := solveVec(t, ts2.URL, fr.ID, b)
 	if res := residualNorm(m, x, b); res > 1e-8 {
 		t.Fatalf("cold rebuild residual %g", res)
+	}
+}
+
+// TestWarmStartSkipsRetiredMappingFiles boots over a directory an older
+// build left behind: a static factor snapshot, a factor snapshot filed
+// under a measured-mapping configuration key, and a cost-profile file. The
+// last two come from the retired mapping tuner. Warm start must restore
+// the static snapshot only, return no error, and leave the other two files
+// on disk; the tuned pattern is a cold miss, like any snapshot filed under
+// a key this build no longer computes.
+func TestWarmStartSkipsRetiredMappingFiles(t *testing.T) {
+	const (
+		// Options{BlockSize: 12} with the tuner's provenance and the
+		// fingerprint of the profile below, as the tuner keyed it.
+		tunedKey = 0x1b34ad987caf6ef9
+		// The profile file, byte for byte as the tuner's store wrote it:
+		// pattern Grid2D(10), keyed by the static configuration.
+		profileName = "profile-2bc577971e0636d0-3ef461f138c1246d.snap"
+		profileHex  = "53504353010684000000d036061e9777c52b6d24c138f161f43e020000000300" +
+			"0000040000000000000000000000010000000000000002000000000000000200" +
+			"0000000000000400000000000000000000000100000000000000000000000000" +
+			"0000020000000000000004000000b0040000000000008403000000000000c201" +
+			"000000000000dc050000000000009820d2eb"
+	)
+	dir := t.TempDir()
+	cfg := Config{Procs: 2, BlockSize: 12, StoreDir: dir, BatchWindow: -1}
+	static, tuned := gen.IrregularMesh(300, 6, 2, 5), gen.Grid2D(10)
+
+	s1, ts1 := testService(t, cfg)
+	fr := factorMatrix(t, ts1.URL, static)
+	frTuned := factorMatrix(t, ts1.URL, tuned)
+	s1.Close()
+	ts1.Close()
+	if got := fmt.Sprintf("%016x", s1.planKey); got != profileName[25:41] {
+		t.Fatalf("static configuration key %s, the fixture was keyed %s", got, profileName[25:41])
+	}
+
+	// Refile the tuned pattern's snapshot under the tuned key, as the tuner
+	// left it, and add its profile.
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := tuned.PatternHash()
+	fs, err := st.GetFactor(hash, s1.planKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.DeleteFactor(hash, s1.planKey)
+	fs.ConfigKey = tunedKey
+	if err := st.PutFactor(fs); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := hex.DecodeString(profileHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, profileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tunedName := fmt.Sprintf("factor-%016x-%016x.snap", hash, uint64(tunedKey))
+
+	s2, ts2 := testService(t, cfg)
+	t.Cleanup(s2.Close)
+	restored, err := s2.WarmStart()
+	if err != nil || restored != 1 {
+		t.Fatalf("warm start: restored=%d err=%v, want 1 and no error", restored, err)
+	}
+	b := make([]float64, static.N)
+	for i := range b {
+		b[i] = 1
+	}
+	if res := residualNorm(static, solveVec(t, ts2.URL, fr.ID, b), b); res > 1e-8 {
+		t.Fatalf("restored static factor residual %g", res)
+	}
+	resp, body := postJSON(t, ts2.URL+"/v1/solve", SolveRequest{ID: frTuned.ID, B: make([]float64, tuned.N)})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("solve against the tuned pattern's id: status %d (%s), want 404", resp.StatusCode, body)
+	}
+	for _, name := range []string{tunedName, profileName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("warm start removed %s: %v", name, err)
+		}
+	}
+	// The tuned pattern builds cold.
+	if fr := factorMatrix(t, ts2.URL, tuned); fr.CacheHit {
+		t.Fatal("tuned pattern hit the plan cache after warm start")
 	}
 }
 

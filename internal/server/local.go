@@ -58,36 +58,22 @@ var errFactorInvalid = errors.New("factor is no longer valid: its factorization 
 // Factor factors c.M into a new live factor c.ID, or — when the id is
 // already live — refactors that factor in place with c.M's values.
 func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, error) {
-	s, m, id := l.s, c.M, c.ID
+	m, id := c.M, c.ID
 	var resp FactorResponse
 	var pert *core.Perturbation // ?perturb=1: the default diagonal-shift retry
 	if c.Perturb {
 		pert = &core.Perturbation{}
 	}
 
-	// Feedback-driven mapping: if a tuned sibling of the static entry is
-	// cached, factor under it instead — the second (and every later)
-	// factorization of a pattern runs the mapping rebuilt from the first
-	// run's measured span costs.
-	entry := c.Entry // static entry: the tuned link lives on it
-	tunedPlan := false
-	if s.cfg.Tune {
-		if tcfg := s.cache.TunedConfig(c.Entry); tcfg != 0 {
-			if te, ok := s.cache.Get(m, tcfg); ok {
-				entry, tunedPlan = te, true
-			}
-		}
-	}
-
 	for attempt := 0; ; attempt++ {
-		fe, created := l.claimEntry(id, m.N, entry.Plan)
+		fe, created := l.claimEntry(id, m.N, c.Entry.Plan)
 		if created {
 			// fe.mu is held for writing; publish the factor, or unregister
 			// (before unlocking, so waiters that see f==nil know the entry
 			// is already gone and can safely re-claim) on failure. The
 			// factorization must use the posted values, not the plan's: on a
 			// cache hit the plan carries whichever values built it.
-			o := core.FactorOpts{Values: m.Val, Perturb: pert, Record: s.cfg.Tune && !tunedPlan && !c.Perturb}
+			o := core.FactorOpts{Values: m.Val, Perturb: pert}
 			var f *core.Factor
 			ferr := l.guardEntry(fe, func() error {
 				return l.withRetry(ctx, func() error {
@@ -95,7 +81,7 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 						return err
 					}
 					var err error
-					f, err = entry.Plan.Factor(ctx, entry.Assign, o)
+					f, err = c.Entry.Plan.Factor(ctx, c.Entry.Assign, o)
 					return err
 				})
 			})
@@ -105,13 +91,6 @@ func (l *Local) Factor(ctx context.Context, c *FactorCall) (FactorResponse, erro
 				return resp, ferr
 			}
 			fe.f, resp.Shift = f, f.Shift()
-			if o.Record {
-				if tf, tp := l.tuneFromMeasurement(c.Entry, m, f); tf != nil {
-					// Same numeric blocks, tuned ownership: swap the live
-					// factor without a second factorization.
-					fe.f, fe.plan = tf, tp
-				}
-			}
 			l.saveSnapshot(fe)
 			l.markReady(fe)
 			fe.mu.Unlock()
@@ -221,19 +200,9 @@ func (l *Local) Live(id string) (int, int64, bool) {
 
 // localDoc is the Local backend's /metrics section.
 type localDoc struct {
-	Batches  int64    `json:"batches"`      // coalesced SolveMany calls issued by the batcher
-	BatchedR int64    `json:"batched_rhs"`  // right-hand sides that travelled in those batches
-	LiveFac  int      `json:"live_factors"` // registered factors
-	Tune     *tuneDoc `json:"tune,omitempty"`
-}
-
-// tuneDoc is the /metrics section for feedback-driven mapping.
-type tuneDoc struct {
-	Adopted      int64 `json:"adopted"`       // tuned mappings adopted over static
-	Declined     int64 `json:"declined"`      // measured remaps that did not beat static
-	Skipped      int64 `json:"skipped"`       // unusable measurements (truncation, restore failure)
-	DroppedSpans int64 `json:"dropped_spans"` // recorder drops seen on measurement runs (0 = healthy)
-	WarmRestored int64 `json:"warm_restored"` // tuned mappings restored by the last WarmStart
+	Batches  int64 `json:"batches"`      // coalesced SolveMany calls issued by the batcher
+	BatchedR int64 `json:"batched_rhs"`  // right-hand sides that travelled in those batches
+	LiveFac  int   `json:"live_factors"` // registered factors
 }
 
 // Status reports the Local backend, which is always "ok" while the
@@ -244,15 +213,6 @@ func (l *Local) Status() BackendStatus {
 	l.mu.Lock()
 	doc.LiveFac = len(l.factors)
 	l.mu.Unlock()
-	if l.s.cfg.Tune {
-		doc.Tune = &tuneDoc{
-			Adopted:      met.tuneAdopted.Load(),
-			Declined:     met.tuneDeclined.Load(),
-			Skipped:      met.tuneSkipped.Load(),
-			DroppedSpans: met.tuneDropped.Load(),
-			WarmRestored: met.tuneRestored.Load(),
-		}
-	}
 	return BackendStatus{State: "ok", Metrics: doc}
 }
 
@@ -373,9 +333,7 @@ func (l *Local) lookup(id string) (*factorEntry, bool) {
 
 // saveSnapshot enqueues a write-behind snapshot of fe's freshly completed
 // factor. Called with fe's write lock held, so the block export is a
-// coherent copy. The snapshot is filed under the configuration key of the
-// plan the factor runs — the tuned key for a measured remap — so tuned and
-// static snapshots of the same pattern never alias on disk.
+// coherent copy.
 func (l *Local) saveSnapshot(fe *factorEntry) {
 	l.s.SaveSnapshot(&fe.lastSnap, fe.f.Snapshot)
 }

@@ -58,12 +58,6 @@ type metrics struct {
 	batches   atomic.Int64 // coalesced SolveMany calls issued by the batcher
 	batched   atomic.Int64 // right-hand sides that travelled in those batches
 
-	tuneAdopted  atomic.Int64 // tuned mappings adopted (measured remap beat the static mapping)
-	tuneDeclined atomic.Int64 // measured profiles whose best remap did not beat static
-	tuneSkipped  atomic.Int64 // measurements unusable for tuning (truncated recording, restore failure)
-	tuneDropped  atomic.Int64 // spans dropped across all measurement recordings (should stay 0)
-	tuneRestored atomic.Int64 // gauge: tuned mappings restored by the last WarmStart
-
 	snapWrites   atomic.Int64 // write-behind snapshots committed to the store
 	snapErrors   atomic.Int64 // snapshot writes that failed
 	snapDropped  atomic.Int64 // snapshots dropped because the write-behind queue was full

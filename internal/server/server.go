@@ -92,16 +92,6 @@ type Config struct {
 	// part of the plan-cache key, since each cached plan's factors embed
 	// an executor of the configured mode.
 	Exec fanout.Mode
-	// Tune enables feedback-driven mapping: the first factorization of each
-	// pattern runs under a measuring recorder, its per-block span costs are
-	// aggregated into a cost profile (internal/tune), and a bounded search
-	// over grid shapes rebuilds the block→processor mapping from the
-	// measured costs. When the remap's predicted makespan beats the static
-	// mapping's, the live factor is re-registered under the tuned mapping —
-	// no second numeric factorization — and every later refactorization of
-	// the pattern runs tuned. With a store, profiles persist and WarmStart
-	// restores tuned mappings before the static pass.
-	Tune bool
 	// RetryAttempts is how many times a transient infrastructure failure
 	// (see internal/faultinject) is retried with exponential backoff before
 	// the request fails (default 2; negative disables). Numeric failures —

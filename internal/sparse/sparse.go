@@ -83,8 +83,8 @@ const FNVOffset = 14695981039346656037
 
 // FNVMix folds one integer, as 8 little-endian bytes, into an FNV-1a
 // state. It is the one fold behind every persisted or routed digest
-// (PatternHash, core's ConfigKey, store's ValChecksum, tune's Fingerprint,
-// the plan cache key, the cluster's ring and map signature); it works on
+// (PatternHash, core's ConfigKey, store's ValChecksum, the plan cache key
+// and the cluster's ring); it works on
 // raw integers rather than hash/fnv's byte slices so that it inlines and
 // allocates nothing.
 func FNVMix(h, v uint64) uint64 {

@@ -34,8 +34,8 @@ func reseal(data []byte) []byte {
 	return out
 }
 
-// FuzzStoreRead writes arbitrary bytes under a factor, a blocks or a
-// profile snapshot name and loads them back. A load must not panic, must
+// FuzzStoreRead writes arbitrary bytes under a factor or a blocks
+// snapshot name and loads them back. A load must not panic, must
 // not allocate more than the file's size justifies, and must either fail
 // with ErrCorrupt and quarantine the file or return a snapshot a consumer
 // can use: a factor whose matrix passes FactorSnapshot.Matrix, a blocks
@@ -51,12 +51,6 @@ func FuzzStoreRead(f *testing.F) {
 			return st.PutBlocks(&BlockSnapshot{
 				JobID: fuzzJob, RunID: 7, Epoch: 2, ValSum: ValChecksum([]float64{1, 2, 3}),
 				IDs: []uint32{3, 11}, Blocks: [][]float64{{1, 2}, {3}},
-			})
-		},
-		func(st *Store) error {
-			return st.PutProfile(&ProfileSnapshot{
-				PatternHash: fs.PatternHash, ConfigKey: fuzzConfig, Procs: 4, N: 3,
-				I: []int{0, 2}, J: []int{0, 1}, Cost: []int64{100, 250},
 			})
 		},
 	}
@@ -94,7 +88,7 @@ func FuzzStoreRead(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, kind byte, resealed bool, data []byte) {
-		kind %= 3
+		kind %= 2
 		if resealed {
 			data = reseal(data)
 		}
@@ -115,10 +109,8 @@ func FuzzStoreRead(f *testing.F) {
 		switch kind {
 		case 0:
 			factor, err = st.GetFactor(fs.PatternHash, fuzzConfig)
-		case 1:
-			blocks, err = st.GetBlocks(fuzzJob)
 		default:
-			_, err = st.GetProfile(fs.PatternHash, fuzzConfig)
+			blocks, err = st.GetBlocks(fuzzJob)
 		}
 		runtime.ReadMemStats(&after)
 		// Every decoded element needs at least four bytes of input, and a
@@ -152,12 +144,8 @@ func FuzzStoreRead(f *testing.F) {
 }
 
 func fuzzName(kind byte, pattern uint64) string {
-	switch kind {
-	case 0:
+	if kind == 0 {
 		return factorName(pattern, fuzzConfig)
-	case 1:
-		return blocksName(fuzzJob)
-	default:
-		return profileName(pattern, fuzzConfig)
 	}
+	return blocksName(fuzzJob)
 }

@@ -59,6 +59,8 @@ const (
 	recBlocks     byte = 3 // per-block dense payloads
 	recBlocksMeta byte = 4 // job id, run id, epoch, value checksum
 	recHeldBlocks byte = 5 // held block ids + dense payloads
+	// Type 6 held a measured cost profile, a record no reader decodes any
+	// more; the number stays retired.
 )
 
 var (
