@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/order"
 	"blockfanout/internal/sparse"
@@ -19,16 +18,7 @@ func analyzed(t *testing.T, m *sparse.Matrix, method order.Method, gridDim int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, amalg)
+	_, m2, _, st, err := symbolic.AnalyzeOrdering(m, p, amalg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,16 +135,6 @@ func NewPlan(a *sparse.Matrix, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	a1, err := a.Permute(fillPerm)
-	if err != nil {
-		return nil, err
-	}
-	po := etree.Build(a1).Postorder()
-	perm := fillPerm.Compose(po)
-	pa, vmap, err := a.PermuteWithMap(perm)
-	if err != nil {
-		return nil, err
-	}
 	amalg := symbolic.DefaultAmalgamation()
 	if opts.Blocking == blocks.StrategyIrregular {
 		// The irregular strategy's coarsening knob is the relative-fill
@@ -154,7 +144,7 @@ func NewPlan(a *sparse.Matrix, opts Options) (*Plan, error) {
 	if opts.Amalgamation != nil {
 		amalg = *opts.Amalgamation
 	}
-	sym, err := symbolic.Analyze(pa, amalg)
+	perm, pa, vmap, sym, err := symbolic.AnalyzeOrdering(a, fillPerm, amalg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,41 +1,10 @@
 // Package etree computes the elimination tree of a symmetric sparse matrix
-// and the derived quantities used throughout the reproduction: postorder,
+// and the derived quantities the symbolic phase is built on: postorder and
 // per-column nonzero counts of the Cholesky factor (via row-subtree
-// traversal), per-node depths (for the paper's Increasing Depth mapping
-// heuristic), and per-subtree work (for domain selection).
+// traversal).
 package etree
 
 import "blockfanout/internal/sparse"
-
-// rowAdj returns, for each row i, the sorted columns j < i with A(i,j) ≠ 0.
-// This is the strict upper triangle of the CSC lower-triangular input,
-// i.e. the transpose access path needed by Liu's algorithms.
-func rowAdj(m *sparse.Matrix) (ptr, ind []int) {
-	n := m.N
-	ptr = make([]int, n+1)
-	for j := 0; j < n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			if i := m.RowInd[p]; i != j {
-				ptr[i+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	ind = make([]int, ptr[n])
-	next := append([]int(nil), ptr[:n]...)
-	for j := 0; j < n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			if i := m.RowInd[p]; i != j {
-				ind[next[i]] = j
-				next[i]++
-			}
-		}
-	}
-	// Columns are appended in increasing j, so each row list is sorted.
-	return ptr, ind
-}
 
 // Tree holds the elimination tree of a matrix along with the row-adjacency
 // view used to build it (kept because column counting reuses it).
@@ -47,15 +16,53 @@ type Tree struct {
 
 // Build computes the elimination tree of the lower-triangular CSC matrix m
 // using Liu's algorithm with path compression.
-func Build(m *sparse.Matrix) *Tree {
+func Build(m *sparse.Matrix) *Tree { return BuildPermuted(m, nil) }
+
+// BuildPermuted computes the elimination tree of P·m·Pᵀ, where perm[new] =
+// old is a valid permutation (nil means the identity), without forming the
+// permuted matrix: only its row adjacency is built. The tree and
+// ColCounts are those of the permuted matrix, in its labels.
+func BuildPermuted(m *sparse.Matrix, perm []int) *Tree {
 	n := m.N
+	inv := make([]int, n)
+	for i := range inv {
+		inv[i] = i
+	}
+	for newIdx, old := range perm {
+		inv[old] = newIdx
+	}
+	// Row adjacency of the permuted strict lower triangle: for each row i,
+	// the columns j < i with A(i,j) ≠ 0. Neither the tree nor the counts
+	// depend on the order within a row.
+	ptr := make([]int, n+1)
+	for j := 0; j < n; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if i := m.RowInd[p]; i != j {
+				ptr[max(inv[i], inv[j])+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	ind := make([]int, ptr[n])
+	next := append([]int(nil), ptr[:n]...)
+	for j := 0; j < n; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if i := m.RowInd[p]; i != j {
+				r, c := max(inv[i], inv[j]), min(inv[i], inv[j])
+				ind[next[r]] = c
+				next[r]++
+			}
+		}
+	}
+
 	parent := make([]int, n)
 	anc := make([]int, n)
 	for i := range parent {
 		parent[i] = -1
 		anc[i] = -1
 	}
-	ptr, ind := rowAdj(m)
 	for i := 0; i < n; i++ {
 		for p := ptr[i]; p < ptr[i+1]; p++ {
 			r := ind[p]
@@ -144,21 +151,6 @@ func (t *Tree) ColCounts() []int {
 	return count
 }
 
-// Depths returns the depth of every column in the elimination forest; roots
-// have depth 0. This is the key of the paper's Increasing Depth heuristic.
-func (t *Tree) Depths() []int {
-	n := t.N()
-	depth := make([]int, n)
-	// Parents always have larger indices than children in an elimination
-	// tree, so a reverse sweep sees every parent before its children.
-	for j := n - 1; j >= 0; j-- {
-		if p := t.Parent[j]; p >= 0 {
-			depth[j] = depth[p] + 1
-		}
-	}
-	return depth
-}
-
 // Stats aggregates the factor statistics the paper's Tables 1 and 6 report.
 type Stats struct {
 	N     int
@@ -183,18 +175,3 @@ func FactorStats(counts []int) Stats {
 // holds, and the size every byte or solve-cost estimate must use. NZinL,
 // the paper's number, counts off-diagonal entries only.
 func (s Stats) NNZ() int64 { return s.NZinL + int64(s.N) }
-
-// SubtreeWork returns, for every column, the total work (Σ c(j)² over the
-// subtree rooted there). Domain selection splits the elimination forest
-// into subtrees of roughly equal subtree work.
-func (t *Tree) SubtreeWork(counts []int) []int64 {
-	n := t.N()
-	work := make([]int64, n)
-	for j := 0; j < n; j++ {
-		work[j] += int64(counts[j]) * int64(counts[j])
-		if p := t.Parent[j]; p >= 0 {
-			work[p] += work[j]
-		}
-	}
-	return work
-}

@@ -1,6 +1,7 @@
 package etree
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -136,44 +137,6 @@ func TestPostorderSubtreesContiguous(t *testing.T) {
 	}
 }
 
-func TestDepths(t *testing.T) {
-	// Chain matrix: tridiagonal → etree is a path, depth[j] = n-1-j.
-	n := 9
-	ts := []sparse.Triplet{}
-	for i := 0; i < n; i++ {
-		ts = append(ts, sparse.Triplet{Row: i, Col: i, Val: 4})
-		if i > 0 {
-			ts = append(ts, sparse.Triplet{Row: i, Col: i - 1, Val: -1})
-		}
-	}
-	m, err := sparse.FromTriplets(n, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := Build(m)
-	d := tr.Depths()
-	for j := 0; j < n; j++ {
-		if d[j] != n-1-j {
-			t.Fatalf("depth[%d]=%d, want %d", j, d[j], n-1-j)
-		}
-	}
-}
-
-func TestDepthsRootZeroAndMonotone(t *testing.T) {
-	m := gen.IrregularMesh(60, 4, 3, 8)
-	tr := Build(m)
-	d := tr.Depths()
-	for j, p := range tr.Parent {
-		if p == -1 {
-			if d[j] != 0 {
-				t.Fatalf("root %d depth %d", j, d[j])
-			}
-		} else if d[j] != d[p]+1 {
-			t.Fatalf("depth[%d]=%d, parent depth %d", j, d[j], d[p])
-		}
-	}
-}
-
 func TestFactorStatsDense(t *testing.T) {
 	n := 10
 	counts := make([]int, n)
@@ -194,30 +157,6 @@ func TestFactorStatsDense(t *testing.T) {
 	}
 }
 
-func TestSubtreeWork(t *testing.T) {
-	m := gen.Grid2D(6)
-	tr := Build(m)
-	counts := tr.ColCounts()
-	work := tr.SubtreeWork(counts)
-	// Roots' subtree work must sum to the total.
-	var total, rootSum int64
-	for j, c := range counts {
-		total += int64(c) * int64(c)
-		if tr.Parent[j] == -1 {
-			rootSum += work[j]
-		}
-	}
-	if total != rootSum {
-		t.Fatalf("root subtree work %d != total %d", rootSum, total)
-	}
-	// Monotone: child subtree work < parent subtree work.
-	for j, p := range tr.Parent {
-		if p != -1 && work[j] >= work[p] {
-			t.Fatalf("subtree work not monotone at %d", j)
-		}
-	}
-}
-
 // Property: ColCounts sums to nnz(L) computed by brute force on random
 // small meshes, and every count is at least 1.
 func TestQuickColCounts(t *testing.T) {
@@ -235,5 +174,34 @@ func TestQuickColCounts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BuildPermuted must give the tree and counts of the permuted matrix
+// without forming it.
+func TestBuildPermutedMatchesPermute(t *testing.T) {
+	for name, m := range matrices(t) {
+		for seed := uint64(1); seed <= 3; seed++ {
+			perm := make([]int, m.N)
+			for i := range perm {
+				perm[i] = i
+			}
+			s := seed
+			for i := m.N - 1; i > 0; i-- { // Fisher-Yates, xorshift
+				s ^= s << 13
+				s ^= s >> 7
+				s ^= s << 17
+				k := int(s % uint64(i+1))
+				perm[i], perm[k] = perm[k], perm[i]
+			}
+			pm, err := m.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := Build(pm), BuildPermuted(m, perm)
+			if !reflect.DeepEqual(got.Parent, want.Parent) || !reflect.DeepEqual(got.ColCounts(), want.ColCounts()) {
+				t.Fatalf("%s seed %d: tree or counts differ from the permuted matrix's", name, seed)
+			}
+		}
 	}
 }

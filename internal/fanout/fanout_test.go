@@ -8,7 +8,6 @@ import (
 
 	"blockfanout/internal/blocks"
 	"blockfanout/internal/domains"
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/numeric"
@@ -24,16 +23,7 @@ func setup(t testing.TB, m *sparse.Matrix, method ord.Method, gridDim, b int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.DefaultAmalgamation())
+	_, m2, _, st, err := symbolic.AnalyzeOrdering(m, p, symbolic.DefaultAmalgamation())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/kernels"
 	"blockfanout/internal/mapping"
@@ -30,16 +29,7 @@ func setupIrregular(t testing.TB, m *sparse.Matrix, method ord.Method, gridDim, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.RelativeAmalgamation(0.125))
+	_, m2, _, st, err := symbolic.AnalyzeOrdering(m, p, symbolic.RelativeAmalgamation(0.125))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,114 +75,59 @@ func Dense(n int) *sparse.Matrix {
 	return m
 }
 
-// laplacianFromEdges assembles the SPD graph-Laplacian-plus-identity of the
-// given undirected edge set: A(i,i) = degree(i)+1, A(i,j) = -1 for edges.
-func laplacianFromEdges(n int, edges [][2]int) *sparse.Matrix {
-	// Count per-column lower-triangle entries (diag + edges with i>j).
-	deg := make([]int, n)
-	cnt := make([]int, n+1)
-	for j := 0; j < n; j++ {
-		cnt[j+1] = 1 // diagonal
+// laplacian assembles the graph Laplacian plus identity of the undirected
+// edges listed in ts, in either orientation and possibly repeated (their
+// values are ignored): A(i,i) = degree(i)+1, A(i,j) = -1 for edges.
+func laplacian(n int, ts []sparse.Triplet) *sparse.Matrix {
+	m, err := sparse.FromTriplets(n, ts)
+	if err != nil {
+		panic(err) // construction is internally consistent
 	}
-	for _, e := range edges {
-		a, b := e[0], e[1]
-		deg[a]++
-		deg[b]++
-		if a < b {
-			a, b = b, a
-		}
-		cnt[b+1]++ // entry (a,b) with a>b stored in column b
-	}
-	for j := 0; j < n; j++ {
-		cnt[j+1] += cnt[j]
-	}
-	m := &sparse.Matrix{
-		N:      n,
-		ColPtr: cnt,
-		RowInd: make([]int, cnt[n]),
-		Val:    make([]float64, cnt[n]),
-	}
-	next := make([]int, n)
-	for j := 0; j < n; j++ {
-		p := m.ColPtr[j]
-		m.RowInd[p] = j
-		m.Val[p] = float64(deg[j]) + 1
-		next[j] = p + 1
-	}
-	for _, e := range edges {
-		a, b := e[0], e[1]
-		if a < b {
-			a, b = b, a
-		}
-		p := next[b]
-		next[b]++
-		m.RowInd[p] = a
-		m.Val[p] = -1
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		sortRowVal(m.RowInd[lo:hi], m.Val[lo:hi])
-	}
+	sparse.PatternLaplacian(m)
 	return m
-}
-
-func sortRowVal(rows []int, vals []float64) {
-	sort.Sort(&rowValPairs{rows, vals})
-}
-
-type rowValPairs struct {
-	rows []int
-	vals []float64
-}
-
-func (s *rowValPairs) Len() int           { return len(s.rows) }
-func (s *rowValPairs) Less(i, j int) bool { return s.rows[i] < s.rows[j] }
-func (s *rowValPairs) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }
 
 // Grid2D returns the 5-point Laplacian (plus identity) on a k×k grid.
 // Vertex (x,y) has index x*k+y.
 func Grid2D(k int) *sparse.Matrix {
 	n := k * k
-	edges := make([][2]int, 0, 2*k*(k-1))
+	edges := make([]sparse.Triplet, 0, 2*k*(k-1))
 	for x := 0; x < k; x++ {
 		for y := 0; y < k; y++ {
 			v := x*k + y
 			if y+1 < k {
-				edges = append(edges, [2]int{v, v + 1})
+				edges = append(edges, sparse.Triplet{Row: v, Col: v + 1})
 			}
 			if x+1 < k {
-				edges = append(edges, [2]int{v, v + k})
+				edges = append(edges, sparse.Triplet{Row: v, Col: v + k})
 			}
 		}
 	}
-	return laplacianFromEdges(n, edges)
+	return laplacian(n, edges)
 }
 
 // Cube3D returns the 7-point Laplacian (plus identity) on a k×k×k grid.
 // Vertex (x,y,z) has index (x*k+y)*k+z.
 func Cube3D(k int) *sparse.Matrix {
 	n := k * k * k
-	edges := make([][2]int, 0, 3*k*k*(k-1))
+	edges := make([]sparse.Triplet, 0, 3*k*k*(k-1))
 	for x := 0; x < k; x++ {
 		for y := 0; y < k; y++ {
 			for z := 0; z < k; z++ {
 				v := (x*k+y)*k + z
 				if z+1 < k {
-					edges = append(edges, [2]int{v, v + 1})
+					edges = append(edges, sparse.Triplet{Row: v, Col: v + 1})
 				}
 				if y+1 < k {
-					edges = append(edges, [2]int{v, v + k})
+					edges = append(edges, sparse.Triplet{Row: v, Col: v + k})
 				}
 				if x+1 < k {
-					edges = append(edges, [2]int{v, v + k*k})
+					edges = append(edges, sparse.Triplet{Row: v, Col: v + k*k})
 				}
 			}
 		}
 	}
-	return laplacianFromEdges(n, edges)
+	return laplacian(n, edges)
 }
 
 // IrregularMesh returns an SPD matrix whose graph is a random geometric
@@ -243,7 +188,9 @@ func IrregularMesh(n, k, dim int, seed uint64) *sparse.Matrix {
 		idx int
 		d2  float64
 	}
-	edgeSet := make(map[[2]int]struct{}, n*k)
+	// Each point links to its k nearest; a pair that picks each other is
+	// listed twice and assembled once.
+	edges := make([]sparse.Triplet, 0, n*k)
 	cand2 := make([]cand, 0, 8*k)
 	for i, p := range pts {
 		cand2 = cand2[:0]
@@ -290,24 +237,10 @@ func IrregularMesh(n, k, dim int, seed uint64) *sparse.Matrix {
 			kk = len(cand2)
 		}
 		for _, c := range cand2[:kk] {
-			a, b := i, c.idx
-			if a > b {
-				a, b = b, a
-			}
-			edgeSet[[2]int{a, b}] = struct{}{}
+			edges = append(edges, sparse.Triplet{Row: i, Col: c.idx})
 		}
 	}
-	edges := make([][2]int, 0, len(edgeSet))
-	for e := range edgeSet {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a][0] != edges[b][0] {
-			return edges[a][0] < edges[b][0]
-		}
-		return edges[a][1] < edges[b][1]
-	})
-	return laplacianFromEdges(n, edges)
+	return laplacian(n, edges)
 }
 
 // NormalEq returns an SPD matrix with the sparsity pattern of B·Bᵀ where B
@@ -318,19 +251,14 @@ func IrregularMesh(n, k, dim int, seed uint64) *sparse.Matrix {
 func NormalEq(m, nzPerCol, denseCols, denseLen int, seed uint64) *sparse.Matrix {
 	r := newRNG(seed)
 	ncols := 3 * m
-	edgeSet := make(map[[2]int]struct{}, m*nzPerCol*nzPerCol)
+	// Columns overlap, so many pairs repeat; assembly merges them. A pair
+	// of equal rows lands on the diagonal, which the Laplacian overwrites.
+	var edges []sparse.Triplet
 	rowsBuf := make([]int, 0, denseLen)
 	addClique := func(rows []int) {
 		for a := 0; a < len(rows); a++ {
 			for b := a + 1; b < len(rows); b++ {
-				x, y := rows[a], rows[b]
-				if x == y {
-					continue
-				}
-				if x > y {
-					x, y = y, x
-				}
-				edgeSet[[2]int{x, y}] = struct{}{}
+				edges = append(edges, sparse.Triplet{Row: rows[a], Col: rows[b]})
 			}
 		}
 	}
@@ -360,17 +288,7 @@ func NormalEq(m, nzPerCol, denseCols, denseLen int, seed uint64) *sparse.Matrix 
 		}
 		addClique(rowsBuf)
 	}
-	edges := make([][2]int, 0, len(edgeSet))
-	for e := range edgeSet {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a][0] != edges[b][0] {
-			return edges[a][0] < edges[b][0]
-		}
-		return edges[a][1] < edges[b][1]
-	})
-	return laplacianFromEdges(m, edges)
+	return laplacian(m, edges)
 }
 
 // Grid2D9 returns the 9-point Laplacian (plus identity) on a k×k grid:
@@ -378,25 +296,25 @@ func NormalEq(m, nzPerCol, denseCols, denseLen int, seed uint64) *sparse.Matrix 
 // whose factors have larger supernodes for the same n.
 func Grid2D9(k int) *sparse.Matrix {
 	n := k * k
-	edges := make([][2]int, 0, 4*k*(k-1))
+	edges := make([]sparse.Triplet, 0, 4*k*(k-1))
 	for x := 0; x < k; x++ {
 		for y := 0; y < k; y++ {
 			v := x*k + y
 			if y+1 < k {
-				edges = append(edges, [2]int{v, v + 1})
+				edges = append(edges, sparse.Triplet{Row: v, Col: v + 1})
 			}
 			if x+1 < k {
-				edges = append(edges, [2]int{v, v + k})
+				edges = append(edges, sparse.Triplet{Row: v, Col: v + k})
 				if y+1 < k {
-					edges = append(edges, [2]int{v, v + k + 1})
+					edges = append(edges, sparse.Triplet{Row: v, Col: v + k + 1})
 				}
 				if y > 0 {
-					edges = append(edges, [2]int{v, v + k - 1})
+					edges = append(edges, sparse.Triplet{Row: v, Col: v + k - 1})
 				}
 			}
 		}
 	}
-	return laplacianFromEdges(n, edges)
+	return laplacian(n, edges)
 }
 
 // GridAniso returns an anisotropic 5-point operator on a k×k grid: x-edges

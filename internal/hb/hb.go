@@ -3,8 +3,10 @@
 // from the Harwell-Boeing test set [Duff, Grimes & Lewis 1989]) were
 // distributed in. Supported matrix types are RSA (real symmetric
 // assembled) and PSA (pattern symmetric assembled); pattern files are
-// assembled as diagonally dominant Laplacians so they stay positive
-// definite, mirroring package mmio's convention.
+// assembled as diagonally dominant Laplacians (sparse.PatternLaplacian) so
+// they stay positive definite, mirroring package mmio's convention. A
+// position an RSA file stores twice has its values summed; in a PSA file
+// it is one edge.
 package hb
 
 import (
@@ -259,36 +261,14 @@ func Read(r io.Reader) (*sparse.Matrix, error) {
 			ts = append(ts, sparse.Triplet{Row: i, Col: j, Val: v})
 		}
 	}
+	m, err := sparse.FromTriplets(nrow, ts)
+	if err != nil {
+		return nil, err
+	}
 	if mxtype == "PSA" {
-		return assemblePatternLaplacian(nrow, ts)
+		sparse.PatternLaplacian(m)
 	}
-	return sparse.FromTriplets(nrow, ts)
-}
-
-// assemblePatternLaplacian gives a symmetric pattern Laplacian values so
-// the result is positive definite.
-func assemblePatternLaplacian(n int, ts []sparse.Triplet) (*sparse.Matrix, error) {
-	deg := make([]int, n)
-	hasDiag := make([]bool, n)
-	for _, t := range ts {
-		if t.Row != t.Col {
-			deg[t.Row]++
-			deg[t.Col]++
-		} else {
-			hasDiag[t.Row] = true
-		}
-	}
-	out := make([]sparse.Triplet, 0, len(ts)+n)
-	for _, t := range ts {
-		if t.Row == t.Col {
-			continue
-		}
-		out = append(out, sparse.Triplet{Row: t.Row, Col: t.Col, Val: -1})
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, sparse.Triplet{Row: i, Col: i, Val: float64(deg[i]) + 1})
-	}
-	return sparse.FromTriplets(n, out)
+	return m, nil
 }
 
 // Write emits m as an RSA Harwell-Boeing file with the given title/key

@@ -170,3 +170,22 @@ func TestLongTitleTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A PSA file that stores a position twice describes one edge: the pattern
+// Laplacian counts distinct neighbours.
+func TestReadPatternRepeatedPosition(t *testing.T) {
+	const in = `PATTERN MATRIX                                                          PAT
+             3             1             1             0             0
+PSA                         2             2             4             0
+(4I4)           (4I4)
+   1   4   5
+   1   2   2   2
+`
+	m, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.At(0, 0) != 2 || m.At(1, 1) != 2 || m.At(1, 0) != -1 {
+		t.Fatalf("diagonals %g %g, off-diagonal %g; want 2 2 -1", m.At(0, 0), m.At(1, 1), m.At(1, 0))
+	}
+}

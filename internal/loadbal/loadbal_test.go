@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	ord "blockfanout/internal/order"
@@ -18,16 +17,7 @@ func structureFor(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.DefaultAmalgamation())
+	_, _, _, st, err := symbolic.AnalyzeOrdering(m, p, symbolic.DefaultAmalgamation())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	ord "blockfanout/internal/order"
@@ -22,16 +21,7 @@ func benchProgram(b *testing.B, g mapping.Grid) *sched.Program {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.DefaultAmalgamation())
+	_, _, _, st, err := symbolic.AnalyzeOrdering(m, p, symbolic.DefaultAmalgamation())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,14 +5,23 @@
 // matrices, symmetric or general coordinate form, plus pattern-only files
 // which are assembled as diagonally dominant Laplacians so they remain
 // positive definite.
+//
+// Every matrix entry must be given once. A repeated entry is an error in
+// both file kinds (in a symmetric file (i,j) and (j,i) are the same entry),
+// and so is a general file's off-diagonal entry without an equal mirror.
+// Entries are checked in column order of the lower triangle, so the error
+// names the first offending entry in that order, the same one on every
+// read.
 package mmio
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -42,8 +51,10 @@ type header struct {
 //   - "symmetric" files may list either triangle; entries are mirrored.
 //   - "general" files must be structurally symmetric; each unordered pair
 //     must carry equal values, or an error is returned.
-//   - "pattern" files get Laplacian values (diag = degree+1, off-diag −1),
-//     preserving the structure while guaranteeing positive definiteness.
+//   - A repeated entry is an error in either kind (see the package doc).
+//   - "pattern" files get Laplacian values (sparse.PatternLaplacian: diag
+//     = degree+1, off-diag −1), preserving the structure while
+//     guaranteeing positive definiteness.
 func Read(r io.Reader) (*sparse.Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -93,30 +104,21 @@ func Read(r io.Reader) (*sparse.Matrix, error) {
 		return nil, fmt.Errorf("mmio: %d entries cannot describe a usable %d×%d symmetric matrix", nnz, n, n)
 	}
 
-	// Size the maps from the claimed entry count, but never preallocate
-	// more than the input stream could plausibly back: a lying size line
-	// must not be able to reserve gigabytes before the first entry fails
-	// to parse.
+	// Size the entry list from the claimed entry count, but never
+	// preallocate more than the input stream could plausibly back: a lying
+	// size line must not be able to reserve gigabytes before the first
+	// entry fails to parse.
 	hint := nnz
 	if hint > 1<<20 {
 		hint = 1 << 20
 	}
-	type key struct{ r, c int }
-	// Symmetric files fill seen directly; general files collect both
-	// triangles in general, which becomes seen once symmetry is checked.
-	var seen, general map[key]float64
-	if h.symmetry == "symmetric" {
-		seen = make(map[key]float64, hint)
-	} else {
-		general = make(map[key]float64, hint)
-	}
+	ts := make([]sparse.Triplet, 0, hint)
 	want := 3
 	if h.field == "pattern" {
 		want = 2
 	}
 	var fields [3][]byte
-	count := 0
-	for sc.Scan() && count < nnz {
+	for sc.Scan() && len(ts) < nnz {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 || line[0] == '%' {
 			continue
@@ -145,71 +147,68 @@ func Read(r io.Reader) (*sparse.Matrix, error) {
 				return nil, fmt.Errorf("mmio: bad value in %q", line)
 			}
 		}
-		count++
-		if general != nil {
-			general[key{i, j}] = v // symmetry is verified afterwards
-			continue
+		if h.symmetry == "symmetric" && i < j {
+			i, j = j, i // either triangle names the same entry
 		}
-		if i < j {
-			i, j = j, i
-		}
-		k := key{i, j}
-		if _, dup := seen[k]; dup {
-			return nil, fmt.Errorf("mmio: duplicate entry (%d,%d)", i+1, j+1)
-		}
-		seen[k] = v
+		ts = append(ts, sparse.Triplet{Row: i, Col: j, Val: v})
 	}
-	if count != nnz {
-		return nil, fmt.Errorf("mmio: got %d of %d entries", count, nnz)
+	if len(ts) != nnz {
+		return nil, fmt.Errorf("mmio: got %d of %d entries", len(ts), nnz)
 	}
-
-	if general != nil {
-		// Every off-diagonal entry needs an equal mirror; then the upper
-		// triangle is redundant.
-		for k, v := range general {
-			if k.r == k.c {
-				continue
-			}
-			if mv, ok := general[key{k.c, k.r}]; !ok || mv != v {
-				return nil, fmt.Errorf("mmio: general matrix not symmetric at (%d,%d)", k.r+1, k.c+1)
-			}
-		}
-		for k := range general {
-			if k.r < k.c {
-				delete(general, k)
-			}
-		}
-		seen = general
+	ts, err = lowerTriangle(ts, h.symmetry == "general")
+	if err != nil {
+		return nil, err
 	}
-
+	a, err := sparse.FromTriplets(n, ts)
+	if err != nil {
+		return nil, err
+	}
 	if h.field == "pattern" {
-		deg := make([]int, n)
-		for k := range seen {
-			if k.r != k.c {
-				deg[k.r]++
-				deg[k.c]++
-			}
-		}
-		for k := range seen {
-			if k.r == k.c {
-				seen[k] = float64(deg[k.r]) + 1
-			} else {
-				seen[k] = -1
-			}
-		}
-		// Pattern files may omit diagonal entries; add them.
-		for i := 0; i < n; i++ {
-			if _, ok := seen[key{i, i}]; !ok {
-				seen[key{i, i}] = float64(deg[i]) + 1
-			}
-		}
+		sparse.PatternLaplacian(a)
 	}
+	return a, nil
+}
 
-	ts := make([]sparse.Triplet, 0, len(seen))
-	for k, v := range seen {
-		ts = append(ts, sparse.Triplet{Row: k.r, Col: k.c, Val: v})
+// lowerTriangle sorts the entries by lower-triangle position (column, then
+// row; a general file's lower entry ahead of its mirror) and checks them in
+// that order, so an error always names the first offending entry: a
+// position given twice, or in a general file an off-diagonal entry whose
+// mirror is missing or carries another value. It returns the lower
+// triangle, one entry per position, in the entries' storage.
+func lowerTriangle(ts []sparse.Triplet, general bool) ([]sparse.Triplet, error) {
+	lower := func(t sparse.Triplet) (c, r int) { return min(t.Row, t.Col), max(t.Row, t.Col) }
+	upper := func(t sparse.Triplet) int {
+		if t.Row < t.Col {
+			return 1
+		}
+		return 0
 	}
-	return sparse.FromTriplets(n, ts)
+	slices.SortFunc(ts, func(a, b sparse.Triplet) int {
+		ac, ar := lower(a)
+		bc, br := lower(b)
+		return cmp.Or(cmp.Compare(ac, bc), cmp.Compare(ar, br), cmp.Compare(upper(a), upper(b)))
+	})
+	out := ts[:0]
+	for k := 0; k < len(ts); {
+		t := ts[k]
+		c, r := lower(t)
+		g := k + 1
+		for ; g < len(ts); g++ {
+			if gc, gr := lower(ts[g]); gc != c || gr != r {
+				break
+			}
+			if ts[g].Row == ts[g-1].Row {
+				return nil, fmt.Errorf("mmio: duplicate entry (%d,%d)", ts[g].Row+1, ts[g].Col+1)
+			}
+		}
+		// A group now holds at most one entry per triangle.
+		if general && r != c && (g-k != 2 || ts[k].Val != ts[k+1].Val) {
+			return nil, fmt.Errorf("mmio: general matrix not symmetric at (%d,%d)", t.Row+1, t.Col+1)
+		}
+		out = append(out, sparse.Triplet{Row: r, Col: c, Val: t.Val})
+		k = g
+	}
+	return out, nil
 }
 
 // nextField splits the first field off line, with strings.Fields' notion

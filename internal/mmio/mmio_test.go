@@ -189,3 +189,35 @@ func BenchmarkRead(b *testing.B) {
 		sinkMatrix = m
 	}
 }
+
+// A general file, like a symmetric one, must give each entry once; it
+// used to keep the last copy silently.
+func TestReadGeneralDuplicateRejected(t *testing.T) {
+	for in, want := range map[string]string{
+		"%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 2\n1 1 3\n2 2 1\n":                  "mmio: duplicate entry (1,1)",
+		"%%MatrixMarket matrix coordinate real general\n3 3 5\n1 1 2\n2 2 2\n1 2 -1\n2 1 -1\n1 2 -1\n": "mmio: duplicate entry (1,2)",
+		"%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2\n2 1 -1\n1 2 -1\n":              "mmio: duplicate entry (2,1)",
+	} {
+		_, err := Read(strings.NewReader(in))
+		if err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", in, err, want)
+		}
+	}
+}
+
+// With several asymmetric entries, every read names the same one: the
+// first in column order of the lower triangle.
+func TestReadAsymmetricMessageStable(t *testing.T) {
+	in := "%%MatrixMarket matrix coordinate real general\n4 4 8\n" +
+		"1 1 4\n2 2 4\n3 3 4\n4 4 4\n" +
+		"4 3 -1\n3 4 -2\n" + // mismatched pair in column 3
+		"1 4 -1\n" + // mirror (4,1) missing
+		"3 1 -1\n" // mirror (1,3) missing
+	want := "mmio: general matrix not symmetric at (3,1)"
+	for i := 0; i < 20; i++ {
+		_, err := Read(strings.NewReader(in))
+		if err == nil || err.Error() != want {
+			t.Fatalf("read %d: error %v, want %q", i, err, want)
+		}
+	}
+}

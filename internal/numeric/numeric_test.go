@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	ord "blockfanout/internal/order"
 	"blockfanout/internal/sparse"
@@ -28,16 +27,7 @@ func setupSym(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.DefaultAmalgamation())
+	_, m2, _, st, err := symbolic.AnalyzeOrdering(m, p, symbolic.DefaultAmalgamation())
 	if err != nil {
 		t.Fatal(err)
 	}

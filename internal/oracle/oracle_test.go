@@ -24,15 +24,7 @@ func prep(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := m1.Permute(etree.Build(m1).Postorder())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, amalg)
+	_, m2, _, st, err := symbolic.AnalyzeOrdering(m, p, amalg)
 	if err != nil {
 		t.Fatal(err)
 	}

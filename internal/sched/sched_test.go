@@ -5,7 +5,6 @@ import (
 
 	"blockfanout/internal/blocks"
 	"blockfanout/internal/domains"
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	ord "blockfanout/internal/order"
@@ -19,16 +18,7 @@ func setup(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.DefaultAmalgamation())
+	_, _, _, st, err := symbolic.AnalyzeOrdering(m, p, symbolic.DefaultAmalgamation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,15 +337,7 @@ func irregularBlocks(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim,
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := m1.Permute(etree.Build(m1).Postorder())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.RelativeAmalgamation(0))
+	_, _, _, st, err := symbolic.AnalyzeOrdering(m, p, symbolic.RelativeAmalgamation(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,13 +257,21 @@ type Triplet struct {
 }
 
 // FromTriplets assembles a symmetric matrix from lower-or-upper triangle
-// triplets. Duplicate entries are summed. Entries are mirrored into the
-// lower triangle; diagonal entries absent from the input are created with
-// value zero so the CSC invariant (explicit diagonal) holds.
+// triplets. Entries are mirrored into the lower triangle and duplicates are
+// summed in input order, starting from +0; diagonal entries absent from the
+// input are created with value +0 so the CSC invariant (explicit diagonal)
+// holds. It is the one assembler behind every reader and generator, and
+// takes O(n + len(ts)) time whatever order the triplets come in.
 func FromTriplets(n int, ts []Triplet) (*Matrix, error) {
-	type key struct{ r, c int }
-	acc := make(map[key]float64, len(ts)+n)
-	for _, t := range ts {
+	// Positions n.. are the triplets; positions 0..n-1 are one +0 diagonal
+	// per column, which the stable ordering puts ahead of the input's own
+	// diagonal entries, so they sum onto it.
+	rows := make([]int, n+len(ts))
+	cols := make([]int, n+len(ts))
+	for j := 0; j < n; j++ {
+		rows[j], cols[j] = j, j
+	}
+	for k, t := range ts {
 		r, c := t.Row, t.Col
 		if r < 0 || r >= n || c < 0 || c >= n {
 			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of range for n=%d", r, c, n)
@@ -271,59 +279,104 @@ func FromTriplets(n int, ts []Triplet) (*Matrix, error) {
 		if r < c {
 			r, c = c, r
 		}
-		acc[key{r, c}] += t.Val
+		rows[n+k], cols[n+k] = r, c
 	}
-	for j := 0; j < n; j++ {
-		if _, ok := acc[key{j, j}]; !ok {
-			acc[key{j, j}] = 0
+	_, src := lowerOrder(n, rows, cols)
+	// src lists the entries in CSC order, a repeated position's entries
+	// adjacent and in input order; the first of them opens a new entry.
+	opens := func(q int) bool {
+		return q == 0 || rows[src[q]] != rows[src[q-1]] || cols[src[q]] != cols[src[q-1]]
+	}
+	m := &Matrix{N: n, ColPtr: make([]int, n+1)}
+	for q, k := range src {
+		if opens(q) {
+			m.ColPtr[cols[k]+1]++
 		}
 	}
-	counts := make([]int, n+1)
-	for k := range acc {
-		counts[k.c+1]++
-	}
 	for j := 0; j < n; j++ {
-		counts[j+1] += counts[j]
+		m.ColPtr[j+1] += m.ColPtr[j]
 	}
-	m := &Matrix{
-		N:      n,
-		ColPtr: counts,
-		RowInd: make([]int, len(acc)),
-		Val:    make([]float64, len(acc)),
-	}
-	next := append([]int(nil), counts[:n]...)
-	for k, v := range acc {
-		p := next[k.c]
-		next[k.c]++
-		m.RowInd[p] = k.r
-		m.Val[p] = v
-	}
-	// Sort each column's (row, val) pairs by row.
-	for j := 0; j < n; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		rows, vals := m.RowInd[lo:hi], m.Val[lo:hi]
-		sort.Sort(&rowValSort{rows, vals})
+	m.RowInd = make([]int, m.ColPtr[n])
+	m.Val = make([]float64, m.ColPtr[n])
+	p := -1
+	for q, k := range src {
+		if opens(q) {
+			p++
+			m.RowInd[p] = rows[k]
+		}
+		if k >= n {
+			m.Val[p] += ts[k-n].Val
+		}
 	}
 	return m, nil
 }
 
-type rowValSort struct {
-	rows []int
-	vals []float64
+// lowerOrder sorts entries k at lower-triangle positions (rows[k], cols[k])
+// into CSC order: column by column, rows ascending within a column, equal
+// positions in increasing k. It returns the column pointers and src, where
+// src[q] is the entry at sorted position q. Two stable counting passes, by
+// row and then by column, make it O(n + len(rows)).
+func lowerOrder(n int, rows, cols []int) (ptr, src []int) {
+	_, byRow := bucket(n, rows, nil)
+	return bucket(n, cols, byRow)
 }
 
-func (s *rowValSort) Len() int           { return len(s.rows) }
-func (s *rowValSort) Less(i, j int) bool { return s.rows[i] < s.rows[j] }
-func (s *rowValSort) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
+// bucket is one stable counting-sort pass: it orders the entries listed in
+// in (nil means 0..len(key)-1) by key, keeping their order within a key,
+// and returns the key pointers and the reordered entries.
+func bucket(n int, key, in []int) (ptr, out []int) {
+	ptr = make([]int, n+1)
+	for _, v := range key {
+		ptr[v+1]++
+	}
+	for j := 0; j < n; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	next := append([]int(nil), ptr[:n]...)
+	out = make([]int, len(key))
+	for i := range key {
+		k := i
+		if in != nil {
+			k = in[i]
+		}
+		out[next[key[k]]] = k
+		next[key[k]]++
+	}
+	return ptr, out
+}
+
+// PatternLaplacian overwrites the values of an assembled matrix with the
+// graph Laplacian plus identity of its pattern: −1 at every off-diagonal
+// entry, and on the diagonal the number of distinct off-diagonal neighbours
+// plus 1. The result is strictly diagonally dominant, hence positive
+// definite. It is the one rule by which pattern-only input (Matrix Market
+// and Harwell-Boeing pattern files, the generators' graphs) gets values.
+func PatternLaplacian(m *Matrix) {
+	deg := make([]int, m.N)
+	for j := 0; j < m.N; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if i := m.RowInd[p]; i != j {
+				deg[i]++
+				deg[j]++
+			}
+		}
+	}
+	for j := 0; j < m.N; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if m.RowInd[p] == j {
+				m.Val[p] = float64(deg[j]) + 1
+			} else {
+				m.Val[p] = -1
+			}
+		}
+	}
 }
 
 // Permute computes the symmetric permutation B = P·A·Pᵀ where perm[new] =
 // old, i.e. B(i,j) = A(perm[i], perm[j]). The result is again a sorted
 // lower-triangular CSC matrix.
 func (m *Matrix) Permute(perm []int) (*Matrix, error) {
-	b, _, err := m.permute(perm, false)
+	b, _, err := m.PermuteWithMap(perm)
 	return b, err
 }
 
@@ -333,10 +386,6 @@ func (m *Matrix) Permute(perm []int) (*Matrix, error) {
 // values onto a fixed pattern without redoing the symbolic permutation —
 // the refactorization path applies it as a gather.
 func (m *Matrix) PermuteWithMap(perm []int) (*Matrix, []int, error) {
-	return m.permute(perm, true)
-}
-
-func (m *Matrix) permute(perm []int, withMap bool) (*Matrix, []int, error) {
 	n := m.N
 	if len(perm) != n {
 		return nil, nil, fmt.Errorf("sparse: permutation length %d for n=%d", len(perm), n)
@@ -350,71 +399,29 @@ func (m *Matrix) permute(perm []int, withMap bool) (*Matrix, []int, error) {
 		seen[old] = true
 		inv[old] = newIdx
 	}
-	counts := make([]int, n+1)
+	rows := make([]int, m.NNZ())
+	cols := make([]int, m.NNZ())
 	for j := 0; j < n; j++ {
 		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			i := m.RowInd[p]
-			ni, nj := inv[i], inv[j]
+			ni, nj := inv[m.RowInd[p]], inv[j]
 			if ni < nj {
 				ni, nj = nj, ni
 			}
-			counts[nj+1]++
+			rows[p], cols[p] = ni, nj
 		}
 	}
-	for j := 0; j < n; j++ {
-		counts[j+1] += counts[j]
-	}
+	ptr, vmap := lowerOrder(n, rows, cols)
 	b := &Matrix{
 		N:      n,
-		ColPtr: counts,
+		ColPtr: ptr,
 		RowInd: make([]int, m.NNZ()),
 		Val:    make([]float64, m.NNZ()),
 	}
-	var vmap []int
-	if withMap {
-		vmap = make([]int, m.NNZ())
-	}
-	next := append([]int(nil), counts[:n]...)
-	for j := 0; j < n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			i := m.RowInd[p]
-			ni, nj := inv[i], inv[j]
-			if ni < nj {
-				ni, nj = nj, ni
-			}
-			q := next[nj]
-			next[nj]++
-			b.RowInd[q] = ni
-			b.Val[q] = m.Val[p]
-			if withMap {
-				vmap[q] = p
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := b.ColPtr[j], b.ColPtr[j+1]
-		if withMap {
-			sort.Sort(&rowValMapSort{b.RowInd[lo:hi], b.Val[lo:hi], vmap[lo:hi]})
-		} else {
-			sort.Sort(&rowValSort{b.RowInd[lo:hi], b.Val[lo:hi]})
-		}
+	for q, p := range vmap {
+		b.RowInd[q] = rows[p]
+		b.Val[q] = m.Val[p]
 	}
 	return b, vmap, nil
-}
-
-// rowValMapSort co-sorts (rows, vals, vmap) by row.
-type rowValMapSort struct {
-	rows []int
-	vals []float64
-	vmap []int
-}
-
-func (s *rowValMapSort) Len() int           { return len(s.rows) }
-func (s *rowValMapSort) Less(i, j int) bool { return s.rows[i] < s.rows[j] }
-func (s *rowValMapSort) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
-	s.vmap[i], s.vmap[j] = s.vmap[j], s.vmap[i]
 }
 
 // ResidualNorm returns ‖A·x − b‖∞, a convergence check for solvers.

@@ -4,9 +4,11 @@
 // block regularity), and computation of the supernodal row structures that
 // the block partitioning is built on.
 //
-// Input matrices must already be permuted by a fill-reducing ordering and
-// postordered by their elimination tree (see core.NewPlan for the driver
-// that arranges this), so that supernodes occupy contiguous column ranges.
+// AnalyzeOrdering is the analysis pipeline: given A and a fill-reducing
+// ordering it builds the elimination tree and column counts once,
+// postorders the tree so that supernodes occupy contiguous column ranges,
+// permutes A once to the total ordering, and analyzes the result. Analyze
+// is the last step alone, for a matrix already so ordered.
 package symbolic
 
 import (
@@ -14,6 +16,7 @@ import (
 	"sort"
 
 	"blockfanout/internal/etree"
+	"blockfanout/internal/order"
 	"blockfanout/internal/sparse"
 )
 
@@ -76,8 +79,7 @@ type Structure struct {
 	Parent  []int   // supernode elimination forest (-1 for roots)
 	Depth   []int   // supernode depth in that forest (roots at 0)
 
-	Tree      *etree.Tree // column elimination tree
-	ColCounts []int       // exact per-column counts of L (pre-amalgamation)
+	ColCounts []int // exact per-column counts of L (pre-amalgamation)
 }
 
 // NNZ returns the number of stored factor entries implied by the (possibly
@@ -106,17 +108,66 @@ func (st *Structure) Flops() int64 {
 	return f
 }
 
+// AnalyzeOrdering runs the whole analysis of a under the fill-reducing
+// ordering fill (fill[new] = old). It builds the elimination tree and column
+// counts of fill·a·fillᵀ without forming that matrix, relabels both by the
+// tree's postorder po, permutes a once by perm = fill∘po (perm[new] =
+// fill[po[new]]), and runs the symbolic phase on the result. It returns
+// perm, the permuted matrix pa, the value map (pa.Val[q] == a.Val[vmap[q]])
+// and the structure.
+func AnalyzeOrdering(a *sparse.Matrix, fill []int, cfg AmalgamationConfig) (perm []int, pa *sparse.Matrix, vmap []int, st *Structure, err error) {
+	n := a.N
+	if len(fill) != n {
+		return nil, nil, nil, nil, fmt.Errorf("symbolic: ordering length %d for n=%d", len(fill), n)
+	}
+	if err := order.Permutation(fill).Validate(); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	t := etree.BuildPermuted(a, fill)
+	counts := t.ColCounts()
+	po := t.Postorder()
+	// Relabel by the postorder: new column k is old column po[k]. A
+	// postorder is a topological order of the tree, so the relabelled tree
+	// and counts are those of the postordered matrix.
+	inv := make([]int, n)
+	for k, j := range po {
+		inv[j] = k
+	}
+	perm = make([]int, n)
+	parent := make([]int, n)
+	pcounts := make([]int, n)
+	for k, j := range po {
+		perm[k] = fill[j]
+		parent[k] = -1
+		if p := t.Parent[j]; p >= 0 {
+			parent[k] = inv[p]
+		}
+		pcounts[k] = counts[j]
+	}
+	if pa, vmap, err = a.PermuteWithMap(perm); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if st, err = analyze(pa, parent, pcounts, cfg); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return perm, pa, vmap, st, nil
+}
+
 // Analyze runs the symbolic phase on a permuted, postordered matrix.
 func Analyze(m *sparse.Matrix, cfg AmalgamationConfig) (*Structure, error) {
 	t := etree.Build(m)
-	counts := t.ColCounts()
-	sn := fundamental(t.Parent, counts)
-	sn = amalgamate(sn, t.Parent, counts, cfg)
+	return analyze(m, t.Parent, t.ColCounts(), cfg)
+}
+
+// analyze runs the symbolic phase on a postordered matrix given its
+// elimination tree and column counts.
+func analyze(m *sparse.Matrix, parent, counts []int, cfg AmalgamationConfig) (*Structure, error) {
+	sn := fundamental(parent, counts)
+	sn = amalgamate(sn, parent, counts, cfg)
 	st := &Structure{
 		N:         m.N,
 		Snodes:    sn,
 		SnodeOf:   make([]int, m.N),
-		Tree:      t,
 		ColCounts: counts,
 	}
 	for i, s := range sn {

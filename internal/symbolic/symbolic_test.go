@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -19,12 +20,7 @@ func prep(t *testing.T, m *sparse.Matrix, method order.Method, gridDim int) *spa
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
+	_, m2, _, _, err := AnalyzeOrdering(m, p, NoAmalgamation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,4 +331,51 @@ func prepQuick(t *testing.T, seed uint16, n int) *sparse.Matrix {
 	t.Helper()
 	m := gen.IrregularMesh(n, 3+int(seed%4), 3, uint64(seed)*13+1)
 	return prep(t, m, order.MinDegree, 0)
+}
+
+// AnalyzeOrdering's structure, built from the tree and counts of the
+// fill-permuted matrix relabelled by the postorder, must be Analyze's on the
+// matrix it returns; its permutation must carry A onto that matrix.
+func TestAnalyzeOrderingMatchesAnalyze(t *testing.T) {
+	for name, m := range map[string]*sparse.Matrix{
+		"grid": gen.Grid2D(9),
+		"mesh": gen.IrregularMesh(150, 5, 3, 7),
+		"lp":   gen.NormalEq(90, 3, 2, 10, 6),
+	} {
+		fill := order.MinDeg(sparse.PatternOf(m))
+		for _, cfg := range []AmalgamationConfig{NoAmalgamation(), DefaultAmalgamation(), RelativeAmalgamation(0.3)} {
+			perm, pa, vmap, st, err := AnalyzeOrdering(m, fill, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(pa, want) {
+				t.Fatalf("%s: PA is not A under the returned permutation", name)
+			}
+			for q, p := range vmap {
+				if pa.Val[q] != m.Val[p] {
+					t.Fatalf("%s: value map wrong at %d", name, q)
+				}
+			}
+			ref, err := Analyze(pa, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st, ref) {
+				t.Fatalf("%s %+v: structure differs from Analyze's", name, cfg)
+			}
+		}
+	}
+}
+
+func TestAnalyzeOrderingRejectsBadOrdering(t *testing.T) {
+	m := gen.Grid2D(3)
+	for _, fill := range [][]int{{0, 1, 2}, {0, 1, 2, 3, 4, 5, 6, 7, 7}, {0, 1, 2, 3, 4, 5, 6, 7, 9}} {
+		if _, _, _, _, err := AnalyzeOrdering(m, fill, DefaultAmalgamation()); err == nil {
+			t.Fatalf("ordering %v accepted", fill)
+		}
+	}
 }
