@@ -3,13 +3,13 @@
 // selected by Content-Type) and right-hand sides to /v1/solve; repeated
 // factor requests for the same sparsity pattern skip ordering and symbolic
 // analysis via the pattern-keyed plan cache and refactor numerically in
-// place, and concurrent single-RHS solves are coalesced into shared
-// multi-RHS sweeps.
+// place, and single-RHS solves that queue behind a running sweep are
+// coalesced into the next shared multi-RHS sweep.
 //
 // Usage:
 //
 //	spchol-serve -addr :8080 -procs 8 -workers 4
-//	spchol-serve -cache-entries 32 -cache-bytes 536870912 -batch-window 2ms
+//	spchol-serve -cache-entries 32 -cache-bytes 536870912 -batch-limit 16
 //
 // SIGINT/SIGTERM drain the server: health checks start failing (so load
 // balancers stop routing), in-flight requests finish, then the process
@@ -61,8 +61,8 @@ func run() error {
 		queue        = flag.Int("queue", 64, "operations that may wait for a worker before 429")
 		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget (0 = default 64)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte budget (0 = default 1 GiB)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "local only: how long the first solve of a batch waits for company (negative disables batching)")
-		batchLimit   = flag.Int("batch-limit", 64, "local only: flush a batch early at this many right-hand sides")
+		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "local only: negative disables RHS batching; any other value enables it (a solve runs at once when its factor is idle and otherwise rides the next sweep)")
+		batchLimit   = flag.Int("batch-limit", 64, "local only: most right-hand sides one coalesced sweep takes")
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request deadline for heavy work")
 		block        = flag.Int("block", 0, "panel width B of new plans (0 = default 48)")
 		execMode     = flag.String("exec", "steal", "parallel execution engine: steal | spmd")

@@ -132,6 +132,8 @@ type Structure struct {
 
 	pairsOnce sync.Once
 	pairs     *PairTable
+	relOnce   sync.Once
+	relBase   []int // PairTable.RelBase (rowMapBase)
 }
 
 // N returns the number of panels (block rows = block columns).

@@ -3,6 +3,7 @@ package blocks
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // buildDAG numbers the blocks and runs the one pass over the operations
@@ -159,28 +160,13 @@ func (bs *Structure) Pairs() *PairTable {
 }
 
 // buildRowMaps merges every pairing's source rows into its destination's
-// row list. Block row lists are ascending, and the block structure
-// guarantees each source row is present in the destination, so a map is
-// a consecutive run exactly when its first and last source rows lie
-// len−1 apart in the destination; the first pass finds those by binary
-// search to size the compressed table.
+// row list, into the compressed table rowMapBase sizes.
 func (pt *PairTable) buildRowMaps(bs *Structure) {
-	rows := func(p int) (src, dest []int) {
-		d := pt.Dest[p]
-		return bs.Cols[pt.Col[p]].Blocks[pt.A[p]].Rows, bs.Cols[bs.ColOf[d]].Blocks[bs.IdxOf[d]].Rows
-	}
-	pt.RelBase = make([]int, len(pt.Col)+1)
-	for p := range pt.Col {
-		src, dest := rows(p)
-		n := len(src)
-		if sort.SearchInts(dest, src[n-1])-sort.SearchInts(dest, src[0]) == n-1 {
-			n = 1
-		}
-		pt.RelBase[p+1] = pt.RelBase[p] + n
-	}
+	pt.RelBase = bs.rowMapBase()
 	pt.RelRow = make([]int32, pt.RelBase[len(pt.Col)])
 	for p := range pt.Col {
-		src, dest := rows(p)
+		d := pt.Dest[p]
+		src, dest := bs.Cols[pt.Col[p]].Blocks[pt.A[p]].Rows, bs.Cols[bs.ColOf[d]].Blocks[bs.IdxOf[d]].Rows
 		rel := pt.RelRow[pt.RelBase[p]:pt.RelBase[p+1]]
 		pos := 0
 		for s, g := range src[:len(rel)] {
@@ -193,6 +179,68 @@ func (pt *PairTable) buildRowMaps(bs *Structure) {
 			rel[s] = int32(pos)
 		}
 	}
+}
+
+// rowMapBase returns PairTable.RelBase, computing it once per structure:
+// Bytes needs its total before Pairs builds the table. Block row lists are
+// ascending, and the block structure guarantees each source row is present
+// in the destination, so a map is a consecutive run — stored as its first
+// entry alone — exactly when its first and last source rows lie len−1
+// apart in the destination. Rows that are one integer range, or a
+// destination no longer than the source, are a run without a search.
+func (bs *Structure) rowMapBase() []int {
+	bs.relOnce.Do(func() {
+		base := make([]int, len(bs.ModDest)+1)
+		p := 0
+		for k := range bs.Cols {
+			blks := bs.Cols[k].Blocks
+			for ia := 1; ia < len(blks); ia++ {
+				src := blks[ia].Rows
+				n := len(src)
+				for jb := 1; jb <= ia; jb++ {
+					d := bs.ModDest[p]
+					dest := bs.Cols[bs.ColOf[d]].Blocks[bs.IdxOf[d]].Rows
+					m := n
+					if src[n-1]-src[0] == n-1 || len(dest) == n ||
+						sort.SearchInts(dest, src[n-1])-sort.SearchInts(dest, src[0]) == n-1 {
+						m = 1
+					}
+					base[p+1] = base[p] + m
+					p++
+				}
+			}
+		}
+		bs.relBase = base
+	})
+	return bs.relBase
+}
+
+// Bytes is the heap the structure holds: the partition, the block lists
+// with the row indices it allocated, the DAG tables and the pairing table.
+// Rows of blocks below a supernode are sub-slices of the symbolic
+// structure's row lists (Build), so they are the symbolic structure's to
+// count. The pairing table is counted whether or not Pairs has built it
+// yet: the plan's first factorization builds it, and a cache charging the
+// plan before then must not miss it. Allocator rounding is not counted.
+func (bs *Structure) Bytes() int64 {
+	const i32, i64 = 4, 8
+	b := int64(cap(bs.Cols)) * int64(unsafe.Sizeof(BlockCol{}))
+	for j := range bs.Cols {
+		blks := bs.Cols[j].Blocks
+		b += int64(cap(blks)) * int64(unsafe.Sizeof(Block{}))
+		for i := range blks {
+			if bs.Part.SnodeOf[blks[i].I] == bs.Cols[j].Snode {
+				b += int64(cap(blks[i].Rows)) * i64
+			}
+		}
+	}
+	b += int64(cap(bs.Part.Start)+cap(bs.Part.SnodeOf)+cap(bs.Part.PanelOf)) * i64
+	b += int64(cap(bs.ColBase)+cap(bs.ColOf)+cap(bs.IdxOf)+cap(bs.NMods)+cap(bs.ModDest)+cap(bs.Seeds)) * i32
+	b += int64(cap(bs.OwnOpFlops)+cap(bs.ModBase)) * i64
+	// The pairing table: Col, A and B per pairing, DestBase per block,
+	// RelBase and RelRow per row map; Dest shares ModDest.
+	pairs, relRow := int64(len(bs.ModDest)), int64(bs.rowMapBase()[len(bs.ModDest)])
+	return b + 3*pairs*i32 + int64(bs.NBlocks+1)*i32 + (pairs+1)*i64 + relRow*i32
 }
 
 // RowMap returns pairing p's row index map (see RelRow): the full map, or

@@ -137,3 +137,17 @@ func TestDAGTablesMatchEnumeration(t *testing.T) {
 		}
 	}
 }
+
+// TestBytesCountsPairTableBeforeBuild: Bytes charges the pairing table
+// the same before and after Pairs builds it, so a cache that sizes a plan
+// before its first factorization does not miss the table.
+func TestBytesCountsPairTableBeforeBuild(t *testing.T) {
+	for name, bs := range dagInputs(t) {
+		before := bs.Bytes()
+		pt := bs.Pairs()
+		table := int64(4*(len(pt.Col)+len(pt.A)+len(pt.B)+len(pt.RelRow)+len(pt.DestBase)) + 8*len(pt.RelBase))
+		if after := bs.Bytes(); after != before || before < table {
+			t.Fatalf("%s: Bytes %d before Pairs, %d after; the table alone is %d", name, before, after, table)
+		}
+	}
+}

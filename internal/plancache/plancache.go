@@ -260,9 +260,12 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// PlanBytes estimates the retained size of a plan: the dominant slices of
-// the matrices, symbolic structure, and block partition. It is a budget
-// estimate, not an accounting — constant per-object overheads are ignored.
+// PlanBytes estimates the retained size of a plan: its matrices,
+// permutations, symbolic structure and block structure — the last through
+// blocks.Structure.Bytes, which includes the DAG and the pairing table the
+// plan's first factorization builds. It is a budget estimate, not an
+// accounting: allocator rounding and constant per-object overheads are
+// ignored.
 func PlanBytes(p *core.Plan) int64 {
 	var b int64
 	matrix := func(m *sparse.Matrix) {
@@ -273,17 +276,16 @@ func PlanBytes(p *core.Plan) int64 {
 	}
 	matrix(p.A)
 	matrix(p.PA)
-	b += int64(len(p.Perm))*8 + int64(len(p.ValMap))*8 + int64(len(p.PanelDepth))*8
-	if p.Sym != nil {
-		b += int64(len(p.Sym.ColCounts))*8 + int64(len(p.Sym.Depth))*8
+	b += int64(len(p.Perm)+len(p.ValMap)+len(p.PanelDepth)) * 8
+	if st := p.Sym; st != nil {
+		b += int64(len(st.Snodes))*16 + int64(len(st.Rows))*24
+		b += int64(len(st.SnodeOf)+len(st.Parent)+len(st.Depth)+len(st.ColCounts)) * 8
+		for _, rows := range st.Rows {
+			b += int64(len(rows)) * 8
+		}
 	}
 	if p.BS != nil {
-		for j := range p.BS.Cols {
-			for bi := range p.BS.Cols[j].Blocks {
-				b += int64(len(p.BS.Cols[j].Blocks[bi].Rows)) * 8
-			}
-			b += int64(len(p.BS.Cols[j].Blocks)) * 48
-		}
+		b += p.BS.Bytes()
 	}
 	return b
 }

@@ -1,7 +1,9 @@
 package plancache
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,5 +278,35 @@ func TestCombineKeyGolden(t *testing.T) {
 		if got := combineKey(tc.pattern, tc.cfg); got != tc.want {
 			t.Errorf("combineKey(%#x, %#x) = %#x, want %#x", tc.pattern, tc.cfg, got, tc.want)
 		}
+	}
+}
+
+// TestPlanBytesCoversRetainedHeap: PlanBytes charges at least 0.9× the
+// heap a plan keeps alive once it has been built and factored once (the
+// first factorization builds the pairing table), on the CI-scale gen
+// suite. The heap is read after two collections, so the dropped factor
+// and any pooled scratch are gone; the test must not run in parallel.
+func TestPlanBytesCoversRetainedHeap(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, pr := range append(gen.Table1Suite(gen.ScaleCI), gen.Table6Suite(gen.ScaleCI)...) {
+		before := heap()
+		plan, err := core.NewPlan(pr.Build(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.Factor(context.Background(), plan.ServingAssignment(2), core.FactorOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		held := heap() - before
+		if got := PlanBytes(plan); float64(got) < 0.9*float64(held) {
+			t.Errorf("%s: PlanBytes %d < 0.9 × the %d bytes the plan holds", pr.Name, got, held)
+		}
+		runtime.KeepAlive(plan)
 	}
 }

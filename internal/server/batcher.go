@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"sync"
-	"time"
-
-	"blockfanout/internal/admission"
 )
 
 // solveOutcome is what one batched single-RHS solve gets back.
@@ -15,128 +13,120 @@ type solveOutcome struct {
 	err   error
 }
 
-// pendingSolve is one request parked in the batch window.
+// pendingSolve is one request queued behind a running sweep.
 type pendingSolve struct {
+	ctx context.Context
 	b   []float64
-	res chan solveOutcome // buffered(1); flush never blocks on a dead client
+	res chan solveOutcome // buffered(1); run never blocks on a dead client
 }
 
-// batcher coalesces concurrent single-RHS solves against one factor into
-// one SolveMany sweep. The first request to land in an empty window arms a
-// timer; everything arriving within the window joins its batch. A batch is
-// flushed early when it reaches the configured size limit. Each coalesced
-// sweep loads every factor block once for the whole batch — the serving
-// win SolveN was built for.
+// batcher coalesces single-RHS solves against one factor by group commit.
+// A solve that finds no sweep running runs at once, on its caller's
+// goroutine. Solves that arrive while a sweep runs queue; when it ends
+// they go together, up to BatchLimit, as the next SolveMany sweep. So the
+// batch size follows the load and a queued solve waits one sweep. Each
+// coalesced sweep loads every factor block once for the whole batch —
+// the serving win SolveN was built for.
 type batcher struct {
 	l  *Local
 	fe *factorEntry
 
 	mu      sync.Mutex
+	busy    bool // a sweep is running or about to
 	pending []pendingSolve
-	timer   *time.Timer
 }
 
-// submit enqueues b and waits for its solution (or ctx expiry; the batch
-// keeps running and discards the abandoned result).
-func (bt *batcher) submit(ctx context.Context, b []float64) solveOutcome {
-	// A request whose deadline already passed must not be coalesced into a
-	// sweep: its result would be discarded anyway, but the sweep would
-	// still spend a worker pool slot solving for it. Fail it before it
-	// touches the pending list.
+// submit solves b, at once when the factor is idle and otherwise in the
+// sweep after the running one (or until ctx expires).
+func (bt *batcher) submit(ctx context.Context, b []float64) (SolveResponse, error) {
+	// A request whose deadline already passed must not take a sweep: its
+	// result would be discarded anyway. Fail it before it touches the
+	// pending list.
 	if err := ctx.Err(); err != nil {
-		return solveOutcome{err: err}
+		return SolveResponse{}, err
 	}
-	req := pendingSolve{b: b, res: make(chan solveOutcome, 1)}
+	req := pendingSolve{ctx: ctx, b: b, res: make(chan solveOutcome, 1)}
 	bt.mu.Lock()
-	bt.pending = append(bt.pending, req)
-	switch {
-	case len(bt.pending) >= bt.l.s.cfg.BatchLimit:
-		if bt.timer != nil {
-			bt.timer.Stop()
-			bt.timer = nil
-		}
-		batch := bt.pending
-		bt.pending = nil
+	if bt.busy {
+		bt.pending = append(bt.pending, req)
 		bt.mu.Unlock()
-		go bt.run(batch)
-	case len(bt.pending) == 1:
-		bt.timer = time.AfterFunc(bt.l.s.cfg.BatchWindow, bt.flush)
+		bt.l.s.met.queued.Add(1)
+	} else {
+		bt.busy = true
 		bt.mu.Unlock()
-	default:
-		bt.mu.Unlock()
+		bt.run(ctx, []pendingSolve{req})
 	}
-
 	select {
 	case out := <-req.res:
-		return out
+		return SolveResponse{X: out.x, Batch: out.batch}, out.err
 	case <-ctx.Done():
-		return solveOutcome{err: ctx.Err()}
+		return SolveResponse{}, ctx.Err()
 	}
 }
 
-// flush is the timer callback: take whatever accumulated and solve it.
-func (bt *batcher) flush() {
+// next starts the solves queued behind the sweep that just ended as one
+// batch on a goroutine of its own, or marks the factor idle.
+func (bt *batcher) next() {
 	bt.mu.Lock()
-	batch := bt.pending
-	bt.pending = nil
-	bt.timer = nil
-	bt.mu.Unlock()
-	if len(batch) > 0 {
-		bt.run(batch)
+	defer bt.mu.Unlock()
+	n := min(len(bt.pending), bt.l.s.cfg.BatchLimit)
+	if n == 0 {
+		bt.busy = false
+		return
 	}
+	batch := bt.pending[:n:n]
+	bt.pending = append([]pendingSolve(nil), bt.pending[n:]...) // drop batch's array
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), bt.l.s.cfg.RequestTimeout)
+		defer cancel()
+		bt.run(ctx, batch)
+	}()
 }
 
-// run executes one coalesced batch on the worker pool and distributes the
-// results. The batch admits as an internal interactive request: each
-// constituent solve was already charged against its tenant's bucket at
-// arrival, so the sweep itself only competes for a worker slot.
-func (bt *batcher) run(batch []pendingSolve) {
+// run solves batch in one SolveMany sweep through Local.solve, answers
+// each request and then starts the next sweep. Requests whose context
+// ended while they queued are dropped, not solved. The sweep admits as an
+// internal interactive request: each solve was already charged against
+// its tenant's bucket at arrival, so the sweep only competes for a worker
+// slot. A panic in the sweep answers every request with an error, so a
+// batch on a goroutine of its own cannot take the process down.
+func (bt *batcher) run(ctx context.Context, batch []pendingSolve) {
+	defer bt.next()
 	s := bt.l.s
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
-	rel, rej, err := s.adm.Admit(ctx, admission.Request{
-		Priority: admission.Interactive,
-		Cost:     s.cost.Estimate(4 * bt.fe.nnzL * int64(len(batch))),
-		Deadline: admissionDeadline(ctx),
-		Internal: true,
-	})
-	if rej != nil {
-		err = rej
-	}
-	if err != nil {
-		for _, req := range batch {
-			req.res <- solveOutcome{err: err}
+	var live []pendingSolve
+	var bs [][]float64
+	for _, req := range batch {
+		if req.ctx.Err() != nil {
+			s.met.expired.Add(1)
+			continue
 		}
+		live, bs = append(live, req), append(bs, req.b)
+	}
+	if len(live) == 0 {
+		return
+	}
+	var xs [][]float64
+	var err error
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.met.panics.Add(1)
+			err = fmt.Errorf("internal panic in a batched solve: %v", rec)
+		}
+		for i, req := range live {
+			out := solveOutcome{err: err}
+			if err == nil {
+				out = solveOutcome{x: xs[i], batch: len(live)}
+			}
+			req.res <- out
+		}
+	}()
+	rel, err := s.admitSolve(ctx, "", bt.fe.nnzL, len(bs))
+	if err != nil {
 		return
 	}
 	defer rel()
-
-	bs := make([][]float64, len(batch))
-	for i, req := range batch {
-		bs[i] = req.b
-	}
-	bt.fe.mu.RLock()
-	if bt.fe.f == nil {
-		// The factor was invalidated (failed refactor) after these requests
-		// looked it up; fail them instead of dereferencing nil — a panic
-		// here would take down the whole process.
-		bt.fe.mu.RUnlock()
-		for _, req := range batch {
-			req.res <- solveOutcome{err: errFactorInvalid}
-		}
-		return
-	}
-	xs, err := bt.fe.f.SolveMany(bs)
-	bt.fe.mu.RUnlock()
-	if err != nil {
-		for _, req := range batch {
-			req.res <- solveOutcome{err: err}
-		}
-		return
-	}
-	s.met.batches.Add(1)
-	s.met.batched.Add(int64(len(batch)))
-	for i, req := range batch {
-		req.res <- solveOutcome{x: xs[i], batch: len(batch)}
+	if xs, err = bt.l.solve(ctx, bt.fe, bs); err == nil {
+		s.met.batches.Add(1)
+		s.met.batched.Add(int64(len(bs)))
 	}
 }

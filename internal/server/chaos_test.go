@@ -139,3 +139,77 @@ func TestChaosPanicContained(t *testing.T) {
 	// The process survived; the very next request must work.
 	factorMatrix(t, ts.URL, a)
 }
+
+// TestChaosBatchedSolveFaultRetried: a transient fault on a coalesced
+// sweep is retried like a direct solve's, and every waiter gets its
+// answer. After: 1 lets the lone first solve through, so the fault lands
+// on the queued batch.
+func TestChaosBatchedSolveFaultRetried(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s, ts := testService(t, Config{Procs: 2, BlockSize: 16, RetryBackoff: time.Millisecond})
+	a := gen.IrregularMesh(120, 4, 3, 36)
+	fr := factorMatrix(t, ts.URL, a)
+	fe, _ := s.local.lookup(fr.ID)
+	bs := make([][]float64, 4)
+	for i := range bs {
+		bs[i] = make([]float64, a.N)
+		bs[i][i] = 1
+	}
+
+	faultinject.Enable(faultinject.Rule{Site: "server.solve", Prob: 1, After: 1, Count: 1})
+	for i, sr := range solveQueued(t, ts.URL, fe, bs) {
+		if r := a.ResidualNorm(sr.X, bs[i]); r > 1e-8 {
+			t.Fatalf("solve %d (batch %d): residual %g", i, sr.Batch, r)
+		}
+	}
+	if faultinject.Fires("server.solve") != 1 || s.met.retries.Load() < 1 {
+		t.Fatalf("fires=%d retries=%d; want the batch's fault fired once and retried",
+			faultinject.Fires("server.solve"), s.met.retries.Load())
+	}
+}
+
+// TestChaosBatchedSolvePanicContained: a panic in a queued batch, which
+// runs on a goroutine of its own, answers each waiter with a 5xx, leaves
+// the factor's lock and the worker pool usable, and the next solve on the
+// same id succeeds.
+func TestChaosBatchedSolvePanicContained(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s, ts := testService(t, Config{Procs: 2, BlockSize: 16})
+	a := gen.IrregularMesh(120, 4, 3, 37)
+	fr := factorMatrix(t, ts.URL, a)
+	fe, _ := s.local.lookup(fr.ID)
+	rhs := make([]float64, a.N)
+	for i := range rhs {
+		rhs[i] = 1
+	}
+	bs := [][]float64{rhs, rhs, rhs}
+
+	faultinject.Enable(faultinject.Rule{Site: "server.solve", Prob: 1, After: 1, Count: 1, Panic: true})
+	codes, bodies := postQueued(t, ts.URL, fe, bs)
+	if codes[0] != http.StatusOK {
+		t.Fatalf("lone solve: status %d (%s)", codes[0], bodies[0])
+	}
+	for i := 1; i < len(bs); i++ {
+		if codes[i] < 500 {
+			t.Fatalf("solve %d in the panicking batch: status %d (%s); want 5xx", i, codes[i], bodies[i])
+		}
+	}
+	if s.met.panics.Load() != 1 {
+		t.Fatalf("panics metric = %d; want 1", s.met.panics.Load())
+	}
+	if busy := s.adm.Snapshot().Busy; busy != 0 {
+		t.Fatalf("worker slot leaked: busy=%d", busy)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve after the panic: status %d (%s)", resp.StatusCode, body)
+	}
+	var sr SolveResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if r := a.ResidualNorm(sr.X, rhs); r > 1e-8 {
+		t.Fatalf("residual %g after the panic", r)
+	}
+}

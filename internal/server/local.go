@@ -150,8 +150,7 @@ func (l *Local) Solve(ctx context.Context, req *SolveRequest) (SolveResponse, er
 		return SolveResponse{}, WithStatus(http.StatusNotFound, fmt.Errorf("unknown factor id %q", req.ID))
 	}
 	if req.B != nil && l.s.batching() {
-		out := fe.bt.submit(ctx, req.B)
-		return SolveResponse{X: out.x, Batch: out.batch}, out.err
+		return fe.bt.submit(ctx, req.B)
 	}
 	bs := req.BS
 	if req.B != nil {
@@ -200,8 +199,10 @@ func (l *Local) Live(id string) (int, int64, bool) {
 
 // localDoc is the Local backend's /metrics section.
 type localDoc struct {
-	Batches  int64 `json:"batches"`      // coalesced SolveMany calls issued by the batcher
+	Batches  int64 `json:"batches"`      // SolveMany calls issued by the batcher, lone solves included
 	BatchedR int64 `json:"batched_rhs"`  // right-hand sides that travelled in those batches
+	Queued   int64 `json:"queued_rhs"`   // solves that waited for a running sweep
+	Expired  int64 `json:"expired_rhs"`  // queued solves dropped: context ended first
 	LiveFac  int   `json:"live_factors"` // registered factors
 }
 
@@ -209,7 +210,8 @@ type localDoc struct {
 // process runs.
 func (l *Local) Status() BackendStatus {
 	met := &l.s.met
-	doc := localDoc{Batches: met.batches.Load(), BatchedR: met.batched.Load()}
+	doc := localDoc{Batches: met.batches.Load(), BatchedR: met.batched.Load(),
+		Queued: met.queued.Load(), Expired: met.expired.Load()}
 	l.mu.Lock()
 	doc.LiveFac = len(l.factors)
 	l.mu.Unlock()

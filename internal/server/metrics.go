@@ -55,8 +55,10 @@ type metrics struct {
 	factors   atomic.Int64 // full factorizations (analysis or numeric-only)
 	refactors atomic.Int64 // value-only refactorizations of a live factor
 	solvedRHS atomic.Int64 // right-hand sides solved
-	batches   atomic.Int64 // coalesced SolveMany calls issued by the batcher
+	batches   atomic.Int64 // SolveMany calls issued by the batcher, lone solves included
 	batched   atomic.Int64 // right-hand sides that travelled in those batches
+	queued    atomic.Int64 // single-RHS solves that waited for a running sweep
+	expired   atomic.Int64 // queued solves whose context ended before their sweep
 
 	snapWrites   atomic.Int64 // write-behind snapshots committed to the store
 	snapErrors   atomic.Int64 // snapshot writes that failed

@@ -3,8 +3,8 @@
 // analyze-once/factor-many workloads need: a pattern-keyed plan cache so
 // repeated factor requests for the same sparsity structure skip ordering
 // and symbolic analysis, in-place numeric refactorization of live factors,
-// and an RHS batcher that coalesces concurrent solve requests against the
-// same factor into one cache-friendly multi-RHS sweep.
+// and an RHS batcher that coalesces solve requests queued behind a running
+// sweep of the same factor into one cache-friendly multi-RHS sweep.
 //
 // Endpoints (all JSON responses):
 //
@@ -75,9 +75,11 @@ type Config struct {
 	CacheEntries int
 	CacheBytes   int64
 	MaxFactors   int
-	// BatchWindow is how long the first single-RHS solve of a batch waits
-	// for company (default 2ms; negative disables batching). BatchLimit
-	// flushes a batch early once it holds this many vectors (default 64).
+	// BatchWindow switches RHS batching by its sign alone: negative
+	// disables it; zero (the default) or positive enables it. A batched
+	// single-RHS solve runs at once when its factor is idle and otherwise
+	// rides the next sweep with the solves queued behind the running one,
+	// at most BatchLimit of them (default 64).
 	BatchWindow time.Duration
 	BatchLimit  int
 	// RequestTimeout bounds each request's heavy work (default 60s).
@@ -155,9 +157,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchLimit <= 0 {
 		c.BatchLimit = 64
@@ -347,7 +346,7 @@ func (s *Server) buildPlan(m *sparse.Matrix) (*core.Plan, sched.Assignment, erro
 }
 
 // batching reports whether single-RHS solves go through the RHS batcher.
-func (s *Server) batching() bool { return s.cfg.BatchWindow > 0 }
+func (s *Server) batching() bool { return s.cfg.BatchWindow >= 0 }
 
 // Handler returns the service's HTTP mux, wrapped in the panic-recovery
 // middleware: one request hitting a bug (or an injected panic) produces a
@@ -877,20 +876,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		// The solve's cost estimate is ~4 flops per nonzero of L per
-		// right-hand side (forward + back substitution), priced through
-		// the same observed-throughput model as factorizations so
-		// deadline-infeasible solves shed instead of queueing.
-		rel, rej, err := s.adm.Admit(ctx, admission.Request{
-			Tenant:   tenant,
-			Priority: admission.Interactive,
-			Cost:     s.cost.Estimate(4 * nnzL * int64(nrhs)),
-			Deadline: admissionDeadline(ctx),
-		})
-		if rej != nil {
-			s.writeRejection(w, rej)
-			return
-		}
+		rel, err := s.admitSolve(ctx, tenant, nnzL, nrhs)
 		if err != nil {
 			s.writeErr(w, errStatus(err), err)
 			return
@@ -908,6 +894,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp.ID = req.ID
 	resp.ElapsedMs = float64(took.Microseconds()) / 1e3
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// admitSolve takes a worker slot for one sweep of nrhs right-hand sides
+// over a factor with nnzL stored entries; tenant "" marks the batcher's
+// internal sweeps. The cost estimate is ~4 flops per nonzero of L per
+// right-hand side (forward + back substitution), priced through the same
+// observed-throughput model as factorizations so deadline-infeasible
+// solves shed instead of queueing. A rejection comes back as the error.
+func (s *Server) admitSolve(ctx context.Context, tenant string, nnzL int64, nrhs int) (func(), error) {
+	rel, rej, err := s.adm.Admit(ctx, admission.Request{
+		Tenant:   tenant,
+		Priority: admission.Interactive,
+		Cost:     s.cost.Estimate(4 * nnzL * int64(nrhs)),
+		Deadline: admissionDeadline(ctx),
+		Internal: tenant == "",
+	})
+	if rej != nil {
+		return nil, rej
+	}
+	return rel, err
 }
 
 // ---- /healthz and /metrics ----

@@ -88,17 +88,12 @@ func fetchMetrics(t *testing.T, url string) metricsView {
 
 // TestServiceEndToEnd drives the whole serving story over real HTTP: factor
 // a matrix, re-factor the same pattern with new values through the plan
-// cache (asserting the cache hit means no second analysis), then fire
-// concurrent single-RHS solves that the batcher must coalesce, and check
-// every answer against the matrix it was solved for.
+// cache (asserting the cache hit means no second analysis), then queue
+// single-RHS solves behind a running sweep so the batcher must coalesce
+// them, and check every answer against the matrix it was solved for.
 func TestServiceEndToEnd(t *testing.T) {
 	const batchLimit = 8
-	s, ts := testService(t, Config{
-		Procs:       4,
-		BlockSize:   16,
-		BatchWindow: 200 * time.Millisecond,
-		BatchLimit:  batchLimit,
-	})
+	s, ts := testService(t, Config{Procs: 4, BlockSize: 16, BatchLimit: batchLimit})
 
 	a := gen.IrregularMesh(250, 6, 3, 11)
 	fr := factorMatrix(t, ts.URL, a)
@@ -130,10 +125,10 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("plan cache stats = %+v; want exactly 1 hit, 1 miss", st)
 	}
 
-	// Concurrent single-RHS solves: exactly batchLimit requests released
-	// together must coalesce into few SolveMany sweeps (the limit flush
-	// guarantees at least one multi-RHS batch). Answers are checked against
-	// a2 — the values the factor currently holds.
+	// Single-RHS solves that queue behind a running sweep coalesce: the
+	// first solve's sweep is held until the other batchLimit−1 are queued,
+	// and they must then travel together as one batch. Answers are checked
+	// against a2 — the values the factor currently holds.
 	bs := make([][]float64, batchLimit)
 	for i := range bs {
 		b := make([]float64, a2.N)
@@ -142,32 +137,13 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 		bs[i] = b
 	}
-	var wg sync.WaitGroup
-	results := make([]SolveResponse, batchLimit)
-	errs := make([]error, batchLimit)
-	for i := 0; i < batchLimit; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: bs[i]})
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("solve %d: status %d: %s", i, resp.StatusCode, body)
-				return
-			}
-			errs[i] = json.Unmarshal(body, &results[i])
-		}(i)
-	}
-	wg.Wait()
 	fe, ok := s.local.lookup(fr.ID)
 	if !ok {
 		t.Fatal("factor entry vanished")
 	}
-	maxBatch := 0
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if r := a2.ResidualNorm(results[i].X, bs[i]); r > 1e-8 {
+	results := solveQueued(t, ts.URL, fe, bs)
+	for i, res := range results {
+		if r := a2.ResidualNorm(res.X, bs[i]); r > 1e-8 {
 			t.Fatalf("solve %d residual %g", i, r)
 		}
 		// Batching never changes an answer: a coalesced x is bit for bit
@@ -179,17 +155,18 @@ func TestServiceEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := range want {
-			if math.Float64bits(results[i].X[k]) != math.Float64bits(want[k]) {
+			if math.Float64bits(res.X[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("solve %d (batch %d): x[%d] = %v, Factor.Solve gives %v",
-					i, results[i].Batch, k, results[i].X[k], want[k])
+					i, res.Batch, k, res.X[k], want[k])
 			}
 		}
-		if results[i].Batch > maxBatch {
-			maxBatch = results[i].Batch
+		size := batchLimit - 1 // the first solve runs alone, the rest together
+		if i == 0 {
+			size = 1
 		}
-	}
-	if maxBatch < 2 {
-		t.Fatalf("no solve was coalesced (max batch %d); batcher is not batching", maxBatch)
+		if res.Batch != size {
+			t.Fatalf("solve %d rode a batch of %d; want %d", i, res.Batch, size)
+		}
 	}
 
 	// Multi-RHS request goes through the direct path.
@@ -217,11 +194,183 @@ func TestServiceEndToEnd(t *testing.T) {
 	if doc.Cache.Hits != 1 || doc.Cache.Misses != 1 {
 		t.Fatalf("metrics cache stats = %+v; want 1 hit, 1 miss", doc.Cache)
 	}
-	if doc.Batches == 0 || doc.BatchedR < 2 {
-		t.Fatalf("metrics: batches=%d batched_rhs=%d; batcher left no trace", doc.Batches, doc.BatchedR)
+	if doc.Batches != 2 || doc.BatchedR != batchLimit || doc.Queued != batchLimit-1 || doc.Expired != 0 {
+		t.Fatalf("metrics: batches=%d batched_rhs=%d queued_rhs=%d expired_rhs=%d; want 2, %d, %d, 0",
+			doc.Batches, doc.BatchedR, doc.Queued, doc.Expired, batchLimit, batchLimit-1)
 	}
 	if want := int64(batchLimit + 3); doc.SolvedRHS != want {
 		t.Fatalf("metrics: solved_rhs=%d; want %d", doc.SolvedRHS, want)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// batcherState reads fe's batcher under its lock: whether a sweep is
+// running and how many solves are queued behind it.
+func batcherState(fe *factorEntry) (busy bool, queued int) {
+	fe.bt.mu.Lock()
+	defer fe.bt.mu.Unlock()
+	return fe.bt.busy, len(fe.bt.pending)
+}
+
+// postSolves posts one single-RHS solve against factor id per b in bs,
+// each on its own goroutine, and returns a wait function yielding every
+// status code and body once all have answered (a transport error is the
+// body of a zero status).
+func postSolves(url, id string, bs [][]float64) (wait func() ([]int, [][]byte)) {
+	codes, bodies := make([]int, len(bs)), make([][]byte, len(bs))
+	var wg sync.WaitGroup
+	for i, b := range bs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			raw, err := json.Marshal(SolveRequest{ID: id, B: b})
+			var resp *http.Response
+			if err == nil {
+				resp, err = http.Post(url+"/v1/solve", "application/json", bytes.NewReader(raw))
+			}
+			if err != nil {
+				bodies[i] = []byte(err.Error())
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}()
+	}
+	return func() ([]int, [][]byte) { wg.Wait(); return codes, bodies }
+}
+
+// holdSweep takes fe's write lock, so the next solve's sweep stalls, and
+// returns the release; the test's cleanup releases it too.
+func holdSweep(t *testing.T, fe *factorEntry) (release func()) {
+	fe.mu.Lock()
+	release = sync.OnceFunc(fe.mu.Unlock)
+	t.Cleanup(release)
+	return release
+}
+
+// postQueued posts bs[0] as a lone solve, holds its sweep until the
+// solves of bs[1:] are queued behind it and returns their outcomes: the
+// first runs alone and the rest ride the next sweep together (up to
+// BatchLimit).
+func postQueued(t *testing.T, url string, fe *factorEntry, bs [][]float64) ([]int, [][]byte) {
+	t.Helper()
+	release := holdSweep(t, fe)
+	first := postSolves(url, fe.id, bs[:1])
+	waitUntil(t, "the first solve to start its sweep", func() bool { busy, _ := batcherState(fe); return busy })
+	rest := postSolves(url, fe.id, bs[1:])
+	waitUntil(t, "the other solves to queue", func() bool { _, n := batcherState(fe); return n == len(bs)-1 })
+	release()
+	codes, bodies := first()
+	rc, rb := rest()
+	return append(codes, rc...), append(bodies, rb...)
+}
+
+// solveQueued is postQueued for solves that must all succeed.
+func solveQueued(t *testing.T, url string, fe *factorEntry, bs [][]float64) []SolveResponse {
+	t.Helper()
+	codes, bodies := postQueued(t, url, fe, bs)
+	out := make([]SolveResponse, len(bs))
+	for i := range bs {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("solve %d: status %d: %s", i, codes[i], bodies[i])
+		}
+		if err := json.Unmarshal(bodies[i], &out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestLoneSolveDoesNotWait: a single-RHS solve on an idle factor runs at
+// once, whatever BatchWindow's magnitude — only its sign matters.
+func TestLoneSolveDoesNotWait(t *testing.T) {
+	_, ts := testService(t, Config{Procs: 2, BlockSize: 16, BatchWindow: 5 * time.Second})
+	a := gen.Grid2D(12)
+	fr := factorMatrix(t, ts.URL, a)
+	rhs := make([]float64, a.N)
+	for i := range rhs {
+		rhs[i] = 1
+	}
+	start := time.Now()
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
+	took := time.Since(start)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
+	}
+	var sr SolveResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Batch != 1 || took > time.Second {
+		t.Fatalf("lone solve: batch %d after %v; want batch 1 within 1s", sr.Batch, took)
+	}
+	if r := a.ResidualNorm(sr.X, rhs); r > 1e-8 {
+		t.Fatalf("residual %g", r)
+	}
+	if doc := fetchMetrics(t, ts.URL); doc.Queued != 0 || doc.Batches != 1 {
+		t.Fatalf("metrics: queued_rhs=%d batches=%d; want 0 and 1", doc.Queued, doc.Batches)
+	}
+}
+
+// TestBatchCountsQueuedAndExpired: /metrics counts every solve that queued
+// behind a running sweep (queued_rhs), and a queued solve whose context
+// ends before its sweep starts is dropped from the batch, never solved
+// (expired_rhs).
+func TestBatchCountsQueuedAndExpired(t *testing.T) {
+	s, ts := testService(t, Config{Procs: 2, BlockSize: 16})
+	a := gen.Grid2D(10)
+	fr := factorMatrix(t, ts.URL, a)
+	fe, ok := s.local.lookup(fr.ID)
+	if !ok {
+		t.Fatal("factor entry missing")
+	}
+	rhs := make([]float64, a.N)
+	for i := range rhs {
+		rhs[i] = float64(i%7) - 3
+	}
+
+	release := holdSweep(t, fe)
+	first := postSolves(ts.URL, fr.ID, [][]float64{rhs})
+	waitUntil(t, "the first solve to start its sweep", func() bool { busy, _ := batcherState(fe); return busy })
+	ctx, cancel := context.WithCancel(context.Background())
+	expired := make(chan error, 1)
+	go func() {
+		_, err := fe.bt.submit(ctx, rhs)
+		expired <- err
+	}()
+	waitUntil(t, "the doomed solve to queue", func() bool { _, n := batcherState(fe); return n == 1 })
+	live := postSolves(ts.URL, fr.ID, [][]float64{rhs})
+	waitUntil(t, "the live solve to queue", func() bool { _, n := batcherState(fe); return n == 2 })
+	cancel()
+	if err := <-expired; errStatus(err) != http.StatusGatewayTimeout {
+		t.Fatalf("cancelled queued solve: err=%v; want a 504 context error", err)
+	}
+	release()
+
+	for _, wait := range []func() ([]int, [][]byte){first, live} {
+		codes, bodies := wait()
+		var sr SolveResponse
+		if codes[0] != http.StatusOK || json.Unmarshal(bodies[0], &sr) != nil {
+			t.Fatalf("solve: status %d: %s", codes[0], bodies[0])
+		}
+		if sr.Batch != 1 {
+			t.Fatalf("solve rode a batch of %d; want 1 (the expired one is dropped)", sr.Batch)
+		}
+	}
+	doc := fetchMetrics(t, ts.URL)
+	if doc.Queued != 2 || doc.Expired != 1 || doc.Batches != 2 || doc.BatchedR != 2 || doc.SolvedRHS != 2 {
+		t.Fatalf("metrics: queued_rhs=%d expired_rhs=%d batches=%d batched_rhs=%d solved_rhs=%d; want 2, 1, 2, 2, 2",
+			doc.Queued, doc.Expired, doc.Batches, doc.BatchedR, doc.SolvedRHS)
 	}
 }
 
@@ -452,9 +601,8 @@ func TestSolvePathsRejectInvalidatedFactor(t *testing.T) {
 	if st := errStatus(err); st != http.StatusConflict {
 		t.Fatalf("errFactorInvalid maps to status %d; want 409", st)
 	}
-	out := fe.bt.submit(context.Background(), make([]float64, 4))
-	if !errors.Is(out.err, errFactorInvalid) {
-		t.Fatalf("batched solve on nil factor: err=%v; want errFactorInvalid", out.err)
+	if _, err := fe.bt.submit(context.Background(), make([]float64, 4)); !errors.Is(err, errFactorInvalid) {
+		t.Fatalf("batched solve on nil factor: err=%v; want errFactorInvalid", err)
 	}
 }
 
