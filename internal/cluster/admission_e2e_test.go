@@ -81,14 +81,10 @@ func TestClusterDeadlineAbort(t *testing.T) {
 // structured 429 with Retry-After, while the health endpoint keeps
 // reporting the admission state.
 func TestGatewayTenantRateLimit(t *testing.T) {
-	gcfg := GatewayConfig{
-		Procs:            2,
-		HeartbeatTimeout: 3 * time.Second,
-		Tenants: map[string]admission.TenantLimits{
-			"metered": {Rate: 0.001, Burst: 1},
-		},
-	}
-	tc := startCluster(t, gcfg, []NodeConfig{{ID: "n0", Workers: 2}})
+	gw := NewGatewayFront(GatewayConfig{Procs: 2, HeartbeatTimeout: 3 * time.Second, Logf: quietLog}, server.Config{
+		Tenants: map[string]admission.TenantLimits{"metered": {Rate: 0.001, Burst: 1}},
+	})
+	tc := runCluster(t, gw, []NodeConfig{{ID: "n0", Workers: 2}})
 	m := gen.IrregularMesh(300, 5, 2, 3)
 	fr := tc.factor(t, m) // default tenant: unmetered
 

@@ -25,26 +25,19 @@ package cluster
 import (
 	"fmt"
 
-	"blockfanout/internal/blocks"
 	"blockfanout/internal/cluster/wire"
 	"blockfanout/internal/core"
-	"blockfanout/internal/fanout"
-	"blockfanout/internal/order"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
 )
 
 // planOptions converts a StartJob's plan parameters to core.Options. Node
 // and gateway must derive byte-identical plans, so everything that feeds
-// core.NewPlan crosses the wire.
+// core.NewPlan crosses the wire: the gateway plans with default options
+// apart from BlockSize and Exec, and Exec picks an engine, not a plan
+// (nodes always run the restricted executor).
 func planOptions(sj *wire.StartJob) core.Options {
-	return core.Options{
-		BlockSize:      int(sj.BlockSize),
-		Ordering:       order.Method(sj.Ordering),
-		Blocking:       blocks.Strategy(sj.Blocking),
-		AmalgThreshold: sj.AmalgThr,
-		Exec:           fanout.Mode(sj.Exec),
-	}
+	return core.Options{BlockSize: int(sj.BlockSize)}
 }
 
 // procLoads returns each virtual processor's flop load under the

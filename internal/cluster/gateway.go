@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blockfanout/internal/admission"
 	"blockfanout/internal/cluster/wire"
 	"blockfanout/internal/core"
 	"blockfanout/internal/fanout"
@@ -29,9 +28,11 @@ type GatewayConfig struct {
 	// Procs is the virtual processor count of every job's block mapping
 	// (default 8); the speed-aware partition spreads these over the nodes.
 	Procs int
-	// Plan-construction options, shared with every node. Jobs are planned
-	// with uniform blocking and the default ordering (minimum degree);
-	// Exec defaults to the work-stealing engine.
+	// Plan-construction options. Jobs are planned with uniform blocking
+	// and the default ordering (minimum degree); BlockSize crosses the wire
+	// to every node. Exec reaches only the plan key and the degraded-mode
+	// Local backend (default: the work-stealing engine): cluster nodes
+	// always run the restricted free-placement executor.
 	BlockSize int
 	Exec      fanout.Mode
 	// Replicas is how many assembly targets hold the factor beyond the
@@ -72,38 +73,11 @@ type GatewayConfig struct {
 	// (single-node, in-process) and keeps serving solves, reporting
 	// "degraded" from /healthz instead of erroring.
 	DisableLocalFallback bool
-	// StoreDir, RequestTimeout, MaxBodyBytes, the cache budgets and the
-	// admission knobs configure the request pipeline (internal/server)
-	// that NewGateway puts in front of the cluster; NewGatewayFront takes
-	// a server.Config for them instead.
-	//
-	// StoreDir, when non-empty, enables the durable snapshot store: plans
-	// (and degraded-mode local factors) persist across gateway restarts via
-	// WarmStart.
-	StoreDir string
-	// RequestTimeout bounds each HTTP request's work (default 120s).
+	// RequestTimeout (default 120s) and QueueDepth configure the request
+	// pipeline NewGateway puts in front of the cluster; NewGatewayFront
+	// takes a whole server.Config instead and ignores both.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 512 MiB).
-	MaxBodyBytes int64
-	// CacheEntries/CacheBytes budget the gateway's plan cache.
-	CacheEntries int
-	CacheBytes   int64
-	// Admission-control knobs, mirroring the serving tier: requests carry a
-	// tenant identity (X-Tenant header, "default" otherwise) metered by
-	// per-tenant token buckets and in-flight quotas, and wait in a weighted
-	// priority queue (solves > refactors > cold factorizations) in front of
-	// AdmissionWorkers concurrent coordinations (default 16). ShedAt /
-	// RejectAt and the memory watermarks drive the brownout state machine;
-	// zero values take the admission package's defaults, and a zero
-	// TenantDefault leaves unnamed tenants unmetered.
-	AdmissionWorkers int
-	QueueDepth       int
-	TenantDefault    admission.TenantLimits
-	Tenants          map[string]admission.TenantLimits
-	ShedAt           float64
-	RejectAt         float64
-	MemSoftBytes     uint64
-	MemHardBytes     uint64
+	QueueDepth     int
 	// Logf receives progress lines; default log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -216,7 +190,6 @@ type gwJob struct {
 	doneOK   map[int]bool
 	failures []*wire.Done
 	ready    map[int]bool
-	frontier uint32
 	notify   chan struct{}
 	solvable bool
 	// Admission metadata of the current run, stamped into every StartJob so
@@ -267,28 +240,12 @@ type Gateway struct {
 	metLocalSolves  atomic.Uint64
 }
 
-// NewGateway builds a gateway whose request pipeline takes its settings
-// from cfg (16 admission workers and a 120s request timeout by default);
-// call Serve with a listener for the node control plane.
+// NewGateway builds a gateway whose request pipeline has 16 admission
+// workers and cfg's RequestTimeout and QueueDepth, and otherwise
+// server.Config's defaults; call Serve with a listener for the node
+// control plane.
 func NewGateway(cfg GatewayConfig) *Gateway {
-	front := server.Config{
-		Workers:        cfg.AdmissionWorkers,
-		QueueDepth:     cfg.QueueDepth,
-		CacheEntries:   cfg.CacheEntries,
-		CacheBytes:     cfg.CacheBytes,
-		RequestTimeout: cfg.RequestTimeout,
-		MaxBodyBytes:   cfg.MaxBodyBytes,
-		StoreDir:       cfg.StoreDir,
-		TenantDefault:  cfg.TenantDefault,
-		Tenants:        cfg.Tenants,
-		ShedAt:         cfg.ShedAt,
-		RejectAt:       cfg.RejectAt,
-		MemSoftBytes:   cfg.MemSoftBytes,
-		MemHardBytes:   cfg.MemHardBytes,
-	}
-	if front.Workers <= 0 {
-		front.Workers = 16
-	}
+	front := server.Config{Workers: 16, QueueDepth: cfg.QueueDepth, RequestTimeout: cfg.RequestTimeout}
 	if front.RequestTimeout <= 0 {
 		front.RequestTimeout = 120 * time.Second
 	}
@@ -296,11 +253,11 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 }
 
 // NewGatewayFront builds a gateway whose request pipeline is configured by
-// front, exactly as a single-process server's would be; cfg's pipeline
-// fields (see StoreDir) are not consulted. Three front settings are the
-// cluster's to decide: the plan options and Procs come from cfg, because
-// every node derives its schedule from them; RHS batching is off, because
-// a cluster solve must not wait out a batch window.
+// front, exactly as a single-process server's would be; cfg's
+// RequestTimeout and QueueDepth are not consulted. Three front settings
+// are the cluster's to decide: the plan options and Procs come from cfg,
+// because every node derives its schedule from them; RHS batching is off,
+// because a cluster solve must not wait out a batch window.
 func NewGatewayFront(cfg GatewayConfig, front server.Config) *Gateway {
 	cfg.fillDefaults()
 	opts := core.Options{BlockSize: cfg.BlockSize, Exec: cfg.Exec}
@@ -517,9 +474,7 @@ func (g *Gateway) failover(j *gwJob, dead *member) {
 	asm := buildRing(ids).pick(fnv1a(j.id), 1+g.cfg.Replicas, func(i int) bool { return alive[i] })
 	j.primary, j.replicas = asm[0], asm[1:]
 
-	// Frontier: the minimum completed-column watermark reported by the
-	// last epoch's Done frames (observability; restart granularity is the
-	// per-block predone set each node keeps).
+	// Each survivor restarts from the per-block predone set it keeps.
 	j.epoch++
 	g.metFailovers.Add(1)
 	g.metEpochs.Add(1)
@@ -573,11 +528,10 @@ func (g *Gateway) broadcastStartLocked(j *gwJob) {
 	sj := &wire.StartJob{
 		JobID: j.id, RunID: j.runID, Epoch: j.epoch,
 		N: uint32(j.plan.A.N), ColPtr: colptr, RowInd: rowind, Val: j.val,
-		BlockSize: uint32(g.cfg.BlockSize), Exec: uint8(g.cfg.Exec),
-		Procs: uint32(g.cfg.Procs), NodeOf: append([]uint16(nil), j.nodeOf...),
+		BlockSize: uint32(g.cfg.BlockSize), Procs: uint32(g.cfg.Procs),
+		NodeOf:       append([]uint16(nil), j.nodeOf...),
 		Participants: parts, Primary: uint16(j.primary), Replicas: reps,
-		Frontier: j.frontier,
-		Tenant:   j.tenant, DeadlineUnixMicro: j.deadlineMicro,
+		Tenant: j.tenant, DeadlineUnixMicro: j.deadlineMicro,
 	}
 	for i, m := range j.members {
 		if !parts[i].Alive {
@@ -618,9 +572,6 @@ func (g *Gateway) handleDone(m *member, dn *wire.Done) {
 	}
 	if pidx < 0 {
 		return
-	}
-	if dn.Watermark > j.frontier {
-		j.frontier = dn.Watermark
 	}
 	if dn.OK {
 		j.doneOK[pidx] = true
@@ -725,7 +676,6 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 	j.members = parts
 	j.runID = g.runSeq.Add(1)
 	j.epoch = 0
-	j.frontier = 0
 	j.val = m.Val
 	j.doneOK = make(map[int]bool)
 	j.failures = nil

@@ -785,8 +785,7 @@ func (j *nodeJob) maybeReadyLocked(n *Node) {
 }
 
 // sendDone reports the epoch's outcome, with structured pivot coordinates
-// for numeric breakdowns and the completed-column watermark the next epoch
-// could restart from.
+// for numeric breakdowns.
 func (n *Node) sendDone(j *nodeJob, sj *wire.StartJob, err error, st fanout.Stats) {
 	dn := wire.Done{JobID: sj.JobID, RunID: sj.RunID, Epoch: sj.Epoch, OK: err == nil}
 	if err != nil {
@@ -798,31 +797,10 @@ func (n *Node) sendDone(j *nodeJob, sj *wire.StartJob, err error, st fanout.Stat
 			dn.Pivot = pe.Pivot
 		}
 	}
-	j.mu.Lock()
-	dn.Watermark = j.watermarkLocked()
-	j.mu.Unlock()
 	dn.Stats = n.statsSnapshot()
 	if serr := n.sendCtrl(wire.Frame{Type: wire.TDone, Done: &dn}); serr != nil {
 		n.cfg.Logf("cluster node %s: done: %v", n.cfg.ID, serr)
 	}
-}
-
-// watermarkLocked counts the leading block columns every block of which is
-// held — the supernode frontier of buddy recovery. Caller holds j.mu.
-func (j *nodeJob) watermarkLocked() uint32 {
-	if j.pr == nil {
-		return 0
-	}
-	var w uint32
-	for col := 0; col < j.pr.N(); col++ {
-		for bi := range j.pr.Cols[col].Blocks {
-			if !j.haveData[j.pr.BlockID(col, bi)] {
-				return w
-			}
-		}
-		w++
-	}
-	return w
 }
 
 func (n *Node) abortJob(ab *wire.Abort) {

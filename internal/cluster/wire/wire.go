@@ -17,8 +17,10 @@
 //     same BlockData frame addressed to each consumer node,
 //   - completion and pivot-error control frames (Done carries either).
 //
-// Every decoder is total: arbitrary bytes produce an error, never a panic
-// or an unbounded allocation (fuzzed in fuzz_test.go).
+// The field encoding is internal/codec's, shared with the snapshot store;
+// this package owns the frame header and the payload layouts. Every
+// decoder is total: arbitrary bytes produce an error, never a panic or an
+// unbounded allocation (fuzzed in fuzz_test.go).
 package wire
 
 import (
@@ -27,7 +29,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"slices"
+
+	"blockfanout/internal/codec"
 )
 
 // Magic is the first byte of every frame.
@@ -43,8 +47,11 @@ const Magic byte = 0xFC
 // failed held-block snapshot write counter to NodeStats; version 6 removed
 // version 4's mapping fields (MapPr, MapPc, MapI, MapJ), so every
 // participant derives the serving tier's static schedule from the plan
-// options and Procs alone.
-const Version byte = 6
+// options and Procs alone; version 7 removed the StartJob and Done fields
+// no node read (Blocking, Ordering, Exec, AmalgThr, Frontier, Watermark),
+// so a StartJob carries exactly what a node plans from: BlockSize and
+// Procs.
+const Version byte = 7
 
 // MaxPayload bounds a frame's payload; larger announced lengths are
 // rejected before allocation. 1 GiB admits the block payloads of
@@ -146,12 +153,9 @@ type StartJob struct {
 	RowInd []uint32
 	Val    []float64
 
-	// Plan options; every node must derive the identical plan and schedule.
+	// BlockSize is the plan's only setting off its default; every node
+	// must derive the identical plan and schedule.
 	BlockSize uint32
-	Blocking  uint8
-	Ordering  uint8
-	Exec      uint8
-	AmalgThr  float64
 
 	// Procs is the virtual processor count of the block mapping; NodeOf
 	// maps each virtual processor to a participant index. Buddy failover
@@ -162,7 +166,6 @@ type StartJob struct {
 	Participants []Participant
 	Primary      uint16   // participant index holding the assembled factor
 	Replicas     []uint16 // additional assembly targets for failover routing
-	Frontier     uint32   // completed-column watermark at the last failover (observability)
 
 	// Admission metadata (v3). Tenant labels the requester for per-tenant
 	// accounting on nodes; DeadlineUnixMicro, when nonzero, is the absolute
@@ -200,10 +203,7 @@ type Done struct {
 	HasPivot             bool
 	PivotBlock, PivotRow int32
 	Pivot                float64
-	// Watermark is the node's completed-leading-column count, the
-	// supernode frontier the next epoch restarts from.
-	Watermark uint32
-	Stats     NodeStats
+	Stats                NodeStats
 }
 
 // FactorReady reports that the sender holds every block of the factor.
@@ -227,63 +227,9 @@ type SolveResp struct {
 	X   []float64
 }
 
-// ---- encoding ----
-
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *enc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *enc) u32s(v []uint32) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u32(x)
-	}
-}
-func (e *enc) u16s(v []uint16) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u16(x)
-	}
-}
-func (e *enc) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-func (e *enc) stats(s NodeStats) {
-	e.u64(s.BlocksOwned)
-	e.u64(s.BlocksDone)
-	e.u64(s.Flops)
-	e.u64(s.Steals)
-	e.u64(s.BytesSent)
-	e.u64(s.BytesRecv)
-	e.u64(s.Failovers)
-	e.u64(s.DeadlineAborts)
-	e.u64(s.SnapshotWriteErrors)
-}
-
-// ---- decoding ----
-
 var (
 	// ErrTruncated reports a payload shorter than its fields claim.
-	ErrTruncated = errors.New("wire: truncated payload")
+	ErrTruncated = codec.ErrTruncated
 	// ErrVersion reports a frame of a different protocol version.
 	ErrVersion = errors.New("wire: protocol version mismatch")
 	// ErrMagic reports a stream that is not speaking this protocol.
@@ -294,334 +240,188 @@ var (
 	ErrChecksum = errors.New("wire: block data checksum mismatch")
 )
 
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = ErrTruncated
-	}
-}
-
-func (d *dec) failWith(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *dec) u8() uint8 {
-	if len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if len(d.b) < 2 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b)
-	d.b = d.b[2:]
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) boolean() bool { return d.u8() != 0 }
-
-// count reads a u32 length prefix and validates it against the bytes that
-// remain at elemSize bytes per element, so a hostile length can never force
-// an allocation larger than the payload that carries it.
-func (d *dec) count(elemSize int) int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if int64(n)*int64(elemSize) > int64(len(d.b)) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *dec) u32s() []uint32 {
-	n := d.count(4)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]uint32, n)
-	for i := range v {
-		v[i] = d.u32()
-	}
-	return v
-}
-
-func (d *dec) u16s() []uint16 {
-	n := d.count(2)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]uint16, n)
-	for i := range v {
-		v[i] = d.u16()
-	}
-	return v
-}
-
-func (d *dec) f64s() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
-}
-
-func (d *dec) stats() NodeStats {
-	s := NodeStats{
-		BlocksOwned: d.u64(),
-		BlocksDone:  d.u64(),
-		Flops:       d.u64(),
-		Steals:      d.u64(),
-		BytesSent:   d.u64(),
-		BytesRecv:   d.u64(),
-		Failovers:   d.u64(),
-	}
-	s.DeadlineAborts = d.u64()
-	s.SnapshotWriteErrors = d.u64()
-	return s
-}
-
-// done reports a fully-consumed, error-free payload. Trailing bytes are a
-// framing bug (or corruption) and are rejected rather than ignored.
-func (d *dec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after payload", len(d.b))
-	}
-	return nil
-}
-
 // ---- per-type payload codecs ----
 
-func (h *Hello) encode(e *enc) {
-	e.str(h.ID)
-	e.str(h.DataAddr)
-	e.f64(h.Speed)
-}
-
-func (h *Hello) decode(d *dec) {
-	h.ID = d.str()
-	h.DataAddr = d.str()
-	h.Speed = d.f64()
-}
-
-func (h *Heartbeat) encode(e *enc) { e.stats(h.Stats) }
-func (h *Heartbeat) decode(d *dec) { h.Stats = d.stats() }
-
-func (s *StartJob) encode(e *enc) {
-	e.str(s.JobID)
-	e.u64(s.RunID)
-	e.u32(s.Epoch)
-	e.u32(s.N)
-	e.u32s(s.ColPtr)
-	e.u32s(s.RowInd)
-	e.f64s(s.Val)
-	e.u32(s.BlockSize)
-	e.u8(s.Blocking)
-	e.u8(s.Ordering)
-	e.u8(s.Exec)
-	e.f64(s.AmalgThr)
-	e.u32(s.Procs)
-	e.u16s(s.NodeOf)
-	e.u32(uint32(len(s.Participants)))
-	for _, p := range s.Participants {
-		e.str(p.ID)
-		e.str(p.DataAddr)
-		e.boolean(p.Alive)
+func putStats(e *codec.Enc, s NodeStats) {
+	for _, v := range [...]uint64{s.BlocksOwned, s.BlocksDone, s.Flops, s.Steals,
+		s.BytesSent, s.BytesRecv, s.Failovers, s.DeadlineAborts, s.SnapshotWriteErrors} {
+		e.U64(v)
 	}
-	e.u16(s.Primary)
-	e.u16s(s.Replicas)
-	e.u32(s.Frontier)
-	e.str(s.Tenant)
-	e.u64(uint64(s.DeadlineUnixMicro))
 }
 
-func (s *StartJob) decode(d *dec) {
-	s.JobID = d.str()
-	s.RunID = d.u64()
-	s.Epoch = d.u32()
-	s.N = d.u32()
-	s.ColPtr = d.u32s()
-	s.RowInd = d.u32s()
-	s.Val = d.f64s()
-	s.BlockSize = d.u32()
-	s.Blocking = d.u8()
-	s.Ordering = d.u8()
-	s.Exec = d.u8()
-	s.AmalgThr = d.f64()
-	s.Procs = d.u32()
-	s.NodeOf = d.u16s()
-	n := d.count(9) // 2 length-prefixed strings + 1 bool ≥ 9 bytes each
-	for i := 0; i < n && d.err == nil; i++ {
+func getStats(d *codec.Dec) NodeStats {
+	return NodeStats{
+		BlocksOwned: d.U64(), BlocksDone: d.U64(), Flops: d.U64(), Steals: d.U64(),
+		BytesSent: d.U64(), BytesRecv: d.U64(), Failovers: d.U64(),
+		DeadlineAborts: d.U64(), SnapshotWriteErrors: d.U64(),
+	}
+}
+
+func (h *Hello) encode(e *codec.Enc) {
+	e.Str(h.ID)
+	e.Str(h.DataAddr)
+	e.F64(h.Speed)
+}
+
+func (h *Hello) decode(d *codec.Dec) {
+	h.ID = d.Str()
+	h.DataAddr = d.Str()
+	h.Speed = d.F64()
+}
+
+func (h *Heartbeat) encode(e *codec.Enc) { putStats(e, h.Stats) }
+func (h *Heartbeat) decode(d *codec.Dec) { h.Stats = getStats(d) }
+
+func (s *StartJob) encode(e *codec.Enc) {
+	e.Str(s.JobID)
+	e.U64(s.RunID)
+	e.U32(s.Epoch)
+	e.U32(s.N)
+	e.U32s(s.ColPtr)
+	e.U32s(s.RowInd)
+	e.F64s(s.Val)
+	e.U32(s.BlockSize)
+	e.U32(s.Procs)
+	e.U16s(s.NodeOf)
+	e.U32(uint32(len(s.Participants)))
+	for _, p := range s.Participants {
+		e.Str(p.ID)
+		e.Str(p.DataAddr)
+		e.Bool(p.Alive)
+	}
+	e.U16(s.Primary)
+	e.U16s(s.Replicas)
+	e.Str(s.Tenant)
+	e.U64(uint64(s.DeadlineUnixMicro))
+}
+
+func (s *StartJob) decode(d *codec.Dec) {
+	s.JobID = d.Str()
+	s.RunID = d.U64()
+	s.Epoch = d.U32()
+	s.N = d.U32()
+	s.ColPtr = d.U32s()
+	s.RowInd = d.U32s()
+	s.Val = d.F64s()
+	s.BlockSize = d.U32()
+	s.Procs = d.U32()
+	s.NodeOf = d.U16s()
+	n := d.Count(9) // 2 length-prefixed strings + 1 bool ≥ 9 bytes each
+	for i := 0; i < n && d.Err() == nil; i++ {
 		s.Participants = append(s.Participants, Participant{
-			ID: d.str(), DataAddr: d.str(), Alive: d.boolean(),
+			ID: d.Str(), DataAddr: d.Str(), Alive: d.Bool(),
 		})
 	}
-	s.Primary = d.u16()
-	s.Replicas = d.u16s()
-	s.Frontier = d.u32()
-	s.Tenant = d.str()
-	s.DeadlineUnixMicro = int64(d.u64())
+	s.Primary = d.U16()
+	s.Replicas = d.U16s()
+	s.Tenant = d.Str()
+	s.DeadlineUnixMicro = int64(d.U64())
 }
 
-func (a *Abort) encode(e *enc) {
-	e.str(a.JobID)
-	e.u64(a.RunID)
-	e.u32(a.Epoch)
-	e.str(a.Reason)
+func (a *Abort) encode(e *codec.Enc) {
+	e.Str(a.JobID)
+	e.U64(a.RunID)
+	e.U32(a.Epoch)
+	e.Str(a.Reason)
 }
 
-func (a *Abort) decode(d *dec) {
-	a.JobID = d.str()
-	a.RunID = d.u64()
-	a.Epoch = d.u32()
-	a.Reason = d.str()
+func (a *Abort) decode(d *codec.Dec) {
+	a.JobID = d.Str()
+	a.RunID = d.U64()
+	a.Epoch = d.U32()
+	a.Reason = d.Str()
 }
 
-func (b *BlockData) encode(e *enc) {
-	e.str(b.JobID)
-	e.u64(b.RunID)
-	e.u32(b.Epoch)
-	e.u32(b.Block)
-	start := len(e.b)
-	e.f64s(b.Data)
+func (b *BlockData) encode(e *codec.Enc) {
+	e.Str(b.JobID)
+	e.U64(b.RunID)
+	e.U32(b.Epoch)
+	e.U32(b.Block)
+	start := len(e.B)
+	e.F64s(b.Data)
 	// CRC32-IEEE over the length-prefixed data bytes just written. Block
 	// payloads are the one frame family whose corruption would silently
 	// poison a factorization instead of failing a decode, so they alone
 	// carry an end-to-end checksum on top of the framing length checks.
-	e.u32(crc32.ChecksumIEEE(e.b[start:]))
+	e.U32(crc32.ChecksumIEEE(e.B[start:]))
 }
 
-func (b *BlockData) decode(d *dec) {
-	b.JobID = d.str()
-	b.RunID = d.u64()
-	b.Epoch = d.u32()
-	b.Block = d.u32()
-	raw := d.b
-	b.Data = d.f64s()
-	if d.err != nil {
+func (b *BlockData) decode(d *codec.Dec) {
+	b.JobID = d.Str()
+	b.RunID = d.U64()
+	b.Epoch = d.U32()
+	b.Block = d.U32()
+	raw := d.B
+	b.Data = d.F64s()
+	if d.Err() != nil {
 		return
 	}
-	sum := crc32.ChecksumIEEE(raw[:len(raw)-len(d.b)])
-	if d.u32() != sum && d.err == nil {
-		d.failWith(ErrChecksum)
+	sum := crc32.ChecksumIEEE(raw[:len(raw)-len(d.B)])
+	if d.U32() != sum && d.Err() == nil {
+		d.Fail(ErrChecksum)
 	}
 }
 
-func (dn *Done) encode(e *enc) {
-	e.str(dn.JobID)
-	e.u64(dn.RunID)
-	e.u32(dn.Epoch)
-	e.boolean(dn.OK)
-	e.str(dn.Err)
-	e.boolean(dn.HasPivot)
-	e.u32(uint32(dn.PivotBlock))
-	e.u32(uint32(dn.PivotRow))
-	e.f64(dn.Pivot)
-	e.u32(dn.Watermark)
-	e.stats(dn.Stats)
+func (dn *Done) encode(e *codec.Enc) {
+	e.Str(dn.JobID)
+	e.U64(dn.RunID)
+	e.U32(dn.Epoch)
+	e.Bool(dn.OK)
+	e.Str(dn.Err)
+	e.Bool(dn.HasPivot)
+	e.U32(uint32(dn.PivotBlock))
+	e.U32(uint32(dn.PivotRow))
+	e.F64(dn.Pivot)
+	putStats(e, dn.Stats)
 }
 
-func (dn *Done) decode(d *dec) {
-	dn.JobID = d.str()
-	dn.RunID = d.u64()
-	dn.Epoch = d.u32()
-	dn.OK = d.boolean()
-	dn.Err = d.str()
-	dn.HasPivot = d.boolean()
-	dn.PivotBlock = int32(d.u32())
-	dn.PivotRow = int32(d.u32())
-	dn.Pivot = d.f64()
-	dn.Watermark = d.u32()
-	dn.Stats = d.stats()
+func (dn *Done) decode(d *codec.Dec) {
+	dn.JobID = d.Str()
+	dn.RunID = d.U64()
+	dn.Epoch = d.U32()
+	dn.OK = d.Bool()
+	dn.Err = d.Str()
+	dn.HasPivot = d.Bool()
+	dn.PivotBlock = int32(d.U32())
+	dn.PivotRow = int32(d.U32())
+	dn.Pivot = d.F64()
+	dn.Stats = getStats(d)
 }
 
-func (f *FactorReady) encode(e *enc) {
-	e.str(f.JobID)
-	e.u64(f.RunID)
+func (f *FactorReady) encode(e *codec.Enc) {
+	e.Str(f.JobID)
+	e.U64(f.RunID)
 }
 
-func (f *FactorReady) decode(d *dec) {
-	f.JobID = d.str()
-	f.RunID = d.u64()
+func (f *FactorReady) decode(d *codec.Dec) {
+	f.JobID = d.Str()
+	f.RunID = d.U64()
 }
 
-func (s *SolveReq) encode(e *enc) {
-	e.u64(s.Seq)
-	e.str(s.JobID)
-	e.f64s(s.B)
+func (s *SolveReq) encode(e *codec.Enc) {
+	e.U64(s.Seq)
+	e.Str(s.JobID)
+	e.F64s(s.B)
 }
 
-func (s *SolveReq) decode(d *dec) {
-	s.Seq = d.u64()
-	s.JobID = d.str()
-	s.B = d.f64s()
+func (s *SolveReq) decode(d *codec.Dec) {
+	s.Seq = d.U64()
+	s.JobID = d.Str()
+	s.B = d.F64s()
 }
 
-func (s *SolveResp) encode(e *enc) {
-	e.u64(s.Seq)
-	e.boolean(s.OK)
-	e.str(s.Err)
-	e.f64s(s.X)
+func (s *SolveResp) encode(e *codec.Enc) {
+	e.U64(s.Seq)
+	e.Bool(s.OK)
+	e.Str(s.Err)
+	e.F64s(s.X)
 }
 
-func (s *SolveResp) decode(d *dec) {
-	s.Seq = d.u64()
-	s.OK = d.boolean()
-	s.Err = d.str()
-	s.X = d.f64s()
+func (s *SolveResp) decode(d *codec.Dec) {
+	s.Seq = d.U64()
+	s.OK = d.Bool()
+	s.Err = d.Str()
+	s.X = d.F64s()
 }
 
 // ---- frame layer ----
@@ -642,8 +442,8 @@ type Frame struct {
 }
 
 type payload interface {
-	encode(*enc)
-	decode(*dec)
+	encode(*codec.Enc)
+	decode(*codec.Dec)
 }
 
 // payloadOf returns the frame's payload value, or nil for an unknown type
@@ -726,16 +526,16 @@ func Encode(f Frame) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("wire: cannot encode frame type %v (missing or unknown payload)", f.Type)
 	}
-	e := &enc{b: make([]byte, 7, 64)}
+	e := &codec.Enc{B: make([]byte, 7, 64)}
 	p.encode(e)
-	if len(e.b)-7 > MaxPayload {
-		return nil, fmt.Errorf("wire: payload %d bytes exceeds MaxPayload", len(e.b)-7)
+	if len(e.B)-7 > MaxPayload {
+		return nil, fmt.Errorf("wire: payload %d bytes exceeds MaxPayload", len(e.B)-7)
 	}
-	e.b[0] = Magic
-	e.b[1] = Version
-	e.b[2] = byte(f.Type)
-	binary.LittleEndian.PutUint32(e.b[3:7], uint32(len(e.b)-7))
-	return e.b, nil
+	e.B[0] = Magic
+	e.B[1] = Version
+	e.B[2] = byte(f.Type)
+	binary.LittleEndian.PutUint32(e.B[3:7], uint32(len(e.B)-7))
+	return e.B, nil
 }
 
 // WriteFrame encodes f and writes it to w.
@@ -769,11 +569,34 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if n > MaxPayload {
 		return Frame{}, fmt.Errorf("wire: payload length %d exceeds MaxPayload", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readPayload(r, int(n))
+	if err != nil {
 		return Frame{}, fmt.Errorf("wire: reading %d-byte payload: %w", n, err)
 	}
 	return Decode(Type(hdr[2]), body)
+}
+
+// readAhead bounds how far a payload buffer is allocated ahead of the
+// bytes that have arrived.
+const readAhead = 1 << 20
+
+// readPayload reads an n-byte payload. Up to readAhead bytes it allocates
+// once; beyond that the buffer at most doubles per step as bytes arrive,
+// so a header that announces MaxPayload and then stops costs a megabyte,
+// not a gigabyte.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, min(n, readAhead))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		k, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // Decode decodes one payload of the given type.
@@ -782,9 +605,9 @@ func Decode(t Type, body []byte) (Frame, error) {
 	if !ok {
 		return Frame{}, fmt.Errorf("wire: unknown frame type %d", byte(t))
 	}
-	d := &dec{b: body}
+	d := &codec.Dec{B: body}
 	f.payloadOf().decode(d)
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return Frame{}, fmt.Errorf("wire: decoding %v: %w", t, err)
 	}
 	return f, nil

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -40,13 +42,12 @@ func TestRoundTripAllTypes(t *testing.T) {
 			JobID: "ab12cd", RunID: 3, Epoch: 1,
 			N: 4, ColPtr: []uint32{0, 2, 3, 4, 5}, RowInd: []uint32{0, 2, 1, 2, 3},
 			Val:       []float64{4, -1, 3, 2.5, 1},
-			BlockSize: 32, Blocking: 1, Ordering: 2, Exec: 1, AmalgThr: 0.125,
-			Procs: 8, NodeOf: []uint16{0, 1, 2, 3, 0, 1, 2, 3},
+			BlockSize: 32, Procs: 8, NodeOf: []uint16{0, 1, 2, 3, 0, 1, 2, 3},
 			Participants: []Participant{
 				{ID: "a", DataAddr: "127.0.0.1:9001", Alive: true},
 				{ID: "b", DataAddr: "127.0.0.1:9002", Alive: false},
 			},
-			Primary: 1, Replicas: []uint16{0}, Frontier: 17,
+			Primary: 1, Replicas: []uint16{0},
 			Tenant: "team-solvers", DeadlineUnixMicro: 1_700_000_000_123_456,
 		}},
 		{Type: TAbort, Abort: &Abort{JobID: "ab12cd", RunID: 3, Epoch: 1, Reason: "peer died"}},
@@ -57,7 +58,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{Type: TDone, Done: &Done{
 			JobID: "ab12cd", RunID: 3, Epoch: 2, OK: false,
 			Err: "pivot failure", HasPivot: true, PivotBlock: 9, PivotRow: 4,
-			Pivot: -1e-30, Watermark: 23, Stats: stats,
+			Pivot: -1e-30, Stats: stats,
 		}},
 		{Type: TFactorReady, FactorReady: &FactorReady{JobID: "ab12cd", RunID: 3}},
 		{Type: TSolveReq, SolveReq: &SolveReq{Seq: 99, JobID: "ab12cd", B: []float64{1, 2, 3, 4}}},
@@ -107,6 +108,24 @@ func TestReadFrameOversizedLength(t *testing.T) {
 	_, err := ReadFrame(bytes.NewReader(hdr))
 	if err == nil {
 		t.Fatal("oversized payload length accepted")
+	}
+}
+
+// TestReadFrameHugeHeaderThenEOF announces a 1 GiB payload and then ends
+// the stream: the read must fail without first allocating what the header
+// announced, or any peer could cost a node a gigabyte with seven bytes.
+func TestReadFrameHugeHeaderThenEOF(t *testing.T) {
+	hdr := []byte{Magic, Version, byte(TBlockData), 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[3:], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without its payload accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("reading a bare 1 GiB header allocated %d MiB", got>>20)
 	}
 }
 

@@ -6,7 +6,8 @@
 // any numeric work, and a restarted spchol-node rejoins an epoch with the
 // blocks it had already completed instead of forcing a full buddy remap.
 //
-// On-disk format (little-endian, mirroring the cluster wire codec style):
+// On-disk format (record framing here, payload fields in internal/codec's
+// encoding, the same one the cluster wire uses):
 //
 //	file   := magic "SPCS" | version (1 byte) | record*
 //	record := type (1) | payload length (4) | payload | crc32-IEEE(payload) (4)
@@ -42,6 +43,7 @@ import (
 	"syscall"
 	"time"
 
+	"blockfanout/internal/codec"
 	"blockfanout/internal/sparse"
 )
 
@@ -236,22 +238,19 @@ func blocksName(jobID string) string {
 
 // PutFactor atomically writes (or replaces) the snapshot for its key.
 func (s *Store) PutFactor(fs *FactorSnapshot) error {
-	var e enc
-	e.u64(fs.PatternHash)
-	e.u64(fs.ConfigKey)
-	e.u32(uint32(fs.N))
-	meta := e.take()
-	e.ints(fs.ColPtr)
-	e.ints(fs.RowInd)
-	e.f64s(fs.Val)
-	matrix := e.take()
-	e.u32(uint32(len(fs.Blocks)))
+	var meta, matrix, blocks codec.Enc
+	meta.U64(fs.PatternHash)
+	meta.U64(fs.ConfigKey)
+	meta.U32(uint32(fs.N))
+	matrix.Ints(fs.ColPtr)
+	matrix.Ints(fs.RowInd)
+	matrix.F64s(fs.Val)
+	blocks.U32(uint32(len(fs.Blocks)))
 	for _, b := range fs.Blocks {
-		e.f64s(b)
+		blocks.F64s(b)
 	}
-	blocks := e.take()
 	return s.writeFile(factorName(fs.PatternHash, fs.ConfigKey), []record{
-		{recFactorMeta, meta}, {recMatrix, matrix}, {recBlocks, blocks},
+		{recFactorMeta, meta.B}, {recMatrix, matrix.B}, {recBlocks, blocks.B},
 	})
 }
 
@@ -268,30 +267,30 @@ func (s *Store) GetFactor(pattern, cfg uint64) (*FactorSnapshot, error) {
 		if len(recs) != 3 || recs[0].typ != recFactorMeta || recs[1].typ != recMatrix || recs[2].typ != recBlocks {
 			return fmt.Errorf("store: factor snapshot has wrong record sequence")
 		}
-		d := dec{b: recs[0].payload}
-		fs.PatternHash = d.u64()
-		fs.ConfigKey = d.u64()
-		fs.N = int(d.u32())
-		if err := d.done(); err != nil {
+		d := codec.Dec{B: recs[0].payload}
+		fs.PatternHash = d.U64()
+		fs.ConfigKey = d.U64()
+		fs.N = int(d.U32())
+		if err := d.Done(); err != nil {
 			return err
 		}
 		if fs.PatternHash != pattern || fs.ConfigKey != cfg {
 			return fmt.Errorf("store: snapshot keyed %016x/%016x holds %016x/%016x", pattern, cfg, fs.PatternHash, fs.ConfigKey)
 		}
-		d = dec{b: recs[1].payload}
-		fs.ColPtr = d.ints()
-		fs.RowInd = d.ints()
-		fs.Val = d.f64s()
-		if err := d.done(); err != nil {
+		d = codec.Dec{B: recs[1].payload}
+		fs.ColPtr = d.Ints()
+		fs.RowInd = d.Ints()
+		fs.Val = d.F64s()
+		if err := d.Done(); err != nil {
 			return err
 		}
-		d = dec{b: recs[2].payload}
-		nb := d.count(4)
+		d = codec.Dec{B: recs[2].payload}
+		nb := d.Count(4)
 		fs.Blocks = make([][]float64, 0, nb)
-		for i := 0; i < nb && d.err == nil; i++ {
-			fs.Blocks = append(fs.Blocks, d.f64s())
+		for i := 0; i < nb && d.Err() == nil; i++ {
+			fs.Blocks = append(fs.Blocks, d.F64s())
 		}
-		if err := d.done(); err != nil {
+		if err := d.Done(); err != nil {
 			return err
 		}
 		// Sound records can still carry a matrix that is invalid or no
@@ -334,23 +333,21 @@ func (s *Store) DeleteFactor(pattern, cfg uint64) {
 // PutBlocks atomically writes (or replaces) a worker's held-block snapshot
 // for a job.
 func (s *Store) PutBlocks(bs *BlockSnapshot) error {
-	var e enc
-	e.str(bs.JobID)
-	e.u64(bs.RunID)
-	e.u32(bs.Epoch)
-	e.u64(bs.ValSum)
-	meta := e.take()
 	if len(bs.IDs) != len(bs.Blocks) {
 		return fmt.Errorf("store: %d block ids for %d payloads", len(bs.IDs), len(bs.Blocks))
 	}
-	e.u32(uint32(len(bs.IDs)))
+	var meta, held codec.Enc
+	meta.Str(bs.JobID)
+	meta.U64(bs.RunID)
+	meta.U32(bs.Epoch)
+	meta.U64(bs.ValSum)
+	held.U32(uint32(len(bs.IDs)))
 	for i, id := range bs.IDs {
-		e.u32(id)
-		e.f64s(bs.Blocks[i])
+		held.U32(id)
+		held.F64s(bs.Blocks[i])
 	}
-	held := e.take()
 	return s.writeFile(blocksName(bs.JobID), []record{
-		{recBlocksMeta, meta}, {recHeldBlocks, held},
+		{recBlocksMeta, meta.B}, {recHeldBlocks, held.B},
 	})
 }
 
@@ -366,24 +363,24 @@ func (s *Store) GetBlocks(jobID string) (*BlockSnapshot, error) {
 		if len(recs) != 2 || recs[0].typ != recBlocksMeta || recs[1].typ != recHeldBlocks {
 			return fmt.Errorf("store: block snapshot has wrong record sequence")
 		}
-		d := dec{b: recs[0].payload}
-		bs.JobID = d.str()
-		bs.RunID = d.u64()
-		bs.Epoch = d.u32()
-		bs.ValSum = d.u64()
-		if err := d.done(); err != nil {
+		d := codec.Dec{B: recs[0].payload}
+		bs.JobID = d.Str()
+		bs.RunID = d.U64()
+		bs.Epoch = d.U32()
+		bs.ValSum = d.U64()
+		if err := d.Done(); err != nil {
 			return err
 		}
 		if bs.JobID != jobID {
 			return fmt.Errorf("store: block snapshot for job %q found under %q", bs.JobID, jobID)
 		}
-		d = dec{b: recs[1].payload}
-		nb := d.count(4)
-		for i := 0; i < nb && d.err == nil; i++ {
-			bs.IDs = append(bs.IDs, d.u32())
-			bs.Blocks = append(bs.Blocks, d.f64s())
+		d = codec.Dec{B: recs[1].payload}
+		nb := d.Count(4)
+		for i := 0; i < nb && d.Err() == nil; i++ {
+			bs.IDs = append(bs.IDs, d.U32())
+			bs.Blocks = append(bs.Blocks, d.F64s())
 		}
-		return d.done()
+		return d.Done()
 	}()
 	if derr != nil {
 		return nil, s.quarantine(name, derr)
@@ -527,144 +524,4 @@ func (s *Store) quarantine(name string, cause error) error {
 	from := filepath.Join(s.dir, name)
 	os.Rename(from, from+".quarantine")
 	return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, cause)
-}
-
-// ---- payload codec (wire-style little-endian, total decoders) ----
-
-type enc struct{ b []byte }
-
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// grow extends the buffer by n bytes and returns the fresh region. Bulk
-// encoders write into it directly: a multi-megabyte factor snapshot is
-// mostly float64 payload, and appending it element-by-element costs more
-// CPU than the durable write itself.
-func (e *enc) grow(n int) []byte {
-	off := len(e.b)
-	if cap(e.b)-off < n {
-		nb := make([]byte, off, max(2*cap(e.b), off+n))
-		copy(nb, e.b)
-		e.b = nb
-	}
-	e.b = e.b[:off+n]
-	return e.b[off:]
-}
-
-func (e *enc) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	buf := e.grow(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
-}
-func (e *enc) ints(v []int) {
-	e.u32(uint32(len(v)))
-	buf := e.grow(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(x))
-	}
-}
-
-// take returns the accumulated payload and resets the encoder.
-func (e *enc) take() []byte {
-	b := e.b
-	e.b = nil
-	return b
-}
-
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = errors.New("store: truncated payload")
-	}
-}
-
-func (d *dec) u32() uint32 {
-	if len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-// count validates a u32 length prefix against the remaining bytes at
-// elemSize bytes per element, so a corrupted length can never force an
-// allocation larger than the payload carrying it.
-func (d *dec) count(elemSize int) int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if int64(n)*int64(elemSize) > int64(len(d.b)) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *dec) f64s() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*i:]))
-	}
-	d.b = d.b[8*n:]
-	return v
-}
-
-func (d *dec) ints() []int {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(binary.LittleEndian.Uint64(d.b[8*i:]))
-	}
-	d.b = d.b[8*n:]
-	return v
-}
-
-func (d *dec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("store: %d trailing bytes after payload", len(d.b))
-	}
-	return nil
 }
