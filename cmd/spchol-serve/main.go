@@ -59,7 +59,7 @@ func run() error {
 		procs        = flag.Int("procs", 0, "parallel width of each factorization (0 = GOMAXPROCS capped at 16; gateway: 8 virtual processors)")
 		workers      = flag.Int("workers", 0, "concurrent heavy operations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "operations that may wait for a worker before 429")
-		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget (0 = default 64)")
+		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget, and the bound on live factors or cluster jobs (0 = default 64)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte budget (0 = default 1 GiB)")
 		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "local only: negative disables RHS batching; any other value enables it (a solve runs at once when its factor is idle and otherwise rides the next sweep)")
 		batchLimit   = flag.Int("batch-limit", 64, "local only: most right-hand sides one coalesced sweep takes")

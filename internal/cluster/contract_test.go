@@ -225,9 +225,9 @@ var contractCases = []struct {
 		resp.Body.Close()
 		want := []string{"status", "requests", "plan_cache", "admission", "latency", "breaker"}
 		if e.cluster {
-			want = append(want, "epochs_started", "epoch_retries", "local_factors", "nodes")
+			want = append(want, "epochs_started", "epoch_retries", "local_factors", "jobs", "evicted_jobs", "nodes")
 		} else {
-			want = append(want, "batches", "batched_rhs", "live_factors")
+			want = append(want, "batches", "batched_rhs", "live_factors", "evicted_factors")
 		}
 		keys(t, b, want...)
 	}},

@@ -17,6 +17,7 @@ import (
 	"blockfanout/internal/fanout"
 	"blockfanout/internal/faultinject"
 	"blockfanout/internal/kernels"
+	"blockfanout/internal/lru"
 	"blockfanout/internal/machine"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/sched"
@@ -175,6 +176,10 @@ type gwJob struct {
 	// reqMu serializes factor requests per pattern (a run must finish or
 	// fail before the next re-shards the same job).
 	reqMu sync.Mutex
+	// solveMu is held for reading by a solve from routing to its answer,
+	// and for writing by a factor request while it retires the previous
+	// run, so no node reloads values under a solve already routed to it.
+	solveMu sync.RWMutex
 
 	plan  *core.Plan
 	pr    *sched.Program
@@ -200,6 +205,13 @@ type gwJob struct {
 	// lastSnap is when the pattern's plan snapshot was last enqueued.
 	// Guarded by reqMu.
 	lastSnap time.Time
+	// evicted is set once the registry dropped the job: no failover may
+	// restart it after that. Guarded by mu.
+	evicted bool
+
+	// pins counts the factor and solve requests using the job; eviction
+	// skips a pinned job. Guarded by Gateway.mu.
+	pins int
 }
 
 func (j *gwJob) wake() {
@@ -225,10 +237,10 @@ type Gateway struct {
 	wg     sync.WaitGroup
 	ln     net.Listener
 
-	mu      sync.Mutex
+	mu      sync.Mutex // guards members, byID, jobs and every job's pins
 	members []*member
 	byID    map[string]int
-	jobs    map[string]*gwJob
+	jobs    *lru.Cache[string, *gwJob] // at most the front's MaxFactors idle jobs
 
 	runSeq   atomic.Uint64
 	solveSeq atomic.Uint64
@@ -238,6 +250,7 @@ type Gateway struct {
 	metEpochRetries atomic.Uint64
 	metLocalFactors atomic.Uint64
 	metLocalSolves  atomic.Uint64
+	metEvictedJobs  atomic.Uint64
 }
 
 // NewGateway builds a gateway whose request pipeline has 16 admission
@@ -265,12 +278,12 @@ func NewGatewayFront(cfg GatewayConfig, front server.Config) *Gateway {
 		cfg:     cfg,
 		planKey: opts.ConfigKey(),
 		byID:    make(map[string]int),
-		jobs:    make(map[string]*gwJob),
 	}
 	front.Procs = cfg.Procs
 	front.BatchWindow = -1
 	g.front = server.NewFront(front, opts, g)
 	g.local = g.front.Local()
+	g.jobs = lru.New[string](g.front.MaxFactors(), func(j *gwJob) bool { return j.pins > 0 })
 	return g
 }
 
@@ -416,10 +429,7 @@ func (g *Gateway) markDead(m *member, reason string) {
 	}
 	g.cfg.Logf("cluster gateway: node %s dead (%s)", m.id, reason)
 	g.mu.Lock()
-	jobs := make([]*gwJob, 0, len(g.jobs))
-	for _, j := range g.jobs {
-		jobs = append(jobs, j)
-	}
+	jobs := g.jobs.Values()
 	g.mu.Unlock()
 	for _, j := range jobs {
 		g.failover(j, m)
@@ -430,6 +440,9 @@ func (g *Gateway) markDead(m *member, reason string) {
 func (g *Gateway) failover(j *gwJob, dead *member) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.evicted {
+		return // its nodes were told to drop it
+	}
 	deadIdx := -1
 	alive := make([]bool, len(j.members))
 	for i, m := range j.members {
@@ -543,10 +556,78 @@ func (g *Gateway) broadcastStartLocked(j *gwJob) {
 	}
 }
 
+// jobByID returns id's job, or nil, without touching the recency order.
 func (g *Gateway) jobByID(id string) *gwJob {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.jobs[id]
+	j, _ := g.jobs.Peek(id)
+	return j
+}
+
+// pin returns id's job promoted in the LRU and pinned against eviction
+// until release, or nil when the registry holds none and newJob is nil.
+// With newJob set a missing job is registered, which may evict the least
+// recently used unpinned jobs past MaxFactors; their nodes are told to
+// drop them before pin returns.
+func (g *Gateway) pin(id string, newJob func() *gwJob) *gwJob {
+	g.mu.Lock()
+	j, ok := g.jobs.Get(id)
+	if !ok && newJob == nil {
+		g.mu.Unlock()
+		return nil
+	}
+	var evicted []*gwJob
+	if !ok {
+		j = newJob()
+		j.pins++ // before Add, so a new job is never its own victim
+		evicted = g.jobs.Add(id, j)
+	} else {
+		j.pins++
+	}
+	g.dropLocked(evicted)
+	return j
+}
+
+// release unpins j. The registry may have grown past its bound while
+// every job was pinned, so it is trimmed first, while j still counts as
+// pinned: a request never evicts the job it has just answered for.
+func (g *Gateway) release(j *gwJob) {
+	g.mu.Lock()
+	evicted := g.jobs.Trim()
+	j.pins--
+	g.dropLocked(evicted)
+}
+
+// dropLocked unlocks g.mu and retires the jobs just evicted under it. The
+// drop carries the newest run id issued so far, read before the unlock:
+// every run of an evicted job is at or below it, and every run of a job
+// registered afterwards under the same id is above it.
+func (g *Gateway) dropLocked(evicted []*gwJob) {
+	lastRun := g.runSeq.Load()
+	g.mu.Unlock()
+	for _, j := range evicted {
+		g.dropJob(j, lastRun)
+	}
+}
+
+// dropJob retires an evicted job: no failover restarts it, and every alive
+// member of its last run is told to drop it unless a newer run than
+// lastRun has restarted the pattern there.
+func (g *Gateway) dropJob(j *gwJob, lastRun uint64) {
+	g.metEvictedJobs.Add(1)
+	j.mu.Lock()
+	j.evicted = true
+	members := j.members
+	j.mu.Unlock()
+	ab := &wire.Abort{JobID: j.id, RunID: lastRun, Reason: "evicted", Drop: true}
+	for _, m := range members {
+		if !m.isAlive() {
+			continue
+		}
+		if err := m.send(wire.Frame{Type: wire.TAbort, Abort: ab}); err != nil {
+			g.cfg.Logf("cluster gateway: drop job %s on %s: %v", j.id, m.id, err)
+		}
+	}
 }
 
 func (g *Gateway) handleDone(m *member, dn *wire.Done) {
@@ -624,13 +705,10 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 			errors.New("perturb=1 is not supported by the cluster: its nodes apply no diagonal shift"))
 	}
 	id, m, entry := c.ID, c.M, c.Entry
-	g.mu.Lock()
-	j, ok := g.jobs[id]
-	if !ok {
-		j = &gwJob{id: id, n: m.N, nnzL: entry.Plan.Exact.NNZ(), notify: make(chan struct{}, 1)}
-		g.jobs[id] = j
-	}
-	g.mu.Unlock()
+	j := g.pin(id, func() *gwJob {
+		return &gwJob{id: id, n: m.N, nnzL: entry.Plan.Exact.NNZ(), notify: make(chan struct{}, 1)}
+	})
+	defer g.release(j)
 
 	j.reqMu.Lock()
 	defer j.reqMu.Unlock()
@@ -666,6 +744,7 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 	// A degraded-mode factor of this pattern holds older values than this
 	// run: retire it so it can never answer a solve again.
 	g.local.Forget(id)
+	j.solveMu.Lock() // wait out the solves routed to the previous run
 	j.mu.Lock()
 	resp.Refactored = j.solvable
 	j.tenant = c.Tenant
@@ -687,6 +766,7 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 		// non-finite): refuse loudly instead of silently piling every
 		// processor onto whichever node the degenerate arithmetic favored.
 		j.mu.Unlock()
+		j.solveMu.Unlock()
 		return resp, server.WithStatus(http.StatusServiceUnavailable,
 			fmt.Errorf("cannot partition processors across nodes: %w", perr))
 	}
@@ -701,6 +781,7 @@ func (g *Gateway) Factor(ctx context.Context, c *server.FactorCall) (server.Fact
 	g.broadcastStartLocked(j)
 	runID := j.runID
 	j.mu.Unlock()
+	j.solveMu.Unlock()
 
 	// Wait for every (surviving) participant's Done plus at least one
 	// assembly target holding the full factor. Failovers reset the done
@@ -871,14 +952,19 @@ func (g *Gateway) abort(j *gwJob, runID uint64, reason string) {
 // Solve routes a single right-hand side to the job's primary if it still
 // holds the factor, else to any ready replica — the solve-side half of
 // buddy failover. The degraded-mode Local backend's factor is the target of
-// last resort.
+// last resort. The job stays pinned against eviction until the answer is
+// in, so a routed solve never finds its factor dropped.
 func (g *Gateway) Solve(ctx context.Context, req *server.SolveRequest) (server.SolveResponse, error) {
 	if req.BS != nil {
 		return server.SolveResponse{}, server.WithStatus(http.StatusBadRequest,
 			errors.New(`the gateway solves one right-hand side per request: send "b", not "bs"`))
 	}
 	var targets []*member
-	if j := g.jobByID(req.ID); j != nil {
+	j := g.pin(req.ID, nil)
+	if j != nil {
+		defer g.release(j)
+		j.solveMu.RLock()
+		defer j.solveMu.RUnlock()
 		j.mu.Lock()
 		if j.solvable {
 			for _, m := range j.readyTargetsLocked() {
@@ -902,6 +988,10 @@ func (g *Gateway) Solve(ctx context.Context, req *server.SolveRequest) (server.S
 		resp, err := g.local.Solve(ctx, req)
 		resp.Node = "local"
 		return resp, err
+	}
+	if j == nil {
+		// Evicted since the pipeline's Live check.
+		return server.SolveResponse{}, server.WithStatus(http.StatusNotFound, fmt.Errorf("unknown factor id %q", req.ID))
 	}
 	if lastErr == nil {
 		return server.SolveResponse{}, server.WithStatus(http.StatusConflict, fmt.Errorf("factor %q is not ready", req.ID))
@@ -964,6 +1054,7 @@ type clusterDoc struct {
 	LocalFactors uint64    `json:"local_factors"` // degraded-mode factorizations
 	LocalSolves  uint64    `json:"local_solves"`  // solves served by the Local backend
 	Jobs         int       `json:"jobs"`
+	EvictedJobs  uint64    `json:"evicted_jobs"` // jobs dropped by the MaxFactors bound
 	Nodes        []nodeRow `json:"nodes"`
 }
 
@@ -974,7 +1065,7 @@ type clusterDoc struct {
 func (g *Gateway) Status() server.BackendStatus {
 	g.mu.Lock()
 	members := append([]*member(nil), g.members...)
-	jobs := len(g.jobs)
+	jobs := g.jobs.Len()
 	g.mu.Unlock()
 	doc := clusterDoc{
 		Failovers:    g.metFailovers.Load(),
@@ -983,6 +1074,7 @@ func (g *Gateway) Status() server.BackendStatus {
 		LocalFactors: g.metLocalFactors.Load(),
 		LocalSolves:  g.metLocalSolves.Load(),
 		Jobs:         jobs,
+		EvictedJobs:  g.metEvictedJobs.Load(),
 		Nodes:        []nodeRow{},
 	}
 	alive := 0

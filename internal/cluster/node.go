@@ -123,22 +123,29 @@ type nodeJob struct {
 	epoch uint32
 	sj    *wire.StartJob // current epoch's parameters; nil before the first
 
-	plan *core.Plan
-	pr   *sched.Program
-	nf   *numeric.Factor
-	pav  []float64 // permuted values of the current run
+	plan   *core.Plan
+	pr     *sched.Program
+	nf     *numeric.Factor
+	valSum uint64 // store.ValChecksum of the current run's permuted values
 
 	myIdx    int
 	local    []bool // blocks this node executes under the current epoch
 	haveData []bool // blocks whose final data this node holds
 	nHave    int
 
-	ex        *fanout.Executor
+	ex        *fanout.Executor // the running epoch's executor; nil between runs
 	cancel    context.CancelFunc
 	running   bool
 	pending   *wire.StartJob    // next epoch, applied when the current run stops
 	buffered  []*wire.BlockData // frames for epochs not yet started
 	readySent bool
+
+	// born is when the job was registered; one that no StartJob has
+	// claimed within placeholderTTL of it is swept.
+	born time.Time
+	// gone is set when the job leaves n.jobs (dropped or swept); a caller
+	// that finds it set looks the id up again.
+	gone bool
 }
 
 // NewNode builds a node; call Run to join the cluster.
@@ -281,7 +288,8 @@ func (n *Node) heartbeats() {
 		select {
 		case <-n.ctx.Done():
 			return
-		case <-t.C:
+		case now := <-t.C:
+			n.sweepPlaceholders(now)
 			hb := wire.Heartbeat{Stats: n.statsSnapshot()}
 			if err := n.sendCtrl(wire.Frame{Type: wire.THeartbeat, Heartbeat: &hb}); err != nil {
 				return
@@ -444,8 +452,7 @@ func (n *Node) dataLoop(conn net.Conn) {
 // older one are dropped, and current-epoch frames write the block's data
 // and inject its completion into the running executor.
 func (n *Node) deliver(bd *wire.BlockData) {
-	job := n.jobFor(bd.JobID)
-	job.mu.Lock()
+	job := n.lockJob(bd.JobID, true)
 	defer job.mu.Unlock()
 	switch {
 	case job.sj == nil, bd.RunID > job.runID,
@@ -479,26 +486,78 @@ func (j *nodeJob) applyLocked(n *Node, bd *wire.BlockData) {
 	copy(dst, bd.Data)
 	j.haveData[id] = true
 	j.nHave++
-	j.ex.Inject(id)
+	if j.ex != nil {
+		// A frame after this node's run completed (an assembly target
+		// still collecting remote blocks) has no executor to wake.
+		j.ex.Inject(id)
+	}
 	j.maybeReadyLocked(n)
 }
 
 // ---- job lifecycle ----
 
-func (n *Node) jobFor(id string) *nodeJob {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if j, ok := n.jobs[id]; ok {
-		return j
+// lockJob returns id's job with its mu held, or nil when the node holds
+// no such job and create is unset. With create set a missing job is
+// registered as a placeholder that a StartJob claims or the heartbeat
+// sweep removes.
+func (n *Node) lockJob(id string, create bool) *nodeJob {
+	for {
+		n.mu.Lock()
+		j, ok := n.jobs[id]
+		if !ok && create {
+			j = &nodeJob{id: id, myIdx: -1, born: time.Now()}
+			n.jobs[id] = j
+		}
+		n.mu.Unlock()
+		if j == nil {
+			return nil
+		}
+		j.mu.Lock()
+		if !j.gone {
+			return j
+		}
+		j.mu.Unlock() // removed between the lookup and the lock
 	}
-	j := &nodeJob{id: id, myIdx: -1}
-	n.jobs[id] = j
-	return j
+}
+
+// removeLocked deletes j from the node; its plan, factor, program and
+// buffered frames go with the last goroutine holding it. Caller holds
+// j.mu.
+func (n *Node) removeLocked(j *nodeJob) {
+	j.gone = true
+	n.mu.Lock()
+	if n.jobs[j.id] == j {
+		delete(n.jobs, j.id)
+	}
+	n.mu.Unlock()
+}
+
+// placeholderTTL is how long a job created by early data frames may wait
+// for its StartJob: a few heartbeats, well past any frame's head start on
+// the control plane, so what the sweep removes are frames of a run this
+// node will never start (one it was told to drop, or one that failed).
+func (n *Node) placeholderTTL() time.Duration { return 4 * n.cfg.HeartbeatEvery }
+
+// sweepPlaceholders removes the jobs data frames created that no StartJob
+// claimed within placeholderTTL of now.
+func (n *Node) sweepPlaceholders(now time.Time) {
+	n.mu.Lock()
+	jobs := make([]*nodeJob, 0, len(n.jobs))
+	for _, j := range n.jobs {
+		jobs = append(jobs, j)
+	}
+	n.mu.Unlock()
+	for _, j := range jobs {
+		j.mu.Lock()
+		if j.sj == nil && now.Sub(j.born) >= n.placeholderTTL() {
+			n.removeLocked(j)
+		}
+		j.mu.Unlock()
+	}
 }
 
 func (n *Node) startJob(sj *wire.StartJob) {
-	job := n.jobFor(sj.JobID)
-	job.mu.Lock()
+	job := n.lockJob(sj.JobID, true)
 	if sj.RunID < job.runID ||
 		(sj.RunID == job.runID && job.sj != nil && sj.Epoch <= job.epoch) {
 		job.mu.Unlock()
@@ -561,21 +620,26 @@ func (j *nodeJob) startLocked(n *Node, sj *wire.StartJob) error {
 		return fmt.Errorf("cluster: node %s not in job %s participant list", n.cfg.ID, sj.JobID)
 	}
 
+	// Every epoch's StartJob carries the run's values, so the permuted
+	// copy is scratch for the reload alone.
+	pav := permuteVals(j.plan, sj.Val)
 	newRun := sj.RunID != j.runID || j.haveData == nil
 	if newRun {
-		j.pav = permuteVals(j.plan, sj.Val)
-		if err := j.nf.Reload(j.pav); err != nil {
+		if err := j.nf.Reload(pav); err != nil {
 			return err
 		}
 		j.haveData = make([]bool, j.pr.NBlocks)
 		j.nHave = 0
 		j.readySent = false
-		j.restoreBlocksLocked(n)
+		if n.st != nil {
+			j.valSum = store.ValChecksum(pav)
+			j.restoreBlocksLocked(n)
+		}
 	} else {
 		// Failover epoch: keep completed blocks, revert the rest.
 		n.failovers.Add(1)
 		keep := func(col, bi int) bool { return j.haveData[j.pr.BlockID(col, bi)] }
-		if err := j.nf.ReloadWhere(j.pav, keep); err != nil {
+		if err := j.nf.ReloadWhere(pav, keep); err != nil {
 			return err
 		}
 	}
@@ -667,6 +731,7 @@ func (n *Node) runEpoch(ctx context.Context, cancel context.CancelFunc, j *nodeJ
 
 	j.mu.Lock()
 	j.running = false
+	j.ex = nil // the next epoch builds its own; late frames only write data
 	if p := j.pending; p != nil {
 		j.pending = nil
 		if serr := j.startLocked(n, p); serr != nil {
@@ -803,10 +868,26 @@ func (n *Node) sendDone(j *nodeJob, sj *wire.StartJob, err error, st fanout.Stat
 	}
 }
 
+// abortJob cancels the named epoch or, for a drop, deletes the job. An
+// Abort never creates a job: one for an id this node does not hold (it
+// raced its StartJob, or the job is already gone) has nothing to stop.
 func (n *Node) abortJob(ab *wire.Abort) {
-	job := n.jobFor(ab.JobID)
-	job.mu.Lock()
+	job := n.lockJob(ab.JobID, false)
+	if job == nil {
+		return
+	}
 	defer job.mu.Unlock()
+	if ab.Drop {
+		if job.runID > ab.RunID {
+			return // a newer run of the pattern already restarted it here
+		}
+		job.pending = nil // the cancelled runner must not start another epoch
+		if job.running {
+			job.cancel()
+		}
+		n.removeLocked(job)
+		return
+	}
 	if ab.RunID == job.runID && job.running && job.cancel != nil {
 		job.cancel()
 	}

@@ -55,7 +55,7 @@ func (n *Node) saveBlocks(j *nodeJob, sj *wire.StartJob) {
 	}
 	bs := &store.BlockSnapshot{
 		JobID: j.id, RunID: j.runID, Epoch: j.epoch,
-		ValSum: store.ValChecksum(j.pav),
+		ValSum: j.valSum,
 	}
 	for id := int32(0); int(id) < j.pr.NBlocks; id++ {
 		if !j.local[id] || !j.haveData[id] {
@@ -81,17 +81,14 @@ func (n *Node) saveBlocks(j *nodeJob, sj *wire.StartJob) {
 // snapshot when one exists and fingerprints the same numerics. The value
 // checksum, not the run ID, is the correctness guard: a restarted node
 // gets a fresh run ID for the same values, while a refactor with new
-// values must never be seeded from old blocks. Caller holds j.mu and has
-// just Reloaded j.pav.
+// values must never be seeded from old blocks. Caller holds j.mu, has
+// just Reloaded the run's values and set j.valSum, and n.st is open.
 func (j *nodeJob) restoreBlocksLocked(n *Node) {
-	if n.st == nil {
-		return
-	}
 	bs, err := n.st.GetBlocks(j.id)
 	if err != nil || bs == nil {
 		return // missing or quarantined: cold start
 	}
-	if bs.ValSum != store.ValChecksum(j.pav) || len(bs.IDs) != len(bs.Blocks) {
+	if bs.ValSum != j.valSum || len(bs.IDs) != len(bs.Blocks) {
 		return
 	}
 	restored := 0

@@ -21,10 +21,10 @@ func TestFrameBytesGolden(t *testing.T) {
 		want string
 	}{
 		{Frame{Type: THello, Hello: &Hello{ID: "node-a", DataAddr: "127.0.0.1:9001", Speed: 0.5}},
-			"fc070124000000060000006e6f64652d610e0000003132372e302e302e313a39" +
+			"fc080124000000060000006e6f64652d610e0000003132372e302e302e313a39" +
 				"303031000000000000e03f"},
 		{Frame{Type: THeartbeat, Heartbeat: &Heartbeat{Stats: stats}},
-			"fc0702480000000c000000000000000b00000000000000000000000001000007" +
+			"fc0802480000000c000000000000000b00000000000000000000000001000007" +
 				"0000000000000040e2010000000000f1fb090000000000020000000000000003" +
 				"000000000000000500000000000000"},
 		{Frame{Type: TStartJob, StartJob: &StartJob{
@@ -39,20 +39,20 @@ func TestFrameBytesGolden(t *testing.T) {
 			Primary: 1, Replicas: []uint16{0},
 			Tenant: "t", DeadlineUnixMicro: 1_700_000_000_123_456,
 		}},
-			"fc07039d00000006000000616231326364030000000000000001000000020000" +
+			"fc08039d00000006000000616231326364030000000000000001000000020000" +
 				"0003000000000000000200000003000000030000000000000001000000010000" +
 				"00030000000000000000001040000000000000f0bf0000000000000840200000" +
 				"000400000004000000000001000000010002000000010000006103000000683a" +
 				"3101010000006203000000683a32000100010000000000010000007440222018" +
 				"240a0600"},
-		{Frame{Type: TAbort, Abort: &Abort{JobID: "ab12cd", RunID: 3, Epoch: 1, Reason: "peer died"}},
-			"fc07042300000006000000616231326364030000000000000001000000090000" +
-				"00706565722064696564"},
+		{Frame{Type: TAbort, Abort: &Abort{JobID: "ab12cd", RunID: 3, Epoch: 1, Reason: "peer died", Drop: true}},
+			"fc08042400000006000000616231326364030000000000000001000000090000" +
+				"0070656572206469656401"},
 		{Frame{Type: TBlockData, BlockData: &BlockData{
 			JobID: "ab12cd", RunID: 3, Epoch: 2, Block: 41,
 			Data: []float64{1, -2.5, math.Pi, 0, math.Inf(1)},
 		}},
-			"fc07054a00000006000000616231326364030000000000000002000000290000" +
+			"fc08054a00000006000000616231326364030000000000000002000000290000" +
 				"0005000000000000000000f03f00000000000004c0182d4454fb210940000000" +
 				"0000000000000000000000f07ff75f8a77"},
 		{Frame{Type: TDone, Done: &Done{
@@ -60,18 +60,18 @@ func TestFrameBytesGolden(t *testing.T) {
 			Err: "pivot failure", HasPivot: true, PivotBlock: 9, PivotRow: 4,
 			Pivot: -1e-30, Stats: stats,
 		}},
-			"fc07068100000006000000616231326364030000000000000002000000000d00" +
+			"fc08068100000006000000616231326364030000000000000002000000000d00" +
 				"00007069766f74206661696c757265010900000004000000a0c2ebfe4b48b4b9" +
 				"0c000000000000000b0000000000000000000000000100000700000000000000" +
 				"40e2010000000000f1fb09000000000002000000000000000300000000000000" +
 				"0500000000000000"},
 		{Frame{Type: TFactorReady, FactorReady: &FactorReady{JobID: "ab12cd", RunID: 3}},
-			"fc070712000000060000006162313263640300000000000000"},
+			"fc080712000000060000006162313263640300000000000000"},
 		{Frame{Type: TSolveReq, SolveReq: &SolveReq{Seq: 99, JobID: "ab12cd", B: []float64{1, 2}}},
-			"fc07082600000063000000000000000600000061623132636402000000000000" +
+			"fc08082600000063000000000000000600000061623132636402000000000000" +
 				"000000f03f0000000000000040"},
 		{Frame{Type: TSolveResp, SolveResp: &SolveResp{Seq: 99, OK: true, X: []float64{0.25, 0.5}}},
-			"fc0709210000006300000000000000010000000002000000000000000000d03f" +
+			"fc0809210000006300000000000000010000000002000000000000000000d03f" +
 				"000000000000e03f"},
 	} {
 		t.Run(tc.f.Type.String(), func(t *testing.T) {

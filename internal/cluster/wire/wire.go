@@ -50,8 +50,9 @@ const Magic byte = 0xFC
 // options and Procs alone; version 7 removed the StartJob and Done fields
 // no node read (Blocking, Ordering, Exec, AmalgThr, Frontier, Watermark),
 // so a StartJob carries exactly what a node plans from: BlockSize and
-// Procs.
-const Version byte = 7
+// Procs; version 8 added Abort's Drop flag, with which the gateway tells a
+// node to forget a job it evicted.
+const Version byte = 8
 
 // MaxPayload bounds a frame's payload; larger announced lengths are
 // rejected before allocation. 1 GiB admits the block payloads of
@@ -70,7 +71,8 @@ const (
 	// the proc→node ownership table, the participant directory, and the
 	// primary/replica assembly targets. Gateway → every participant.
 	TStartJob
-	// TAbort cancels a running epoch ahead of a restart or failure.
+	// TAbort cancels a running epoch ahead of a restart or failure, or,
+	// with Drop set, makes the node forget the job. Gateway → node.
 	TAbort
 	// TBlockData carries one completed block's dense column-major payload —
 	// the block-column send of the fan-out method, and the checkpoint unit
@@ -175,12 +177,15 @@ type StartJob struct {
 	DeadlineUnixMicro int64
 }
 
-// Abort cancels the named epoch.
+// Abort cancels the named epoch. With Drop set (v8) it names no epoch: the
+// gateway evicted the job, and the node cancels any epoch it runs and
+// deletes the job, unless it already started a run newer than RunID.
 type Abort struct {
 	JobID  string
 	RunID  uint64
 	Epoch  uint32
 	Reason string
+	Drop   bool
 }
 
 // BlockData is one completed block's payload.
@@ -323,6 +328,7 @@ func (a *Abort) encode(e *codec.Enc) {
 	e.U64(a.RunID)
 	e.U32(a.Epoch)
 	e.Str(a.Reason)
+	e.Bool(a.Drop)
 }
 
 func (a *Abort) decode(d *codec.Dec) {
@@ -330,6 +336,7 @@ func (a *Abort) decode(d *codec.Dec) {
 	a.RunID = d.U64()
 	a.Epoch = d.U32()
 	a.Reason = d.Str()
+	a.Drop = d.Bool()
 }
 
 func (b *BlockData) encode(e *codec.Enc) {

@@ -50,7 +50,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 			Primary: 1, Replicas: []uint16{0},
 			Tenant: "team-solvers", DeadlineUnixMicro: 1_700_000_000_123_456,
 		}},
-		{Type: TAbort, Abort: &Abort{JobID: "ab12cd", RunID: 3, Epoch: 1, Reason: "peer died"}},
+		{Type: TAbort, Abort: &Abort{JobID: "ab12cd", RunID: 3, Epoch: 1, Reason: "peer died", Drop: true}},
 		{Type: TBlockData, BlockData: &BlockData{
 			JobID: "ab12cd", RunID: 3, Epoch: 2, Block: 41,
 			Data: []float64{1, -2.5, math.Pi, 0, math.Inf(1)},

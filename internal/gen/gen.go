@@ -18,7 +18,6 @@ package gen
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"blockfanout/internal/sparse"
 )
@@ -184,16 +183,12 @@ func IrregularMesh(n, k, dim int, seed uint64) *sparse.Matrix {
 		dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
 		return dx*dx + dy*dy + dz*dz
 	}
-	type cand struct {
-		idx int
-		d2  float64
-	}
 	// Each point links to its k nearest; a pair that picks each other is
-	// listed twice and assembled once.
+	// listed twice and assembled once. best keeps the k nearest candidates
+	// seen so far in increasing distance, so no search ring is sorted whole.
 	edges := make([]sparse.Triplet, 0, n*k)
-	cand2 := make([]cand, 0, 8*k)
+	best := make([]cand, 0, k)
 	for i, p := range pts {
-		cand2 = cand2[:0]
 		cx := int(p[0] * float64(cells))
 		cy := int(p[1] * float64(cells))
 		cz := 0
@@ -202,7 +197,8 @@ func IrregularMesh(n, k, dim int, seed uint64) *sparse.Matrix {
 		}
 		// Expand the search ring until enough candidates are found.
 		for ring := 1; ; ring++ {
-			cand2 = cand2[:0]
+			best = best[:0]
+			found := 0
 			zlo, zhi := 0, 0
 			if dim == 3 {
 				zlo, zhi = cz-ring, cz+ring
@@ -220,27 +216,50 @@ func IrregularMesh(n, k, dim int, seed uint64) *sparse.Matrix {
 							continue
 						}
 						for _, j := range bucket[(x*cells+y)*cells+z] {
-							if j != i {
-								cand2 = append(cand2, cand{j, dist2(p, pts[j])})
+							if j == i {
+								continue
 							}
+							found++
+							best = keepNearest(best, k, cand{j, dist2(p, pts[j])})
 						}
 					}
 				}
 			}
-			if len(cand2) >= k || ring > cells {
+			if found >= k || ring > cells {
 				break
 			}
 		}
-		sort.Slice(cand2, func(a, b int) bool { return cand2[a].d2 < cand2[b].d2 })
-		kk := k
-		if kk > len(cand2) {
-			kk = len(cand2)
-		}
-		for _, c := range cand2[:kk] {
+		for _, c := range best {
 			edges = append(edges, sparse.Triplet{Row: i, Col: c.idx})
 		}
 	}
 	return laplacian(n, edges)
+}
+
+// cand is one neighbour candidate of IrregularMesh: a point and its squared
+// distance.
+type cand struct {
+	idx int
+	d2  float64
+}
+
+// keepNearest inserts c into best, which holds at most k candidates in
+// increasing distance, dropping the farthest when best is full. A tie keeps
+// the candidate seen first.
+func keepNearest(best []cand, k int, c cand) []cand {
+	if len(best) == k {
+		if k == 0 || c.d2 >= best[k-1].d2 {
+			return best
+		}
+		best = best[:k-1]
+	}
+	i := len(best)
+	best = append(best, c)
+	for ; i > 0 && best[i-1].d2 > c.d2; i-- {
+		best[i] = best[i-1]
+	}
+	best[i] = c
+	return best
 }
 
 // NormalEq returns an SPD matrix with the sparsity pattern of B·Bᵀ where B

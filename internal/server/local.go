@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 
 	"blockfanout/internal/core"
 	"blockfanout/internal/faultinject"
+	"blockfanout/internal/lru"
 )
 
 // Local is the in-process backend: a registry of live factors, each
@@ -20,13 +20,16 @@ import (
 type Local struct {
 	s *Server
 
-	mu      sync.Mutex // guards factors, lru
-	factors map[string]*factorEntry
-	lru     *list.List // front = most recently used factorEntry
+	mu      sync.Mutex // guards factors, evicted and every entry's building flag
+	factors *lru.Cache[string, *factorEntry]
+	evicted uint64 // factors dropped by the MaxFactors bound
 }
 
 func newLocal(s *Server) *Local {
-	return &Local{s: s, factors: make(map[string]*factorEntry), lru: list.New()}
+	// Eviction skips entries whose initial factorization is still in
+	// flight: evicting those would 404 an id the server is about to return.
+	busy := func(fe *factorEntry) bool { return fe.building }
+	return &Local{s: s, factors: lru.New[string](s.cfg.MaxFactors, busy)}
 }
 
 // factorEntry is one live factor. mu serializes refactorization (writer)
@@ -42,7 +45,6 @@ type factorEntry struct {
 	mu   sync.RWMutex
 	f    *core.Factor
 	bt   *batcher
-	el   *list.Element // position in the factor LRU
 	// building is true while the creator still holds mu for the initial
 	// factorization. Guarded by Local.mu; eviction skips building entries
 	// so a freshly issued id cannot vanish before its factor lands.
@@ -190,7 +192,7 @@ func (l *Local) solve(ctx context.Context, fe *factorEntry, bs [][]float64) ([][
 func (l *Local) Live(id string) (int, int64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fe, ok := l.factors[id]
+	fe, ok := l.factors.Peek(id)
 	if !ok {
 		return 0, 0, false
 	}
@@ -199,11 +201,12 @@ func (l *Local) Live(id string) (int, int64, bool) {
 
 // localDoc is the Local backend's /metrics section.
 type localDoc struct {
-	Batches  int64 `json:"batches"`      // SolveMany calls issued by the batcher, lone solves included
-	BatchedR int64 `json:"batched_rhs"`  // right-hand sides that travelled in those batches
-	Queued   int64 `json:"queued_rhs"`   // solves that waited for a running sweep
-	Expired  int64 `json:"expired_rhs"`  // queued solves dropped: context ended first
-	LiveFac  int   `json:"live_factors"` // registered factors
+	Batches  int64  `json:"batches"`         // SolveMany calls issued by the batcher, lone solves included
+	BatchedR int64  `json:"batched_rhs"`     // right-hand sides that travelled in those batches
+	Queued   int64  `json:"queued_rhs"`      // solves that waited for a running sweep
+	Expired  int64  `json:"expired_rhs"`     // queued solves dropped: context ended first
+	LiveFac  int    `json:"live_factors"`    // registered factors
+	Evicted  uint64 `json:"evicted_factors"` // factors dropped by the MaxFactors bound
 }
 
 // Status reports the Local backend, which is always "ok" while the
@@ -213,7 +216,7 @@ func (l *Local) Status() BackendStatus {
 	doc := localDoc{Batches: met.batches.Load(), BatchedR: met.batched.Load(),
 		Queued: met.queued.Load(), Expired: met.expired.Load()}
 	l.mu.Lock()
-	doc.LiveFac = len(l.factors)
+	doc.LiveFac, doc.Evicted = l.factors.Len(), l.evicted
 	l.mu.Unlock()
 	return BackendStatus{State: "ok", Metrics: doc}
 }
@@ -223,10 +226,7 @@ func (l *Local) Status() BackendStatus {
 func (l *Local) Forget(id string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if fe, ok := l.factors[id]; ok {
-		l.lru.Remove(fe.el)
-		delete(l.factors, id)
-	}
+	l.factors.Remove(id)
 }
 
 // withRetry runs op, retrying transient failures (injected infrastructure
@@ -276,8 +276,7 @@ func (l *Local) guardEntry(fe *factorEntry, op func() error) error {
 func (l *Local) claimEntry(id string, n int, plan *core.Plan) (fe *factorEntry, created bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if fe, ok := l.factors[id]; ok {
-		l.lru.MoveToFront(fe.el)
+	if fe, ok := l.factors.Get(id); ok {
 		return fe, false
 	}
 	fe = &factorEntry{id: id, n: n, plan: plan, building: true}
@@ -286,26 +285,17 @@ func (l *Local) claimEntry(id string, n int, plan *core.Plan) (fe *factorEntry, 
 	}
 	fe.bt = &batcher{l: l, fe: fe}
 	fe.mu.Lock()
-	l.factors[id] = fe
-	fe.el = l.lru.PushFront(fe)
-	// Evict from the cold end, skipping entries whose initial factorization
-	// is still in flight — evicting those would 404 an id the server is
-	// about to return.
-	for el := l.lru.Back(); el != nil && len(l.factors) > l.s.cfg.MaxFactors; {
-		victim := el.Value.(*factorEntry)
-		el = el.Prev()
-		if victim.building {
-			continue
-		}
-		l.lru.Remove(victim.el)
-		delete(l.factors, victim.id)
-	}
+	l.evicted += uint64(len(l.factors.Add(id, fe)))
 	return fe, true
 }
 
 // markReady clears the eviction guard once the creator has published fe.f.
+// Building entries may have held the registry past its bound, so it is
+// trimmed first, while fe is still guarded: the id about to be returned is
+// never the victim.
 func (l *Local) markReady(fe *factorEntry) {
 	l.mu.Lock()
+	l.evicted += uint64(len(l.factors.Trim()))
 	fe.building = false
 	l.mu.Unlock()
 }
@@ -316,9 +306,8 @@ func (l *Local) markReady(fe *factorEntry) {
 func (l *Local) dropEntry(fe *factorEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if cur, ok := l.factors[fe.id]; ok && cur == fe {
-		l.lru.Remove(fe.el)
-		delete(l.factors, fe.id)
+	if cur, ok := l.factors.Peek(fe.id); ok && cur == fe {
+		l.factors.Remove(fe.id)
 	}
 }
 
@@ -326,11 +315,7 @@ func (l *Local) dropEntry(fe *factorEntry) {
 func (l *Local) lookup(id string) (*factorEntry, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fe, ok := l.factors[id]
-	if ok {
-		l.lru.MoveToFront(fe.el)
-	}
-	return fe, ok
+	return l.factors.Get(id)
 }
 
 // saveSnapshot enqueues a write-behind snapshot of fe's freshly completed

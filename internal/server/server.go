@@ -70,8 +70,12 @@ type Config struct {
 	// cannot head-of-line block every lane (0 = no reservation).
 	ReserveInteractive int
 	// CacheEntries / CacheBytes budget the pattern-keyed plan cache
-	// (defaults: plancache defaults). MaxFactors bounds the live factor
-	// registry (default: CacheEntries).
+	// (defaults: plancache defaults). MaxFactors bounds the live registry
+	// of either backend (default: CacheEntries): the Local backend's
+	// factors, or the cluster gateway's jobs, whose nodes drop a job when
+	// the gateway evicts it. Past the bound the least recently factored or
+	// solved id is evicted, never one a request is still using, and a
+	// solve on an evicted id answers 404.
 	CacheEntries int
 	CacheBytes   int64
 	MaxFactors   int
@@ -331,6 +335,10 @@ func newServer(cfg Config, opts core.Options, b Backend) *Server {
 
 // Local returns the server's in-process backend.
 func (s *Server) Local() *Local { return s.local }
+
+// MaxFactors is the resolved Config.MaxFactors: how many live factors or
+// cluster jobs the backend keeps.
+func (s *Server) MaxFactors() int { return s.cfg.MaxFactors }
 
 // buildPlan is the one place the pipeline turns a matrix into an analysis:
 // ordering + symbolic + partitioning under the configured options, mapped

@@ -621,7 +621,7 @@ func TestFactorRegistryEvictionAndDrop(t *testing.T) {
 		t.Fatal("claim b: want created")
 	}
 	l.mu.Lock()
-	live := len(l.factors)
+	live := l.factors.Len()
 	l.mu.Unlock()
 	if live != 2 {
 		t.Fatalf("%d live entries after two in-flight claims; eviction removed a building entry", live)
@@ -636,14 +636,18 @@ func TestFactorRegistryEvictionAndDrop(t *testing.T) {
 		t.Fatal("claim c: want created")
 	}
 	l.mu.Lock()
-	_, hasA := l.factors["a"]
-	_, hasB := l.factors["b"]
+	_, hasA := l.factors.Peek("a")
+	_, hasB := l.factors.Peek("b")
+	evicted := l.evicted
 	l.mu.Unlock()
 	if hasA {
 		t.Fatal("ready entry a survived eviction while over budget")
 	}
 	if !hasB {
 		t.Fatal("building entry b was evicted")
+	}
+	if evicted != 1 {
+		t.Fatalf("evicted = %d after one eviction, want 1", evicted)
 	}
 	l.markReady(feB)
 	feB.mu.Unlock()
